@@ -4,6 +4,20 @@ Variable layout of every instance is [w | zeta | eps | delta]:
 control points, obstacle slacks (one per probed obstacle), inter-agent safety
 slacks (neighbor-major, then horizon step), cohesion slacks (same order).
 
+Inequality rows, in this order, each with a label (warm hints match rows by
+label from one tick to the next):
+  box:   ("vel" | "acc", i, "hi" | "lo"), the bounds on the velocity and
+         acceleration control points that no equality pins, hi before lo;
+         constant per config, built once in BasisBundle;
+  saf/coh: ("saf", j, k) then ("coh", j, k) per neighbor j (ascending id)
+         and step k;
+  obs:   ("obs", m, k) per probed obstacle m, one row per step k from its
+         probe on;
+  slack bounds: ("nnz", m), then ("nne", j, k), then ("nnd", j, k): -s <= 0
+         for every slack, in variable order.
+Equality rows: junction continuity, then the initial position, velocity and
+acceleration.
+
 Constraint linearization: safety and cohesion rows are first-order expansions
 of the scaled distance around the agent's own time-shifted previous plan vs.
 the neighbor's predicted trajectory. Obstacle rows are supporting planes of
@@ -29,12 +43,12 @@ import scipy.linalg
 from .geometry import (
     BezierBasis,
     BezierPlan,
-    bernstein_row,
     build_basis,
     eval_bezier,
     derivative_plan,
     obstacle_planes,
     point_surface_distance,
+    sampling_matrix,
 )
 from .qpcore import QpInstance, QpSolution, SolveStatus, solve
 
@@ -95,8 +109,10 @@ class CollisionProbe:
     depth: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControllerConfig:
+    """Controller parameters; frozen, since a BasisBundle bakes them in."""
+
     horizon: int = 16
     dt: float = 0.2
     segments: int = 3
@@ -108,7 +124,17 @@ class ControllerConfig:
     agent_shape: np.ndarray = field(default_factory=lambda: np.eye(3))
 
     def __post_init__(self):
-        self.agent_shape = np.asarray(self.agent_shape, dtype=float).reshape(3, 3)
+        shape = np.array(self.agent_shape, dtype=float).reshape(3, 3)
+        shape.flags.writeable = False
+        object.__setattr__(self, "agent_shape", shape)
+
+    def __eq__(self, other):
+        # field by field, agent_shape by value
+        if not isinstance(other, ControllerConfig):
+            return NotImplemented
+        mine, theirs = dict(vars(self)), dict(vars(other))
+        return (np.array_equal(mine.pop("agent_shape"), theirs.pop("agent_shape"))
+                and mine == theirs)
 
 
 @dataclass
@@ -122,8 +148,7 @@ class PlanResult:
     costs: dict
     status: SolveStatus
     fallback: bool = False
-    active_set: np.ndarray | None = None
-    active_labels: frozenset | None = None  # structure-independent warm hint
+    active_labels: frozenset | None = None  # warm hint for the next tick's plan
 
     @property
     def total_cost(self):
@@ -135,84 +160,66 @@ class PlanningError(RuntimeError):
 
 
 class BasisBundle:
-    """Precomputed linear maps for one (l, d, P, dt) family."""
+    """Every part of the QP that is constant per ControllerConfig, built once.
+
+    - basis (F), a2 and shifted: sampling matrices of a plan w. F gives the
+      positions and a2 the accelerations at the P sample times; shifted gives
+      the positions at the sample times + dt, clamped to the plan's end (the
+      time-shifted previous plan).
+    - d1, d2: maps from w to the velocity and acceleration control points.
+    - hessian: the w-block of the objective, 2 q_mig FᵀF + 2 q_eft a2ᵀa2.
+    - box_rows, box_h, box_labels: the velocity/acceleration bound rows.
+    - eq_rows: the junction continuity rows (also `continuity`), then the
+      initial-condition rows.
+    - the factorized least-squares fitter behind fit_plan.
+    """
 
     def __init__(self, cfg: ControllerConfig):
         l, d, horizon, dt = cfg.segments, cfg.degree, cfg.horizon, cfg.dt
         self.cfg = cfg
         self.basis: BezierBasis = build_basis(l, d, horizon, dt)
-        self.seg_dur = self.basis.segment_duration
-        n_w = 3 * l * (d + 1)
-        self.n_w = n_w
+        self.seg_dur = seg_dur = self.basis.segment_duration
+        times = self.basis.sample_times
+        self.n_w = n_w = 3 * l * (d + 1)
 
         def diff_map(count_in, order_degree):
             """Control-point difference map of one derivative level."""
-            rows = 3 * l * (count_in - 1)
-            mat = np.zeros((rows, 3 * l * count_in))
-            for s in range(l):
-                for i in range(count_in - 1):
-                    for ax in range(3):
-                        r = 3 * (s * (count_in - 1) + i) + ax
-                        mat[r, 3 * (s * count_in + i) + ax] = -order_degree / self.seg_dur
-                        mat[r, 3 * (s * count_in + i + 1) + ax] = order_degree / self.seg_dur
-            return mat
+            per_segment = np.kron(np.diff(np.eye(count_in), axis=0), np.eye(3))
+            return np.kron(np.eye(l), per_segment) * (order_degree / seg_dur)
 
         self.d1 = diff_map(d + 1, d)                     # velocity control points
         self.d2 = diff_map(d, d - 1) @ self.d1           # acceleration control points
+        # einsum sums each entry over the Bernstein weights in order, as a
+        # per-sample evaluation does; a BLAS product may reorder the sums
+        # and move the Hessian by an ulp
+        self.a2 = np.einsum("ij,jk->ik", sampling_matrix(l, d - 2, seg_dur, times), self.d2)
+        self.shifted = sampling_matrix(l, d, seg_dur, np.minimum(times + dt, l * seg_dur))
 
-        # acceleration samples at the P times (for the effort cost)
-        self.a2 = np.zeros((3 * horizon, n_w))
-        for k, t in enumerate(self.basis.sample_times):
-            seg = min(int(np.floor(t / self.seg_dur)), l - 1)
-            tau = t / self.seg_dur - seg
-            tau = min(max(tau, 0.0), 1.0)
-            weights = bernstein_row(d - 2, tau)
-            for i, wgt in enumerate(weights):
-                rows = [3 * (seg * (d - 1) + i) + ax for ax in range(3)]
-                for ax in range(3):
-                    self.a2[3 * k + ax] += wgt * self.d2[rows[ax]]
-
-        # junction continuity rows (positions, velocities, accelerations)
-        cont = []
-        for s in range(l - 1):
-            for ax in range(3):
-                row = np.zeros(n_w)
-                row[3 * (s * (d + 1) + d) + ax] = 1.0
-                row[3 * ((s + 1) * (d + 1)) + ax] = -1.0
-                cont.append(row)
-            for mat, count in ((self.d1, d + 1 - 1), (self.d2, d - 1)):
-                for ax in range(3):
-                    row = (mat[3 * (s * count + count - 1) + ax]
-                           - mat[3 * ((s + 1) * count) + ax])
-                    cont.append(row)
-        self.continuity = np.array(cont) if cont else np.zeros((0, n_w))
-
-        # initial-condition selector rows: position, velocity, acceleration at t=0
-        init = []
-        for ax in range(3):
-            row = np.zeros(n_w)
-            row[ax] = 1.0
-            init.append(row)
-        for mat, count in ((self.d1, d), (self.d2, d - 1)):
-            for ax in range(3):
-                init.append(mat[ax].copy())
-        self.initial = np.array(init)
+        f, wts = self.basis.matrix, cfg.weights
+        self.hessian = 2 * wts.q_mig * (f.T @ f) + 2 * wts.q_eft * (self.a2.T @ self.a2)
 
         # velocity/acceleration bound rows skip control points pinned by the
         # initial condition or a junction equality (first point of each segment)
-        def bound_rows(mat, count):
-            rows = []
-            for s in range(l):
-                for i in range(1, count):
-                    for ax in range(3):
-                        rows.append(mat[3 * (s * count + i) + ax])
-            return np.array(rows)
+        lim = cfg.limits
+        rows, h, self.box_labels = [], [], []
+        for name, mat, count, hi, lo in (("vel", self.d1, d, lim.v_max, lim.v_min),
+                                         ("acc", self.d2, d - 1, lim.a_max, lim.a_min)):
+            free = mat[np.arange(mat.shape[0]) // 3 % count != 0]
+            rows.append(np.stack([free, -free], axis=1).reshape(-1, n_w))
+            h.append(np.tile([hi, -lo], len(free)))
+            self.box_labels += [(name, i, side) for i in range(len(free)) for side in ("hi", "lo")]
+        self.box_rows, self.box_h = np.vstack(rows), np.concatenate(h)
 
-        self.vel_rows = bound_rows(self.d1, d)
-        self.acc_rows = bound_rows(self.d2, d - 1)
+        # junction continuity: last minus first point of adjacent segments for
+        # positions, velocities, accelerations; initial conditions: first points
+        levels = ((np.eye(n_w), d + 1), (self.d1, d), (self.d2, d - 1))
+        self.continuity = np.array(
+            [mat[3 * (s * count + count - 1) + ax] - mat[3 * (s + 1) * count + ax]
+             for s in range(l - 1) for mat, count in levels for ax in range(3)]
+        ).reshape(-1, n_w)
+        self.eq_rows = np.vstack([self.continuity] + [mat[:3] for mat, _ in levels])
 
         # fallback fitter: min ||F w - u||^2 + reg ||w||^2  s.t.  continuity = 0
-        f = self.basis.matrix
         n_c = self.continuity.shape[0]
         kkt = np.zeros((n_w + n_c, n_w + n_c))
         kkt[:n_w, :n_w] = 2 * (f.T @ f) + 1e-9 * np.eye(n_w)
@@ -266,17 +273,17 @@ def detect_first_collision(prev_traj, obstacles, r_min, horizon=None,
 
 
 def _scaled_norm_gradient(u, shape_matrix):
-    """Gradient of ||E u|| wrt u, with a deterministic +x fallback at u = 0.
+    """Gradient of ||E u|| wrt u per row of u (..., 3), with a deterministic +x
+    fallback where u = 0.
 
-    Returns (eta, scaled norm of the original u, degenerate flag).
+    Returns (eta, scaled norm of the original u, degenerate flag), per row.
     """
     m = shape_matrix.T @ shape_matrix
-    s = np.sqrt(float(u @ m @ u))
-    if s < 1e-9:
-        ux = np.array([1.0, 0.0, 0.0])
-        sx = np.sqrt(float(ux @ m @ ux))
-        return (m @ ux) / sx, s, True
-    return (m @ u) / s, s, False
+    mu = u @ m.T
+    s = np.sqrt(np.sum(mu * u, axis=-1))
+    degenerate = s < 1e-9
+    mu[degenerate] = m[:, 0]  # m @ e_x
+    return mu / np.where(degenerate, np.sqrt(m[0, 0]), s)[..., None], s, degenerate
 
 
 @dataclass
@@ -300,8 +307,11 @@ def build_qp(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dic
     """Assemble the agent's QP. Returns (QpInstance, per-row linearization metadata).
 
     neighbor_predictions maps neighbor id -> predicted trajectory (3P). If
-    `neighbors` is given, every listed id must have a prediction.
+    `neighbors` is given, every listed id must have a prediction. The rows
+    follow the layout in the module docstring.
     """
+    if bundle.cfg != cfg:
+        raise PlanningError("the basis bundle was built from a different ControllerConfig")
     horizon, n_w = cfg.horizon, bundle.n_w
     w = cfg.weights
     if neighbors is not None:
@@ -313,8 +323,8 @@ def build_qp(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dic
         ordered = sorted(neighbor_predictions)
     n_nb = len(ordered)
 
-    prev_traj = np.concatenate([eval_bezier(prev_plan, min(t + cfg.dt, prev_plan.total_duration))
-                                for t in bundle.basis.sample_times])
+    prev_traj = bundle.shifted @ prev_plan.flatten()
+    prev_pts = prev_traj.reshape(horizon, 3)
     probes = detect_first_collision(prev_traj, obstacles, cfg.r_min + OBSTACLE_BAND,
                                     horizon, norm_matrix=cfg.agent_shape)
 
@@ -330,93 +340,64 @@ def build_qp(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dic
     f = bundle.basis.matrix
     p_mig = np.asarray(p_mig, dtype=float).reshape(3)
     p_bar = np.tile(p_mig, horizon)
-
+    counts = [n_z, n_eps, n_delta]
     qmat = np.zeros((n, n))
-    qvec = np.zeros(n)
-    qmat[:n_w, :n_w] = 2 * w.q_mig * (f.T @ f) + 2 * w.q_eft * (bundle.a2.T @ bundle.a2)
-    qvec[:n_w] = -2 * w.q_mig * (f.T @ p_bar)
+    qmat[:n_w, :n_w] = bundle.hessian
+    slacks = np.arange(n_w, n)
+    qmat[slacks, slacks] = np.repeat([2 * w.q_saf, 2 * w.q_saf, 2 * w.q_coh], counts)
+    qvec = np.concatenate([-2 * w.q_mig * (f.T @ p_bar),
+                           np.repeat([w.l_saf, w.l_saf, w.l_coh], counts)])
     const = w.q_mig * horizon * float(p_mig @ p_mig)
-    zs, es, ds = layout["zeta"], layout["eps"], layout["delta"]
-    qmat[zs, zs] += np.eye(n_z) * 2 * w.q_saf
-    qvec[zs] = w.l_saf
-    qmat[es, es] += np.eye(n_eps) * 2 * w.q_saf
-    qvec[es] = w.l_saf
-    qmat[ds, ds] += np.eye(n_delta) * 2 * w.q_coh
-    qvec[ds] = w.l_coh
 
-    g_rows, h_vals, meta, labels = [], [], [], []
-
-    def add_row(row, rhs, label):
-        g_rows.append(row)
-        h_vals.append(rhs)
-        labels.append(label)
-        return len(g_rows) - 1
-
-    lim = cfg.limits
-    for name, rows_mat, hi, lo in (("vel", bundle.vel_rows, lim.v_max, lim.v_min),
-                                   ("acc", bundle.acc_rows, lim.a_max, lim.a_min)):
-        for k, r in enumerate(rows_mat):
-            full = np.zeros(n)
-            full[:n_w] = r
-            add_row(full, hi, (name, k, "hi"))
-            full_neg = np.zeros(n)
-            full_neg[:n_w] = -r
-            add_row(full_neg, -lo, (name, k, "lo"))
-
-    prev_pts = prev_traj.reshape(horizon, 3)
-    for j_idx, j in enumerate(ordered):
-        pred = np.asarray(neighbor_predictions[j], dtype=float).reshape(horizon, 3)
-        for tau in range(horizon):
-            u = prev_pts[tau] - pred[tau]
-            eta, _, degen = _scaled_norm_gradient(u, cfg.agent_shape)
-            f_tau = f[3 * tau:3 * tau + 3, :]
-            # safety:  eta'(p - p_tilde) >= r_min - eps
-            row = np.zeros(n)
-            row[:n_w] = -(f_tau.T @ eta)
-            row[es.start + j_idx * horizon + tau] = -1.0
-            r_idx = add_row(row, -cfg.r_min - float(eta @ pred[tau]), ("saf", j, tau))
-            meta.append(LinearizedRow(r_idx, "safety", j, tau, u, eta,
-                                      cfg.agent_shape, pred[tau], degen))
-            # cohesion:  eta'(p - p_tilde) <= r_coh + delta
-            row = np.zeros(n)
-            row[:n_w] = f_tau.T @ eta
-            row[ds.start + j_idx * horizon + tau] = -1.0
-            r_idx = add_row(row, cfg.r_coh + float(eta @ pred[tau]), ("coh", j, tau))
-            meta.append(LinearizedRow(r_idx, "cohesion", j, tau, u, eta,
-                                      cfg.agent_shape, pred[tau], degen))
+    # safety eta'(p - p_tilde) >= r_min - eps and cohesion eta'(p - p_tilde)
+    # <= r_coh + delta, for every (neighbor, step) at once
+    f_steps = f.reshape(horizon, 3, n_w)
+    preds = np.array([np.asarray(neighbor_predictions[j], dtype=float).reshape(horizon, 3)
+                      for j in ordered]).reshape(n_nb, horizon, 3)
+    u = prev_pts - preds
+    eta, _, degen = _scaled_norm_gradient(u, cfg.agent_shape)
+    grad = np.einsum("jki,kiw->jkw", eta, f_steps)
+    reach = np.einsum("jki,jki->jk", eta, preds)
+    w_rows = [np.stack([-grad, grad], axis=2).reshape(-1, n_w)]
+    h_vals = [np.stack([-cfg.r_min - reach, cfg.r_coh + reach], axis=2).reshape(-1)]
+    slack_cols = [np.stack([layout["eps"].start + np.arange(n_eps),
+                            layout["delta"].start + np.arange(n_delta)], axis=1).reshape(-1)]
+    nb_steps = [(j_idx, j, k) for j_idx, j in enumerate(ordered) for k in range(horizon)]
+    n_box = len(bundle.box_labels)
+    meta = [LinearizedRow(n_box + 2 * i + c, kind, j, k, u[j_idx, k], eta[j_idx, k],
+                          cfg.agent_shape, preds[j_idx, k], bool(degen[j_idx, k]))
+            for i, (j_idx, j, k) in enumerate(nb_steps)
+            for c, kind in enumerate(("safety", "cohesion"))]
+    labels = bundle.box_labels + [(name, j, k) for _, j, k in nb_steps
+                                  for name in ("saf", "coh")]
 
     for z_idx, probe in enumerate(probes):
-        # a supporting plane at every step from the first one in the band on
+        # a supporting plane at every step from the first one in the band on:
+        # eta'(p_k - p_hat_k) + d_k >= r_min (+ reserve after step 0) - zeta
         steps = np.arange(probe.k_coll, horizon)
         dist, etas = obstacle_planes(obstacles[probe.obstacle], prev_pts[steps],
                                      cfg.agent_shape)
-        for k, d_k, eta in zip(steps, dist, etas):
-            # eta'(p_k - p_hat_k) + d_k >= r_min (+ reserve after step 0) - zeta
-            clearance = cfg.r_min + (OBSTACLE_RESERVE if k > 0 else 0.0)
-            row = np.zeros(n)
-            row[:n_w] = -(f[3 * k:3 * k + 3, :].T @ eta)
-            row[zs.start + z_idx] = -1.0
-            add_row(row, d_k - float(eta @ prev_pts[k]) - clearance,
-                    ("obs", probe.obstacle, int(k)))
+        clearance = cfg.r_min + np.where(steps > 0, OBSTACLE_RESERVE, 0.0)
+        w_rows.append(-np.einsum("ki,kiw->kw", etas, f_steps[steps]))
+        h_vals.append(dist - np.sum(etas * prev_pts[steps], axis=1) - clearance)
+        slack_cols.append(np.full(steps.size, layout["zeta"].start + z_idx))
+        labels += [("obs", probe.obstacle, int(k)) for k in steps]
 
-    def slack_label(name, k):
-        if name == "nnz":
-            return (name, probes[k].obstacle)
-        return (name, ordered[k // horizon], k % horizon)
-
-    for slack_slice, name in ((zs, "nnz"), (es, "nne"), (ds, "nnd")):
-        for k, i in enumerate(range(slack_slice.start, slack_slice.stop)):
-            row = np.zeros(n)
-            row[i] = -1.0
-            add_row(row, 0.0, slack_label(name, k))
-
-    g = np.array(g_rows) if g_rows else np.zeros((0, n))
-    h = np.array(h_vals)
+    labels += [("nnz", probe.obstacle) for probe in probes]
+    labels += [(name, j, k) for name in ("nne", "nnd") for _, j, k in nb_steps]
+    slack_cols.append(slacks)
+    g = np.zeros((len(labels), n))
+    g[:n_box, :n_w] = bundle.box_rows
+    w_block = np.vstack(w_rows)
+    g[n_box:n_box + len(w_block), :n_w] = w_block
+    g[np.arange(n_box, len(labels)), np.concatenate(slack_cols)] = -1.0
+    h = np.concatenate([bundle.box_h, *h_vals, np.zeros(n - n_w)])
 
     # equalities: junction continuity plus pinned initial conditions. Position
     # and velocity are the measured state. The plant tracks the committed plan
     # with feed-forward (swarmsim.step_dynamics), so its acceleration is the
     # previous plan's at +dt; acceleration is not measured and carries over.
+    lim = cfg.limits
     t_handover = min(cfg.dt, prev_plan.total_duration)
     v0 = np.clip(state.velocity, lim.v_min, lim.v_max)
     a0 = np.clip(eval_bezier(derivative_plan(prev_plan, 2), t_handover),
@@ -427,9 +408,8 @@ def build_qp(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dic
     pin_scale = (cfg.degree - 1) / bundle.seg_dur
     a0 = np.minimum(a0, (lim.v_max - v0) * pin_scale)
     a0 = np.maximum(a0, (lim.v_min - v0) * pin_scale)
-    r_blocks = [bundle.continuity, bundle.initial]
-    r = np.zeros((sum(bk.shape[0] for bk in r_blocks), n))
-    r[:, :n_w] = np.vstack(r_blocks)
+    r = np.zeros((bundle.eq_rows.shape[0], n))
+    r[:, :n_w] = bundle.eq_rows
     b = np.concatenate([np.zeros(bundle.continuity.shape[0]),
                         state.position, v0, a0])
 
@@ -464,20 +444,16 @@ def cost_decomposition(trajectory, slack_obstacle, slack_safety, slack_cohesion,
 
 def plan(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dict,
          obstacles, p_mig, cfg: ControllerConfig, bundle: BasisBundle,
-         neighbors=None, warm_start=None, active_set_hint=None,
-         hint_labels=None) -> PlanResult:
+         neighbors=None, warm_start=None, hint_labels=None) -> PlanResult:
     """Solve the agent's QP; fall back to the time-shifted previous plan on failure.
 
     hint_labels is the previous tick's PlanResult.active_labels: row labels
     survive changes in neighbor sets and probes, so the hint stays usable
-    while the raw mask would go stale.
+    from one tick to the next.
     """
     qp, meta = build_qp(state, prev_plan, neighbor_predictions, obstacles,
                         p_mig, cfg, bundle, neighbors=neighbors)
-    hint = active_set_hint if (active_set_hint is not None
-                               and len(active_set_hint) == qp.num_ineq) else None
-    if hint is None and hint_labels:
-        hint = np.array([lab in hint_labels for lab in meta["labels"]])
+    hint = np.array([lab in hint_labels for lab in meta["labels"]]) if hint_labels else None
     x0 = None
     if warm_start is not None:
         x0 = np.zeros(qp.num_vars)
@@ -505,7 +481,7 @@ def plan(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dict,
     active = (sol.ineq_duals > 1e-6) | (sol.slack(qp) < 1e-6)
     active_labels = frozenset(lab for lab, a in zip(meta["labels"], active) if a)
     return PlanResult(bez, traj, zeta, eps, delta, sol.ineq_duals, costs,
-                      sol.status, active_set=active, active_labels=active_labels)
+                      sol.status, active_labels=active_labels)
 
 
 def prediction_row_gradients(meta, d_g, d_h, cfg: ControllerConfig, bundle: BasisBundle):

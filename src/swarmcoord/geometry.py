@@ -135,25 +135,28 @@ def eval_bezier(plan: BezierPlan, t: float) -> np.ndarray:
     return weights @ plan.control_points[seg]
 
 
-def build_basis(num_segments, degree, horizon, dt) -> BezierBasis:
-    """Sampling matrix for times (1..P)*dt.
+def sampling_matrix(num_segments, degree, segment_duration, times) -> np.ndarray:
+    """Matrix S with S w = the plan's positions at `times`, stacked time-major.
 
-    Sample j*dt lands on segment floor(j*dt / segment_duration); the terminal
-    time is assigned to the last segment.
+    w is the flat control-point vector of l segments of the given degree. A
+    time on a segment boundary belongs to the later segment, the terminal
+    time to the last one.
     """
+    n_cp = degree + 1
+    weights = np.zeros((len(times), num_segments * n_cp))
+    for k, t in enumerate(times):
+        seg, tau = _segment_and_tau(num_segments * segment_duration, segment_duration,
+                                    num_segments, t)
+        weights[k, seg * n_cp:(seg + 1) * n_cp] = bernstein_row(degree, tau)
+    return np.kron(weights, np.eye(3))
+
+
+def build_basis(num_segments, degree, horizon, dt) -> BezierBasis:
+    """Sampling matrix for times (1..P)*dt."""
     if num_segments < 1 or degree < 1 or horizon < 1 or dt <= 0:
         raise GeometryError("need l >= 1, d >= 1, P >= 1, dt > 0")
-    seg_dur = horizon * dt / num_segments
     times = dt * np.arange(1, horizon + 1)
-    n_w = 3 * num_segments * (degree + 1)
-    f = np.zeros((3 * horizon, n_w))
-    for k, t in enumerate(times):
-        seg, tau = _segment_and_tau(horizon * dt, seg_dur, num_segments, t)
-        weights = bernstein_row(degree, tau)
-        for i, wgt in enumerate(weights):
-            col0 = 3 * (seg * (degree + 1) + i)
-            for ax in range(3):
-                f[3 * k + ax, col0 + ax] = wgt
+    f = sampling_matrix(num_segments, degree, horizon * dt / num_segments, times)
     return BezierBasis(f, times, num_segments, degree, dt)
 
 

@@ -241,19 +241,16 @@ class TrajectoryPredictor:
     """Per-ego predictor state: parameters, codec calibration, prior feedback."""
 
     def __init__(self, params, cfg: PredictorConfig, calibration=None,
-                 norm=None, allow_stale=False):
+                 norm=None):
         self.params = params
         self.cfg = cfg
         self.calibration = calibration
         self.norm = norm if norm is not None else (np.zeros(cfg.traj_dim),
                                                    np.ones(cfg.traj_dim))
-        self.allow_stale = allow_stale
         self.prev_predictions = {}
-        self._stale_messages = {}
 
     def reset(self):
         self.prev_predictions.clear()
-        self._stale_messages.clear()
 
     def predict_prior(self, target, history, adjacency, obstacle_centers,
                       prev_prediction=None) -> GaussianTrajectoryEstimate:
@@ -296,14 +293,10 @@ class TrajectoryPredictor:
         """Full pipeline: prior, then fuse with a fresh decoded message if any."""
         prior = self.predict_prior(target, history, adjacency, obstacle_centers)
         msg = message if (message is not None and message.tick == tick) else None
-        if msg is None and self.allow_stale:
-            msg = self._stale_messages.get(target)
         if msg is not None and self.calibration is not None:
             observation = self.decode(msg)
             result, _ = fuse(prior, observation, self.calibration)
         else:
             result = prior.mean
-        if self.allow_stale and msg is not None:
-            self._stale_messages[target] = msg
         self.prev_predictions[target] = result
         return result

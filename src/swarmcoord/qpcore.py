@@ -250,7 +250,7 @@ def solve(qp: QpInstance, warm_start=None, active_set_hint=None,
         r_dual = np.max(np.abs(qp.Q @ x + qp.q + a.T @ y), initial=0.0)
         return r_prim, r_dual, ax
 
-    def finish(x, y, iterations, polished_try=True):
+    def finish(x, y, iterations):
         lam = np.maximum(y[:m], 0.0)
         nu = y[m:].copy()
         sol = QpSolution(x, lam, nu, SolveStatus.OPTIMAL, objective_value(qp, x),

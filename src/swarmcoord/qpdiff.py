@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .qpcore import QpInstance, QpSolution, SolveStatus, kkt_residuals, solve
+from .qpcore import QpInstance, QpSolution, SolveStatus, kkt_residuals
 
 ACT_TOL = 1e-6
 
@@ -128,66 +128,3 @@ def backward(fact: KktFactorization, dl_dx) -> dict:
     dR = np.outer(d_nu, x) + np.outer(nu, d_x) if p else np.zeros_like(qp.R)
     db = -d_nu
     return {"dQ": dQ, "dq": dq, "dG": dG, "dh": dh, "dR": dR, "db": db}
-
-
-def _fd_gradient(qp: QpInstance, loss, block, index, step):
-    """Central finite difference of loss(x*) wrt one entry, re-solving the QP."""
-
-    def perturbed(delta):
-        Q, q, G, h, R, b = (qp.Q.copy(), qp.q.copy(), qp.G.copy(),
-                            qp.h.copy(), qp.R.copy(), qp.b.copy())
-        if block == "Q":
-            i, j = index
-            Q[i, j] += delta
-            if i != j:
-                Q[j, i] += delta  # keep symmetry; gradient compared pairwise
-        elif block == "q":
-            q[index] += delta
-        elif block == "G":
-            G[index] += delta
-        elif block == "h":
-            h[index] += delta
-        elif block == "R":
-            R[index] += delta
-        elif block == "b":
-            b[index] += delta
-        sol = solve(QpInstance(Q, q, G, h, R, b))
-        if sol.status != SolveStatus.OPTIMAL:
-            raise RuntimeError("finite-difference probe left the feasible regime")
-        return loss(sol.x)
-
-    return (perturbed(step) - perturbed(-step)) / (2 * step)
-
-
-def grad_check(qp: QpInstance, loss, loss_grad, step=1e-5, damping=0.0) -> dict:
-    """Compare backward() to central finite differences for every block.
-
-    loss maps x* to a scalar; loss_grad maps x* to dL/dx*. Returns per-block
-    max relative errors plus a strict-complementarity flag; callers exclude
-    non-strictly-complementary instances from pass/fail decisions.
-    """
-    sol = solve(qp)
-    if sol.status != SolveStatus.OPTIMAL:
-        raise ValueError("instance not solvable to optimality")
-    report = {"strictly_complementary": is_strictly_complementary(qp, sol)}
-    fact = factorize(qp, sol, damping=damping)
-    grads = backward(fact, loss_grad(sol.x))
-
-    n, m, p = qp.num_vars, qp.num_ineq, qp.num_eq
-    blocks = {
-        "q": [(("q", i), grads["dq"][i]) for i in range(n)],
-        "Q": [(("Q", (i, j)), grads["dQ"][i, j] * (2.0 if i != j else 1.0))
-              for i in range(n) for j in range(i, n)],
-        "h": [(("h", i), grads["dh"][i]) for i in range(m)],
-        "G": [(("G", (i, j)), grads["dG"][i, j]) for i in range(m) for j in range(n)],
-        "b": [(("b", i), grads["db"][i]) for i in range(p)],
-        "R": [(("R", (i, j)), grads["dR"][i, j]) for i in range(p) for j in range(n)],
-    }
-    for name, entries in blocks.items():
-        if not entries:
-            report[name] = 0.0
-            continue
-        analytic = np.array([val for _, val in entries])
-        fd = np.array([_fd_gradient(qp, loss, blk, idx, step) for (blk, idx), _ in entries])
-        report[name] = float(np.max(np.abs(analytic - fd)) / max(1.0, np.max(np.abs(fd))))
-    return report

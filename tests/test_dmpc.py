@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from swarmcoord.dmpc import (
+    OBSTACLE_RESERVE,
     AgentState,
     BasisBundle,
     CollisionProbe,
@@ -18,7 +19,13 @@ from swarmcoord.dmpc import (
     prediction_row_gradients,
     shift_trajectory,
 )
-from swarmcoord.geometry import Ellipsoid, derivative_plan, eval_bezier
+from swarmcoord.geometry import (
+    BezierPlan,
+    Ellipsoid,
+    derivative_plan,
+    eval_bezier,
+    obstacle_planes,
+)
 from swarmcoord.qpcore import SolveStatus, objective_value, solve
 
 
@@ -70,6 +77,45 @@ class TestDetectFirstCollision:
                 assert probes[0].k_coll == expected
 
 
+def random_plan(rng, cfg, bundle):
+    cp = rng.normal(scale=2.0, size=(cfg.segments, cfg.degree + 1, 3))
+    return BezierPlan(cp, bundle.seg_dur)
+
+
+class TestBasisBundle:
+    def test_shifted_samples_plan_one_tick_ahead(self, cfg, bundle):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            prev = random_plan(rng, cfg, bundle)
+            direct = np.concatenate([eval_bezier(prev, min(t + cfg.dt, prev.total_duration))
+                                     for t in bundle.basis.sample_times])
+            assert np.max(np.abs(bundle.shifted @ prev.flatten() - direct)) < 1e-12
+
+    def test_a2_samples_second_derivative(self, cfg, bundle):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            prev = random_plan(rng, cfg, bundle)
+            acc = derivative_plan(prev, 2)
+            direct = np.concatenate([eval_bezier(acc, t) for t in bundle.basis.sample_times])
+            assert np.max(np.abs(bundle.a2 @ prev.flatten() - direct)) < 1e-12 * max(
+                1.0, np.max(np.abs(direct)))
+
+
+def crowded_instance(cfg, bundle):
+    """Three neighbours, one on top of the agent's own plan (u = 0), and two
+    probed obstacles plus one far away. Returns (qp, meta, obstacles)."""
+    state = AgentState([0.0, 0.0, 0.2], [0.3, 0.1, 0.0])
+    prev = hold_position_plan(state.position, cfg)
+    obstacles = [Ellipsoid.axis_aligned([0.8, 0.0, 0.2], [0.5, 0.5, 0.5]),
+                 Ellipsoid.axis_aligned([-0.9, 0.3, 0.0], [0.4, 0.6, 0.5]),
+                 Ellipsoid.axis_aligned([30.0, 0.0, 0.0], [1.0, 1.0, 1.0])]
+    preds = {4: hold_position_trajectory([0.5, 0.5, 0.0], cfg.horizon),
+             2: hold_position_trajectory([-1.0, 0.2, 0.1], cfg.horizon),
+             9: hold_position_trajectory(state.position, cfg.horizon)}
+    qp, meta = build_qp(state, prev, preds, obstacles, [6.0, 0, 0], cfg, bundle)
+    return qp, meta, obstacles
+
+
 class TestBuildQp:
     def test_no_neighbors_no_probe_slack_free(self, cfg, bundle):
         state = AgentState([0, 0, 0], [0, 0, 0])
@@ -89,6 +135,64 @@ class TestBuildQp:
         prev = hold_position_plan(state.position, cfg)
         with pytest.raises(PlanningError, match="7"):
             build_qp(state, prev, {}, [], [20.0, 0, 0], cfg, bundle, neighbors=[7])
+
+    def test_labels_unique_one_per_row(self, cfg, bundle):
+        qp, meta, _ = crowded_instance(cfg, bundle)
+        labels = meta["labels"]
+        assert len(meta["probes"]) == 2
+        assert any(rec.degenerate for rec in meta["rows"] if rec.neighbor == 9)
+        assert len(labels) == qp.num_ineq == len(set(labels))
+        for rec in meta["rows"]:
+            kind = "saf" if rec.kind == "safety" else "coh"
+            assert labels[rec.row] == (kind, rec.neighbor, rec.step)
+
+    def test_rows_match_per_row_formulas(self, cfg, bundle):
+        qp, meta, obstacles = crowded_instance(cfg, bundle)
+        f, n_w = bundle.basis.matrix, bundle.n_w
+        m = cfg.agent_shape.T @ cfg.agent_shape
+        prev_pts = meta["prev_traj"].reshape(cfg.horizon, 3)
+        expected = {}  # row -> (w-block, h)
+        for rec in meta["rows"]:
+            u = prev_pts[rec.step] - rec.p_tilde
+            s = np.sqrt(u @ m @ u)
+            eta = m[:, 0] / np.sqrt(m[0, 0]) if s < 1e-9 else m @ u / s
+            f_k = f[3 * rec.step:3 * rec.step + 3]
+            if rec.kind == "safety":
+                expected[rec.row] = (-f_k.T @ eta, -cfg.r_min - eta @ rec.p_tilde)
+            else:
+                expected[rec.row] = (f_k.T @ eta, cfg.r_coh + eta @ rec.p_tilde)
+        for row, label in enumerate(meta["labels"]):
+            if label[0] == "obs":
+                _, ob, k = label
+                dist, eta = obstacle_planes(obstacles[ob], prev_pts[k], cfg.agent_shape)
+                clearance = cfg.r_min + (OBSTACLE_RESERVE if k > 0 else 0.0)
+                expected[row] = (-f[3 * k:3 * k + 3].T @ eta,
+                                 dist - eta @ prev_pts[k] - clearance)
+        assert len(expected) == 2 * 3 * cfg.horizon + sum(
+            cfg.horizon - p.k_coll for p in meta["probes"])
+        for row, (g_w, rhs) in expected.items():
+            assert np.max(np.abs(qp.G[row, :n_w] - g_w)) < 1e-12
+            assert abs(qp.h[row] - rhs) < 1e-12
+        # box rows have no slack entry, every other row -1 at its own slack
+        nb = {j: i for i, j in enumerate(meta["neighbors"])}
+        zeta_of = {p.obstacle: z for z, p in enumerate(meta["probes"])}
+        for row, label in enumerate(meta["labels"]):
+            slack_row = np.zeros(qp.num_vars - n_w)
+            if label[0] in ("obs", "nnz"):
+                slack_row[qp.layout["zeta"].start - n_w + zeta_of[label[1]]] = -1.0
+            elif label[0] in ("saf", "nne", "coh", "nnd"):
+                block = qp.layout["eps" if label[0] in ("saf", "nne") else "delta"]
+                slack_row[block.start - n_w + nb[label[1]] * cfg.horizon + label[2]] = -1.0
+            assert np.array_equal(qp.G[row, n_w:], slack_row), label
+
+    def test_bundle_from_other_config_raises(self, cfg, bundle):
+        state = AgentState([0, 0, 0], [0, 0, 0])
+        prev = hold_position_plan(state.position, cfg)
+        other = BasisBundle(ControllerConfig(limits=MotionLimits(v_max=1.0)))
+        with pytest.raises(PlanningError, match="ControllerConfig"):
+            build_qp(state, prev, {}, [], [5.0, 0, 0], cfg, other)
+        # a config equal in value is the same config
+        build_qp(state, prev, {}, [], [5.0, 0, 0], cfg, BasisBundle(ControllerConfig()))
 
     def test_agents_at_r_min_activate_safety(self, cfg, bundle):
         state = AgentState([0, 0, 0], [0, 0, 0])
@@ -220,7 +324,7 @@ class TestPlan:
         preds = {1: hold_position_trajectory([1.5, 0.5, 0.0], cfg.horizon)}
         first = plan(state, prev, preds, [], [10.0, 0, 0], cfg, bundle)
         second = plan(state, prev, preds, [], [10.0, 0, 0], cfg, bundle,
-                      warm_start=first.plan.flatten(), active_set_hint=first.active_set)
+                      warm_start=first.plan.flatten(), hint_labels=first.active_labels)
         assert abs(first.total_cost - second.total_cost) < 1e-6
 
 

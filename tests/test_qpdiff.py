@@ -6,11 +6,10 @@ from swarmcoord.qpdiff import (
     KktSingularError,
     backward,
     factorize,
-    grad_check,
     is_strictly_complementary,
 )
 
-from qp_testing import random_feasible_qp
+from qp_testing import grad_check, random_feasible_qp
 
 
 def small_random_qp(rng):
