@@ -32,6 +32,18 @@ its slack.
 Initial condition: the plan starts from the measured position and velocity;
 its acceleration carries over from the previous plan at +dt, the point the
 plant has reached while tracking that plan.
+
+build_qp also returns a meta dict: "labels" (one per inequality row),
+"probes", "neighbors" (ids in ascending order), "prev_traj" (3P) and the
+neighbor linearization as arrays over (neighbor, step), with n_nb = number
+of neighbors:
+  preds (n_nb, P, 3): the predicted neighbor positions p_tilde;
+  eta (n_nb, P, 3): the row direction, the gradient of ||E u|| at
+      u = p_hat - p_tilde (+x fallback where u = 0);
+  scale (n_nb, P): ||E u||;
+  degenerate (n_nb, P): eta came from the fallback;
+  nb_rows (n_nb, P, 2): the inequality row indices of the (saf, coh) pair.
+prediction_row_gradients reads these arrays.
 """
 
 import logging
@@ -50,7 +62,7 @@ from .geometry import (
     point_surface_distance,
     sampling_matrix,
 )
-from .qpcore import QpInstance, QpSolution, SolveStatus, solve
+from .qpcore import QpInstance, SolveStatus, active_set, solve
 
 log = logging.getLogger(__name__)
 
@@ -124,6 +136,9 @@ class ControllerConfig:
     agent_shape: np.ndarray = field(default_factory=lambda: np.eye(3))
 
     def __post_init__(self):
+        if self.degree < 2:
+            # the acceleration rows and the effort term need a degree-2 derivative
+            raise ValueError(f"need Bezier degree >= 2, got {self.degree}")
         shape = np.array(self.agent_shape, dtype=float).reshape(3, 3)
         shape.flags.writeable = False
         object.__setattr__(self, "agent_shape", shape)
@@ -286,25 +301,11 @@ def _scaled_norm_gradient(u, shape_matrix):
     return mu / np.where(degenerate, np.sqrt(m[0, 0]), s)[..., None], s, degenerate
 
 
-@dataclass
-class LinearizedRow:
-    """Bookkeeping for one safety/cohesion row, enough to backprop into p-tilde."""
-
-    row: int
-    kind: str            # "safety" | "cohesion"
-    neighbor: object
-    step: int
-    u: np.ndarray        # linearization offset p_hat - p_tilde
-    eta: np.ndarray
-    shape_matrix: np.ndarray
-    p_tilde: np.ndarray
-    degenerate: bool = False  # eta came from the +x fallback, not from u
-
-
 def build_qp(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dict,
              obstacles, p_mig, cfg: ControllerConfig, bundle: BasisBundle,
              neighbors=None):
-    """Assemble the agent's QP. Returns (QpInstance, per-row linearization metadata).
+    """Assemble the agent's QP. Returns (QpInstance, meta), meta as in the
+    module docstring.
 
     neighbor_predictions maps neighbor id -> predicted trajectory (3P). If
     `neighbors` is given, every listed id must have a prediction. The rows
@@ -355,20 +356,17 @@ def build_qp(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dic
     preds = np.array([np.asarray(neighbor_predictions[j], dtype=float).reshape(horizon, 3)
                       for j in ordered]).reshape(n_nb, horizon, 3)
     u = prev_pts - preds
-    eta, _, degen = _scaled_norm_gradient(u, cfg.agent_shape)
+    eta, scale, degen = _scaled_norm_gradient(u, cfg.agent_shape)
     grad = np.einsum("jki,kiw->jkw", eta, f_steps)
     reach = np.einsum("jki,jki->jk", eta, preds)
     w_rows = [np.stack([-grad, grad], axis=2).reshape(-1, n_w)]
     h_vals = [np.stack([-cfg.r_min - reach, cfg.r_coh + reach], axis=2).reshape(-1)]
     slack_cols = [np.stack([layout["eps"].start + np.arange(n_eps),
                             layout["delta"].start + np.arange(n_delta)], axis=1).reshape(-1)]
-    nb_steps = [(j_idx, j, k) for j_idx, j in enumerate(ordered) for k in range(horizon)]
+    nb_steps = [(j, k) for j in ordered for k in range(horizon)]
     n_box = len(bundle.box_labels)
-    meta = [LinearizedRow(n_box + 2 * i + c, kind, j, k, u[j_idx, k], eta[j_idx, k],
-                          cfg.agent_shape, preds[j_idx, k], bool(degen[j_idx, k]))
-            for i, (j_idx, j, k) in enumerate(nb_steps)
-            for c, kind in enumerate(("safety", "cohesion"))]
-    labels = bundle.box_labels + [(name, j, k) for _, j, k in nb_steps
+    nb_rows = n_box + np.arange(2 * n_eps).reshape(n_nb, horizon, 2)
+    labels = bundle.box_labels + [(name, j, k) for j, k in nb_steps
                                   for name in ("saf", "coh")]
 
     for z_idx, probe in enumerate(probes):
@@ -384,7 +382,7 @@ def build_qp(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dic
         labels += [("obs", probe.obstacle, int(k)) for k in steps]
 
     labels += [("nnz", probe.obstacle) for probe in probes]
-    labels += [(name, j, k) for name in ("nne", "nnd") for _, j, k in nb_steps]
+    labels += [(name, j, k) for name in ("nne", "nnd") for j, k in nb_steps]
     slack_cols.append(slacks)
     g = np.zeros((len(labels), n))
     g[:n_box, :n_w] = bundle.box_rows
@@ -414,8 +412,9 @@ def build_qp(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dic
                         state.position, v0, a0])
 
     qp = QpInstance(qmat, qvec, g, h, r, b, layout=layout, objective_constant=const)
-    return qp, {"rows": meta, "probes": probes, "neighbors": ordered,
-                "prev_traj": prev_traj, "labels": labels}
+    return qp, {"probes": probes, "neighbors": ordered, "prev_traj": prev_traj,
+                "labels": labels, "preds": preds, "eta": eta, "scale": scale,
+                "degenerate": degen, "nb_rows": nb_rows}
 
 
 def cost_decomposition(trajectory, slack_obstacle, slack_safety, slack_cohesion,
@@ -478,8 +477,7 @@ def plan(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dict,
     delta = sol.x[qp.layout["delta"]]
     costs = cost_decomposition(traj, zeta, eps, delta, p_mig, cfg, bundle, w_vec=w_vec)
     bez = BezierPlan.from_flat(w_vec, cfg.segments, cfg.degree, bundle.seg_dur)
-    active = (sol.ineq_duals > 1e-6) | (sol.slack(qp) < 1e-6)
-    active_labels = frozenset(lab for lab, a in zip(meta["labels"], active) if a)
+    active_labels = frozenset(lab for lab, a in zip(meta["labels"], active_set(qp, sol)) if a)
     return PlanResult(bez, traj, zeta, eps, delta, sol.ineq_duals, costs,
                       sol.status, active_labels=active_labels)
 
@@ -487,27 +485,26 @@ def plan(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dict,
 def prediction_row_gradients(meta, d_g, d_h, cfg: ControllerConfig, bundle: BasisBundle):
     """Map KKT-layer gradients on (G, h) back to neighbor-prediction gradients.
 
-    Only the linearized safety/cohesion rows depend on the predictions: both
-    their w-block (through eta) and their right-hand side (through eta and the
-    predicted point itself). Returns {neighbor id: gradient array of len 3P}.
+    Only the linearized safety/cohesion rows depend on the predictions. The
+    safety row of (neighbor j, step k) is -eta'F_k w - eps <= -r_min - eta'p_tilde,
+    the cohesion row the same with the signs of eta and r_coh flipped, so
+    each pair gives
+        dL/deta = c (F_k d_g[row, w] + d_h[row] p_tilde),  c = -1 (saf), +1 (coh),
+    and dL/dp_tilde = c d_h[row] eta - J dL/deta, with J = d eta/du =
+    (M - eta eta')/s, M = E'E and s = scale; du/dp_tilde = -I. Degenerate
+    pairs keep only the direct term, since their eta does not depend on u.
+    Computed over all (neighbor, step) pairs at once from the meta arrays.
+    Returns {neighbor id: gradient array of len 3P}.
     """
     horizon, n_w = cfg.horizon, bundle.n_w
-    f = bundle.basis.matrix
-    grads = {j: np.zeros(3 * horizon) for j in meta["neighbors"]}
-    for rec in meta["rows"]:
-        c = -1.0 if rec.kind == "safety" else 1.0
-        row_w = d_g[rec.row, :n_w]
-        dh_r = d_h[rec.row]
-        if not np.any(row_w) and dh_r == 0.0:
-            continue
-        f_tau = f[3 * rec.step:3 * rec.step + 3, :]
-        d_eta = c * (f_tau @ row_w) + c * dh_r * rec.p_tilde
-        d_ptilde = c * dh_r * rec.eta
-        if not rec.degenerate:
-            m = rec.shape_matrix.T @ rec.shape_matrix
-            mu = m @ rec.u
-            s = np.sqrt(float(rec.u @ mu))
-            jac = m / s - np.outer(mu, mu) / s**3
-            d_ptilde = d_ptilde - jac @ d_eta  # du/dp_tilde = -I
-        grads[rec.neighbor][3 * rec.step:3 * rec.step + 3] += d_ptilde
-    return grads
+    eta, degen = meta["eta"], meta["degenerate"]
+    sign = np.array([-1.0, 1.0])                           # (saf, coh)
+    c_w = np.einsum("c,jkcw->jkw", sign, d_g[meta["nb_rows"], :n_w])
+    c_h = d_h[meta["nb_rows"]] @ sign
+    f_steps = bundle.basis.matrix.reshape(horizon, 3, n_w)
+    d_eta = np.einsum("kiw,jkw->jki", f_steps, c_w) + c_h[..., None] * meta["preds"]
+    m = cfg.agent_shape.T @ cfg.agent_shape
+    s = np.where(degen, 1.0, meta["scale"])[..., None]
+    jac_d_eta = (d_eta @ m - eta * np.sum(eta * d_eta, axis=-1, keepdims=True)) / s
+    d_ptilde = c_h[..., None] * eta - np.where(degen[..., None], 0.0, jac_d_eta)
+    return dict(zip(meta["neighbors"], d_ptilde.reshape(len(meta["neighbors"]), 3 * horizon)))

@@ -28,8 +28,8 @@ class BezierPlan:
         cp = np.asarray(self.control_points, dtype=float)
         if cp.ndim != 3 or cp.shape[2] != 3:
             raise GeometryError(f"control points must be (l, d+1, 3), got {cp.shape}")
-        if cp.shape[0] < 1 or cp.shape[1] < 3:
-            raise GeometryError("need l >= 1 segments of degree d >= 2")
+        if cp.shape[0] < 1 or cp.shape[1] < 1:
+            raise GeometryError("need l >= 1 segments of degree d >= 0")
         if not self.segment_duration > 0:
             raise GeometryError("segment_duration must be positive")
         object.__setattr__(self, "control_points", cp)
@@ -170,19 +170,7 @@ def derivative_plan(plan: BezierPlan, order: int = 1) -> BezierPlan:
     for _ in range(order):
         d = cp.shape[1] - 1
         cp = d * (cp[:, 1:, :] - cp[:, :-1, :]) / plan.segment_duration
-    return BezierPlan(cp, plan.segment_duration) if cp.shape[1] >= 3 else _RawDerivative(cp, plan.segment_duration)
-
-
-class _RawDerivative(BezierPlan):
-    """Derivative plans may drop below degree 2; skip that validation only."""
-
-    def __post_init__(self):
-        cp = np.asarray(self.control_points, dtype=float)
-        if cp.ndim != 3 or cp.shape[2] != 3 or cp.shape[1] < 1:
-            raise GeometryError(f"control points must be (l, m, 3), got {cp.shape}")
-        if not self.segment_duration > 0:
-            raise GeometryError("segment_duration must be positive")
-        object.__setattr__(self, "control_points", cp)
+    return BezierPlan(cp, plan.segment_duration)
 
 
 def scaled_distance(p, q, shape_matrix) -> float:

@@ -1,4 +1,4 @@
-from .tensor import ShapeMismatch, Tensor, concat, stack_rows
+from .tensor import ShapeMismatch, Tensor, concat
 from .layers import (
     EgCellState,
     eg_step,
@@ -20,7 +20,7 @@ from .layers import (
 from .checkpoint import load_checkpoint, load_into, save_checkpoint
 
 __all__ = [
-    "EgCellState", "ShapeMismatch", "Tensor", "concat", "stack_rows",
+    "EgCellState", "ShapeMismatch", "Tensor", "concat",
     "eg_step", "fc", "flatten_params", "gcn_layer", "init_eg_cell", "init_fc",
     "init_lstm", "init_vae", "lstm_step", "lstm_zero_state",
     "normalize_adjacency", "vae_decode", "vae_forward", "vae_kl", "zero_grads",

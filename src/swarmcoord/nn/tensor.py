@@ -213,9 +213,3 @@ def concat(tensors, axis=0):
         out._parents = tuple(tensors)
         out._backward = backward
     return out
-
-
-def stack_rows(tensors):
-    """Stack 1-D or (1,k) tensors into a (n,k) tensor."""
-    rows = [t.reshape(1, -1) for t in tensors]
-    return concat(rows, axis=0)

@@ -6,11 +6,10 @@ prior mean is the time-shifted previous prediction plus a learned correction
 when cfg.residual is set.
 
 The VAE codec normalizes trajectories with dataset statistics stored next to
-the parameters; a per-axis variant (three shared codecs over the x/y/z
-slices) is available behind cfg.per_axis_codec.
+the parameters.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +46,6 @@ class PredictorConfig:
     eg_layers: int = 2
     sigma_floor: float = 1e-3
     residual: bool = True
-    per_axis_codec: bool = False
     max_obstacles: int = 2
 
     @property
@@ -55,12 +53,8 @@ class PredictorConfig:
         return 3 * self.horizon
 
     def __post_init__(self):
-        codec_in = self.horizon if self.per_axis_codec else self.traj_dim
-        codec_latent = self.latent // 3 if self.per_axis_codec else self.latent
-        if self.per_axis_codec and self.latent % 3:
-            raise PredictorError("per-axis codec needs a latent dim divisible by 3")
-        if codec_latent >= codec_in:
-            raise PredictorError(f"latent dim {self.latent} too large for input {codec_in}")
+        if self.latent >= self.traj_dim:
+            raise PredictorError(f"latent dim {self.latent} too large for input {self.traj_dim}")
 
 
 @dataclass
@@ -107,8 +101,6 @@ def init_predictor_params(rng, cfg: PredictorConfig):
     for layer in range(cfg.eg_layers):
         eg[f"layer{layer}"] = init_eg_cell(rng, n_in, feat)
         n_in = feat
-    codec_in = cfg.horizon if cfg.per_axis_codec else cfg.traj_dim
-    codec_latent = cfg.latent // 3 if cfg.per_axis_codec else cfg.latent
     params = {
         "query": {"lstm": init_lstm(rng, 3, cfg.hidden),
                   "out": init_fc(rng, cfg.hidden, feat)},
@@ -118,7 +110,7 @@ def init_predictor_params(rng, cfg: PredictorConfig):
         "decoder": {"lstm": init_lstm(rng, 3 * feat, cfg.hidden),
                     "mean": init_fc(rng, cfg.hidden, 3, scale=1e-3),
                     "logstd": init_fc(rng, cfg.hidden, 3, scale=1e-3)},
-        "vae": init_vae(rng, codec_in, codec_latent, cfg.hidden),
+        "vae": init_vae(rng, cfg.traj_dim, cfg.latent, cfg.hidden),
     }
     return params
 
@@ -180,43 +172,21 @@ def prior_forward(params, cfg: PredictorConfig, target, history, adjacency,
     return mean, sigma
 
 
-def codec_normalizer(norm_mean, norm_std):
-    mean = np.asarray(norm_mean, dtype=float).reshape(-1)
-    std = np.asarray(norm_std, dtype=float).reshape(-1)
-    if np.any(std <= 0):
-        raise PredictorError("codec normalization std must be positive")
-    return mean, std
-
-
-def codec_encode_forward(traj, params, cfg: PredictorConfig, norm, noise=None):
-    """VAE encoder pass over a normalized trajectory; returns the forward dict.
-
-    For the per-axis codec the three axis slices go through the shared codec
-    as a batch of three rows.
-    """
+def codec_encode_forward(traj, params, norm, noise=None):
+    """VAE encoder pass over a normalized trajectory; returns the forward dict."""
     mean, std = norm
     x = (np.asarray(traj, dtype=float).reshape(-1) - mean) / std
-    if cfg.per_axis_codec:
-        x = x.reshape(cfg.horizon, 3).T  # rows: x-, y-, z-axis series
-        return vae_forward(Tensor(x), params["vae"], noise=noise)
     return vae_forward(Tensor(x.reshape(1, -1)), params["vae"], noise=noise)
 
 
-def codec_decode_forward(z, params, cfg: PredictorConfig):
-    if cfg.per_axis_codec:
-        zt = z if isinstance(z, Tensor) else Tensor(np.asarray(z, float).reshape(3, -1))
-        return vae_decode(zt, params["vae"])
+def codec_decode_forward(z, params):
     zt = z if isinstance(z, Tensor) else Tensor(np.asarray(z, float).reshape(1, -1))
     return vae_decode(zt, params["vae"])
 
 
-def codec_denormalize(out_data, cfg: PredictorConfig, norm):
+def codec_denormalize(out_data, norm):
     mean, std = norm
-    if cfg.per_axis_codec:
-        flat = np.asarray(out_data).T.reshape(-1)
-    else:
-        flat = np.asarray(out_data).reshape(-1)
-    return flat * std + mean
+    return np.asarray(out_data).reshape(-1) * std + mean
 
 
 def fuse(prior: GaussianTrajectoryEstimate, observation, calib: CodecCalibration):
@@ -264,7 +234,7 @@ class TrajectoryPredictor:
         return GaussianTrajectoryEstimate(mean.data.reshape(-1), sigma.data.reshape(-1))
 
     def encode(self, traj, tick, sender, mode="sample", rng=None) -> Message:
-        out = codec_encode_forward(traj, self.params, self.cfg, self.norm)
+        out = codec_encode_forward(traj, self.params, self.norm)
         z_mean = out["z_mean"].data
         if mode == "sample":
             if rng is None:
@@ -281,12 +251,8 @@ class TrajectoryPredictor:
         if msg.latent.size != expected:
             raise PredictorError(
                 f"message latent has {msg.latent.size} entries, expected {expected}")
-        if self.cfg.per_axis_codec:
-            z = msg.latent.reshape(3, -1)
-        else:
-            z = msg.latent.reshape(1, -1)
-        out = codec_decode_forward(z, self.params, self.cfg)
-        return codec_denormalize(out.data, self.cfg, self.norm)
+        out = codec_decode_forward(msg.latent.reshape(1, -1), self.params)
+        return codec_denormalize(out.data, self.norm)
 
     def predict(self, target, message, history, adjacency, obstacle_centers,
                 tick) -> np.ndarray:

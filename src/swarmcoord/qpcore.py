@@ -7,6 +7,10 @@ constraint l <= Ax <= u (A = [G; R], equality rows have l = u = b), followed
 by an active-set polish that solves the KKT system of the identified active
 rows to push all four KKT residuals to linear-solver accuracy. Polished duals
 are what the differentiable KKT layer consumes.
+
+The reduced KKT matrix (reduced_kkt) and the active-set rule (active_set)
+are defined here once; the polish, the DMPC warm hint and the KKT layer in
+qpdiff all use them.
 """
 
 import json
@@ -32,6 +36,8 @@ TOL_STAT = 1e-6
 TOL_EQ = 1e-6
 TOL_INEQ = 1e-6
 TOL_CS = 1e-6
+# a row is active when its dual exceeds ACT_TOL or its slack falls below it
+ACT_TOL = 1e-6
 
 
 @dataclass
@@ -130,26 +136,37 @@ def _meets_contract(res: dict) -> bool:
             and res["primal_ineq"] <= TOL_INEQ and res["complementarity"] <= TOL_CS)
 
 
-def _polish(qp: QpInstance, active: np.ndarray, reg=1e-11):
-    """Solve the equality KKT system on the active rows; None if it fails."""
-    n, m_act, p = qp.num_vars, int(active.sum()), qp.num_eq
-    g_act = qp.G[active]
-    dim = n + m_act + p
+def active_set(qp: QpInstance, sol: QpSolution) -> np.ndarray:
+    """Boolean mask of the inequality rows the solution holds active."""
+    return (sol.ineq_duals > ACT_TOL) | (sol.slack(qp) < ACT_TOL)
+
+
+def reduced_kkt(qp: QpInstance, active: np.ndarray, reg: float) -> np.ndarray:
+    """KKT matrix [[Q + reg I, G_actᵀ, Rᵀ], [G_act, -reg I, 0], [R, 0, -reg I]]
+    of the QP with the active rows held as equalities; its unknowns are x,
+    the active inequality duals and the equality duals, in that order."""
+    n = qp.num_vars
+    rows = np.vstack([qp.G[active], qp.R])
+    dim = n + rows.shape[0]
     kkt = np.zeros((dim, dim))
     kkt[:n, :n] = qp.Q + reg * np.eye(n)
-    kkt[:n, n:n + m_act] = g_act.T
-    kkt[n:n + m_act, :n] = g_act
-    if p:
-        kkt[:n, n + m_act:] = qp.R.T
-        kkt[n + m_act:, :n] = qp.R
-    kkt[n:, n:] -= reg * np.eye(m_act + p)
+    kkt[:n, n:] = rows.T
+    kkt[n:, :n] = rows
+    kkt[n:, n:] -= reg * np.eye(dim - n)
+    return kkt
+
+
+def _polish(qp: QpInstance, active: np.ndarray, reg=1e-11):
+    """Solve the equality KKT system on the active rows; None if it fails."""
+    n, m_act = qp.num_vars, int(active.sum())
+    kkt = reduced_kkt(qp, active, reg)
     rhs = np.concatenate([-qp.q, qp.h[active], qp.b])
     try:
         lu = scipy.linalg.lu_factor(kkt)
         sol = scipy.linalg.lu_solve(lu, rhs)
         # one round of iterative refinement against the unregularized system
         kkt[:n, :n] -= reg * np.eye(n)
-        kkt[n:, n:] += reg * np.eye(m_act + p)
+        kkt[n:, n:] += reg * np.eye(len(kkt) - n)
         sol += scipy.linalg.lu_solve(lu, rhs - kkt @ sol)
     except (scipy.linalg.LinAlgError, ValueError):
         return None
@@ -187,11 +204,10 @@ def _try_polish(qp: QpInstance, active, iterations, refine_rounds=25) -> QpSolut
         x, lam, nu = out
         lam_active = np.where(active, lam, np.inf)
         slack_inactive = np.where(active, np.inf, qp.h - qp.G @ x)
-        drop, add = np.argmin(lam_active), np.argmin(slack_inactive)
-        if lam_active[drop] < -1e-9:
-            active[drop] = False
-        elif slack_inactive[add] < -1e-9:
-            active[add] = True
+        if lam_active.min(initial=np.inf) < -1e-9:
+            active[np.argmin(lam_active)] = False
+        elif slack_inactive.min(initial=np.inf) < -1e-9:
+            active[np.argmin(slack_inactive)] = True
             active |= bound_rows & (slack_inactive < -1e-9)
         else:
             cand = QpSolution(x, np.maximum(lam, 0.0), nu, SolveStatus.OPTIMAL,
@@ -204,16 +220,14 @@ def solve(qp: QpInstance, warm_start=None, active_set_hint=None,
           max_iter=20000, eps=1e-9) -> QpSolution:
     """Solve the QP to the residual contract (all four KKT residuals <= 1e-6).
 
+    Otherwise the status says why: INFEASIBLE on a certificate of primal or
+    dual infeasibility (an unbounded QP), MAX_ITER when the iterations run out.
+
     warm_start is a primal starting point; active_set_hint is a boolean mask
     over inequality rows tried as an immediate polish candidate (one linear
     solve) before any splitting iterations.
     """
     n, m, p = qp.num_vars, qp.num_ineq, qp.num_eq
-
-    if m == 0 and p == 0:
-        x = np.linalg.solve(qp.Q + 1e-12 * np.eye(n), -qp.q)
-        return QpSolution(x, np.zeros(0), np.zeros(0), SolveStatus.OPTIMAL,
-                          objective_value(qp, x), 0, polished=True)
 
     if active_set_hint is not None and len(active_set_hint) == m:
         cand = _try_polish(qp, np.asarray(active_set_hint, dtype=bool), 0)
@@ -221,9 +235,9 @@ def solve(qp: QpInstance, warm_start=None, active_set_hint=None,
             return cand
 
     # stacked form: l <= Ax <= u
-    a = np.vstack([qp.G, qp.R]) if p else qp.G
-    u = np.concatenate([qp.h, qp.b]) if p else qp.h
-    lo = np.concatenate([np.full(m, -np.inf), qp.b]) if p else np.full(m, -np.inf)
+    a = np.vstack([qp.G, qp.R])
+    u = np.concatenate([qp.h, qp.b])
+    lo = np.concatenate([np.full(m, -np.inf), qp.b])
     m_total = m + p
 
     sigma = 1e-6

@@ -80,7 +80,6 @@ class RunMode(Enum):
 
 @dataclass
 class ChannelConfig:
-    latent: int = 24
     f_comm: float = 5.0
     p_loss: float = 0.0
     comm_range: float = 5.0

@@ -26,7 +26,7 @@ from swarmcoord.geometry import (
     eval_bezier,
     obstacle_planes,
 )
-from swarmcoord.qpcore import SolveStatus, objective_value, solve
+from swarmcoord.qpcore import SolveStatus, active_set, objective_value, solve
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +83,10 @@ def random_plan(rng, cfg, bundle):
 
 
 class TestBasisBundle:
+    def test_degree_below_two_rejected(self):
+        with pytest.raises(ValueError, match="degree"):
+            ControllerConfig(degree=1)
+
     def test_shifted_samples_plan_one_tick_ahead(self, cfg, bundle):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -101,9 +105,10 @@ class TestBasisBundle:
                 1.0, np.max(np.abs(direct)))
 
 
-def crowded_instance(cfg, bundle):
+def crowded_instance(cfg, bundle, p_mig=(6.0, 0.0, 0.0), nudge=None):
     """Three neighbours, one on top of the agent's own plan (u = 0), and two
-    probed obstacles plus one far away. Returns (qp, meta, obstacles)."""
+    probed obstacles plus one far away. nudge maps a neighbour id to an
+    offset added to its prediction. Returns (qp, meta, obstacles)."""
     state = AgentState([0.0, 0.0, 0.2], [0.3, 0.1, 0.0])
     prev = hold_position_plan(state.position, cfg)
     obstacles = [Ellipsoid.axis_aligned([0.8, 0.0, 0.2], [0.5, 0.5, 0.5]),
@@ -112,7 +117,9 @@ def crowded_instance(cfg, bundle):
     preds = {4: hold_position_trajectory([0.5, 0.5, 0.0], cfg.horizon),
              2: hold_position_trajectory([-1.0, 0.2, 0.1], cfg.horizon),
              9: hold_position_trajectory(state.position, cfg.horizon)}
-    qp, meta = build_qp(state, prev, preds, obstacles, [6.0, 0, 0], cfg, bundle)
+    for j, offset in (nudge or {}).items():
+        preds[j] = preds[j] + offset
+    qp, meta = build_qp(state, prev, preds, obstacles, p_mig, cfg, bundle)
     return qp, meta, obstacles
 
 
@@ -140,11 +147,12 @@ class TestBuildQp:
         qp, meta, _ = crowded_instance(cfg, bundle)
         labels = meta["labels"]
         assert len(meta["probes"]) == 2
-        assert any(rec.degenerate for rec in meta["rows"] if rec.neighbor == 9)
+        assert np.any(meta["degenerate"][meta["neighbors"].index(9)])
         assert len(labels) == qp.num_ineq == len(set(labels))
-        for rec in meta["rows"]:
-            kind = "saf" if rec.kind == "safety" else "coh"
-            assert labels[rec.row] == (kind, rec.neighbor, rec.step)
+        for j_idx, j in enumerate(meta["neighbors"]):
+            for k in range(cfg.horizon):
+                saf, coh = meta["nb_rows"][j_idx, k]
+                assert labels[saf] == ("saf", j, k) and labels[coh] == ("coh", j, k)
 
     def test_rows_match_per_row_formulas(self, cfg, bundle):
         qp, meta, obstacles = crowded_instance(cfg, bundle)
@@ -152,15 +160,20 @@ class TestBuildQp:
         m = cfg.agent_shape.T @ cfg.agent_shape
         prev_pts = meta["prev_traj"].reshape(cfg.horizon, 3)
         expected = {}  # row -> (w-block, h)
-        for rec in meta["rows"]:
-            u = prev_pts[rec.step] - rec.p_tilde
-            s = np.sqrt(u @ m @ u)
-            eta = m[:, 0] / np.sqrt(m[0, 0]) if s < 1e-9 else m @ u / s
-            f_k = f[3 * rec.step:3 * rec.step + 3]
-            if rec.kind == "safety":
-                expected[rec.row] = (-f_k.T @ eta, -cfg.r_min - eta @ rec.p_tilde)
-            else:
-                expected[rec.row] = (f_k.T @ eta, cfg.r_coh + eta @ rec.p_tilde)
+        for j_idx in range(len(meta["neighbors"])):
+            for k in range(cfg.horizon):
+                p_tilde = meta["preds"][j_idx, k]
+                u = prev_pts[k] - p_tilde
+                s = np.sqrt(u @ m @ u)
+                eta = m[:, 0] / np.sqrt(m[0, 0]) if s < 1e-9 else m @ u / s
+                # the arrays prediction_row_gradients reads
+                assert meta["degenerate"][j_idx, k] == (s < 1e-9)
+                assert abs(meta["scale"][j_idx, k] - s) < 1e-12
+                assert np.max(np.abs(meta["eta"][j_idx, k] - eta)) < 1e-12
+                f_k = f[3 * k:3 * k + 3]
+                saf, coh = meta["nb_rows"][j_idx, k]
+                expected[saf] = (-f_k.T @ eta, -cfg.r_min - eta @ p_tilde)
+                expected[coh] = (f_k.T @ eta, cfg.r_coh + eta @ p_tilde)
         for row, label in enumerate(meta["labels"]):
             if label[0] == "obs":
                 _, ob, k = label
@@ -202,7 +215,7 @@ class TestBuildQp:
         sol = solve(qp)
         assert sol.status == SolveStatus.OPTIMAL
         eps = sol.x[qp.layout["eps"]]
-        safety_rows = [r.row for r in meta["rows"] if r.kind == "safety"]
+        safety_rows = meta["nb_rows"][..., 0].ravel()
         slack = qp.h - qp.G @ sol.x
         active = (sol.ineq_duals[safety_rows] > 1e-6) | (slack[safety_rows] < 1e-6)
         assert np.any(active) or eps.max() > 1e-8
@@ -336,7 +349,43 @@ class TestShift:
         assert np.array_equal(shifted[9:], traj[9:])
 
 
+def per_row_gradients(meta, d_g, d_h, cfg, bundle):
+    """Reference for prediction_row_gradients: one saf/coh row at a time."""
+    f, n_w = bundle.basis.matrix, bundle.n_w
+    m = cfg.agent_shape.T @ cfg.agent_shape
+    prev_pts = meta["prev_traj"].reshape(cfg.horizon, 3)
+    grads = {j: np.zeros(3 * cfg.horizon) for j in meta["neighbors"]}
+    for row, (kind, *key) in enumerate(meta["labels"]):
+        if kind not in ("saf", "coh"):
+            continue
+        j, k = key
+        p_tilde = meta["preds"][meta["neighbors"].index(j), k]
+        u = prev_pts[k] - p_tilde
+        s = np.sqrt(u @ m @ u)
+        eta = m[:, 0] / np.sqrt(m[0, 0]) if s < 1e-9 else m @ u / s
+        c = -1.0 if kind == "saf" else 1.0
+        d_eta = c * (f[3 * k:3 * k + 3] @ d_g[row, :n_w]) + c * d_h[row] * p_tilde
+        d_ptilde = c * d_h[row] * eta
+        if s >= 1e-9:
+            d_ptilde -= (m / s - np.outer(m @ u, m @ u) / s**3) @ d_eta
+        grads[j][3 * k:3 * k + 3] += d_ptilde
+    return grads
+
+
 class TestPredictionGradients:
+    @pytest.mark.parametrize("shape", [np.eye(3), np.diag([1.0, 0.7, 1.6])])
+    def test_matches_per_row_reference(self, shape):
+        cfg = ControllerConfig(agent_shape=shape)
+        bundle = BasisBundle(cfg)
+        qp, meta, _ = crowded_instance(cfg, bundle)
+        rng = np.random.default_rng(5)
+        d_g, d_h = rng.normal(size=qp.G.shape), rng.normal(size=qp.num_ineq)
+        got = prediction_row_gradients(meta, d_g, d_h, cfg, bundle)
+        want = per_row_gradients(meta, d_g, d_h, cfg, bundle)
+        assert list(got) == list(want) == [2, 4, 9]
+        for j in want:
+            assert np.max(np.abs(got[j] - want[j])) <= 1e-12 * np.max(np.abs(want[j]))
+
     def test_beta_term_gradient_matches_finite_difference(self, cfg, bundle):
         from swarmcoord.qpdiff import backward, factorize
 
@@ -380,3 +429,45 @@ class TestPredictionGradients:
         analytic = pred_grads[1][check_idx]
         denom = max(1.0, np.max(np.abs(fd)))
         assert np.max(np.abs(analytic - fd)) / denom < 1e-3
+
+    def test_several_neighbours_match_finite_difference(self, cfg, bundle):
+        # the saf/coh rows of three neighbours sit between the box rows and
+        # the rows of two probed obstacles; neighbour 9 is degenerate (u = 0)
+        from swarmcoord.qpdiff import backward, factorize
+
+        p_mig = (6.0, 6.0, 0.0)
+        qp, meta, _ = crowded_instance(cfg, bundle, p_mig)
+        sol = solve(qp)
+        assert sol.status == SolveStatus.OPTIMAL
+        hint = active_set(qp, sol)
+        f = bundle.basis.matrix
+        target = np.random.default_rng(3).normal(size=3 * cfg.horizon)
+
+        def loss(nudge):
+            qp_n, _, _ = crowded_instance(cfg, bundle, p_mig, nudge)
+            sol_n = solve(qp_n, active_set_hint=hint)
+            assert sol_n.status == SolveStatus.OPTIMAL
+            return float(np.sum((f @ sol_n.x[qp_n.layout["w"]] - target) ** 2))
+
+        dl_dx = np.zeros(qp.num_vars)
+        dl_dx[qp.layout["w"]] = 2 * f.T @ (f @ sol.x[qp.layout["w"]] - target)
+        grads = backward(factorize(qp, sol), dl_dx)
+        pred_grads = prediction_row_gradients(meta, grads["dG"], grads["dh"], cfg, bundle)
+        assert sorted(pred_grads) == [2, 4, 9]
+        assert [j for j, d in zip(meta["neighbors"], meta["degenerate"]) if d.any()] == [9]
+        # neighbour 9's eta is the +x fallback, which does not move with its
+        # prediction: only the right-hand side term remains, along x
+        assert np.all(np.isfinite(pred_grads[9]))
+        assert not np.any(pred_grads[9].reshape(cfg.horizon, 3)[:, 1:])
+        # a safety row of neighbour 4 is active, so its check is not 0 = 0
+        assert np.max(np.abs(pred_grads[4])) > 1e-3
+
+        step = 1e-5
+        for j in (2, 4):
+            fd = np.zeros(3 * cfg.horizon)
+            for i in range(fd.size):
+                offset = np.zeros(fd.size)
+                offset[i] = step
+                fd[i] = (loss({j: offset}) - loss({j: -offset})) / (2 * step)
+            denom = max(1.0, np.max(np.abs(fd)))
+            assert np.max(np.abs(pred_grads[j] - fd)) / denom < 1e-3, j

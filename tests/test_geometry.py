@@ -148,8 +148,12 @@ class TestDerivativePlan:
 
     def test_order_exceeds_degree(self):
         cp = np.zeros((1, 3, 3))
+        cp[0, :, 0] = [0.0, 0.0, 1.0]  # x(t) = t^2: second derivative 2
         plan = BezierPlan(cp, 1.0)  # degree 2
-        derivative_plan(plan, 2)
+        acc = derivative_plan(plan, 2)
+        assert type(acc) is BezierPlan and acc.degree == 0
+        for t in (0.0, 0.4, 1.0):
+            assert np.allclose(eval_bezier(acc, t), [2.0, 0.0, 0.0], atol=1e-12)
         with pytest.raises(GeometryError):
             derivative_plan(plan, 3)
 

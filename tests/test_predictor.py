@@ -116,16 +116,6 @@ class TestCodec:
         with pytest.raises(PredictorError):
             pred.decode(Message(0, 0, np.zeros(cfg.latent + 1)))
 
-    def test_per_axis_codec_round_trip(self):
-        cfg = PredictorConfig(horizon=16, history=4, hidden=10, feature=6,
-                              latent=6, per_axis_codec=True)
-        params = init_predictor_params(np.random.default_rng(8), cfg)
-        pred = TrajectoryPredictor(params, cfg)
-        traj = np.random.default_rng(9).normal(size=cfg.traj_dim)
-        msg = pred.encode(traj, tick=0, sender=0, mode="mean")
-        assert msg.latent.size == cfg.latent
-        assert pred.decode(msg).shape == (cfg.traj_dim,)
-
 
 class TestFuse:
     def test_equal_sigmas_arithmetic_mean(self):

@@ -166,3 +166,22 @@ def test_objective_value_matches_solution_field():
     qp = random_feasible_qp(rng, n=4)
     sol = solve(qp)
     assert sol.objective == pytest.approx(objective_value(qp, sol.x))
+
+
+def test_equality_rows_without_inequality_rows():
+    # min 1/2|x|^2 + x1 - x2 s.t. x1 + x2 = 1  ->  x* = (-0.5, 1.5), nu* = -0.5
+    qp = QpInstance(np.eye(2), [1.0, -1.0], np.zeros((0, 2)), np.zeros(0), [[1.0, 1.0]], [1.0])
+    for hint in (None, np.zeros(0, dtype=bool)):
+        sol = solve(qp, active_set_hint=hint)
+        assert sol.status == SolveStatus.OPTIMAL
+        assert np.allclose(sol.x, [-0.5, 1.5], atol=1e-8)
+        assert np.allclose(sol.eq_duals, [-0.5], atol=1e-8)
+        assert all(v <= 1e-6 for v in kkt_residuals(qp, sol).values())
+
+
+@pytest.mark.parametrize("diag, q", [((0.0, 0.0), (1.0, 0.0)), ((1.0, 0.0), (0.0, 1.0))])
+def test_unbounded_without_rows_not_optimal(diag, q):
+    # no constraint rows and a direction of unbounded descent: no minimizer
+    qp = QpInstance(np.diag(diag), q, np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2)), np.zeros(0))
+    sol = solve(qp)
+    assert sol.status == SolveStatus.INFEASIBLE
