@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeMismatch, Tensor, concat
+from .tensor import ShapeMismatch, Tensor
 
 
 def _param(rng, shape, scale=None):

@@ -5,6 +5,13 @@ All network inputs are expressed relative to the target's current position
 prior mean is the time-shifted previous prediction plus a learned correction
 when cfg.residual is set.
 
+The prior is batched: one call predicts a list of targets, one output row
+each. As in EvolveGCN-O, the GCN weights evolve without looking at the input,
+so the history window enters only through its last row; its length fixes how
+far the weights have evolved. prior_forward with weights=None evolves them on
+the autodiff tape (the training path); TrajectoryPredictor evolves them once,
+without a tape, and passes them in.
+
 The VAE codec normalizes trajectories with dataset statistics stored next to
 the parameters.
 """
@@ -115,48 +122,76 @@ def init_predictor_params(rng, cfg: PredictorConfig):
     return params
 
 
-def prior_forward(params, cfg: PredictorConfig, target, history, adjacency,
-                  obstacle_centers, prev_prediction):
-    """Graph-building forward pass of the EG prior.
+def evolved_weights(params, cfg: PredictorConfig):
+    """GCN weight of each EG layer after cfg.history - 1 evolution steps.
 
-    history: (H, n, 3) positions, oldest first, last row = current tick.
-    adjacency: (n, n) or (H, n, n). Returns (mean, sigma) Tensors of shape
-    (1, 3P); mean carries gradients, sigma's trunk input is detached so the
-    deviation head trains independently of the mean pathway.
+    The evolution reads only the parameters, never the input (EvolveGCN-O), so
+    these are the weights the GCN applies at the last history step.
     """
-    history = np.asarray(history, dtype=float)
-    hor, feat = cfg.horizon, cfg.feature
-    h_steps, n, _ = history.shape
-    adjacency = np.asarray(adjacency, dtype=float)
-    if adjacency.ndim == 2:
-        adjacency = np.broadcast_to(adjacency, (h_steps, n, n))
-    anchor = history[-1, target]
+    weights = []
+    for i in range(cfg.eg_layers):
+        cell = params["eg"][f"layer{i}"]
+        state = EgCellState.initial(cell["W0"])
+        for _ in range(cfg.history - 1):
+            state = eg_step(state, cell)
+        weights.append(state.weight)
+    return weights
 
-    prev_rel = np.asarray(prev_prediction, dtype=float) - np.tile(anchor, hor)
-    state = lstm_zero_state(params["query"]["lstm"]["Wh"].shape[0])
+
+def prior_forward(params, cfg: PredictorConfig, targets, history, adjacency,
+                  obstacle_centers, prev_predictions, weights=None):
+    """Forward pass of the EG prior, one output row per entry of targets.
+
+    history: (cfg.history, n, 3) positions, oldest first, last row = current
+    tick. adjacency: (n, n) or (H, n, n). prev_predictions: (len(targets), 3P)
+    rows in target order. History and adjacency enter only through their last
+    row, as in EvolveGCN-O: the GCN runs once per target anchor on
+    history[-1] with the weights evolved cfg.history - 1 steps. weights=None
+    evolves them here, on the tape (the training path); otherwise `weights`
+    is the evolved_weights list to apply.
+
+    Returns (mean, sigma) Tensors of shape (len(targets), 3P); mean carries
+    gradients, sigma's trunk input is detached so the deviation head trains
+    independently of the mean pathway.
+    """
+    targets = list(targets)
+    history = np.asarray(history, dtype=float)
+    if history.shape[0] != cfg.history:
+        raise PredictorError(
+            f"history has {history.shape[0]} steps, the config expects {cfg.history}")
+    hor = cfg.horizon
+    rows = len(targets)
+    adjacency = np.asarray(adjacency, dtype=float)
+    adj_now = adjacency if adjacency.ndim == 2 else adjacency[-1]
+    anchors = history[-1, targets]
+    anchor_traj = np.tile(anchors, hor)
+
+    prev_rel = np.asarray(prev_predictions, dtype=float).reshape(rows, -1) - anchor_traj
+    state = lstm_zero_state(params["query"]["lstm"]["Wh"].shape[0], batch=rows)
     for tau in range(hor):
-        step_in = Tensor(prev_rel[3 * tau:3 * tau + 3].reshape(1, 3))
+        step_in = Tensor(prev_rel[:, 3 * tau:3 * tau + 3])
         q_out, state = lstm_step(step_in, state, params["query"]["lstm"])
     y = fc(q_out, params["query"]["out"], activation="relu")
 
-    eg_states = [EgCellState.initial(params["eg"][f"layer{i}"]["W0"])
-                 for i in range(cfg.eg_layers)]
-    node_out = None
-    for h in range(h_steps):
-        feats = Tensor(history[h] - anchor)
-        for i in range(cfg.eg_layers):
-            feats = gcn_layer(adjacency[h], feats, eg_states[i].weight)
-            eg_states[i] = eg_step(eg_states[i], params["eg"][f"layer{i}"])
-        node_out = feats
-    g = fc(node_out[target:target + 1, :], params["eg_out"], activation="relu")
+    if weights is None:
+        weights = evolved_weights(params, cfg)
+    node_rows = []
+    for target, anchor in zip(targets, anchors):
+        feats = Tensor(history[-1] - anchor)
+        for w in weights:
+            feats = gcn_layer(adj_now, feats, w)
+        node_rows.append(feats[target:target + 1, :])
+    g = fc(concat(node_rows, axis=0), params["eg_out"], activation="relu")
 
-    centers = np.zeros(3 * cfg.max_obstacles)
-    flat = (np.asarray(obstacle_centers, dtype=float) - anchor).reshape(-1)
-    centers[:min(flat.size, centers.size)] = flat[:centers.size]
-    o = fc(Tensor(centers.reshape(1, -1)), params["obstacle"], activation="relu")
+    centers = np.zeros((rows, 3 * cfg.max_obstacles))
+    flat = (np.asarray(obstacle_centers, dtype=float).reshape(-1, 3)[None]
+            - anchors[:, None, :]).reshape(rows, -1)
+    used = min(flat.shape[1], centers.shape[1])
+    centers[:, :used] = flat[:, :used]
+    o = fc(Tensor(centers), params["obstacle"], activation="relu")
 
     fused_in = concat([y, o, g], axis=1)
-    dec_state = lstm_zero_state(params["decoder"]["lstm"]["Wh"].shape[0])
+    dec_state = lstm_zero_state(params["decoder"]["lstm"]["Wh"].shape[0], batch=rows)
     means, logstds = [], []
     for tau in range(hor):
         h_t, dec_state = lstm_step(fused_in, dec_state, params["decoder"]["lstm"])
@@ -166,8 +201,9 @@ def prior_forward(params, cfg: PredictorConfig, target, history, adjacency,
     logstd = concat(logstds, axis=1)
 
     if cfg.residual:
-        mean_rel = mean_rel + Tensor(shift_trajectory(prev_rel, hor).reshape(1, -1))
-    mean = mean_rel + Tensor(np.tile(anchor, hor).reshape(1, -1))
+        shifted = np.array([shift_trajectory(r, hor) for r in prev_rel])
+        mean_rel = mean_rel + Tensor(shifted)
+    mean = mean_rel + Tensor(anchor_traj)
     sigma = logstd.exp() + cfg.sigma_floor
     return mean, sigma
 
@@ -207,31 +243,61 @@ def fuse(prior: GaussianTrajectoryEstimate, observation, calib: CodecCalibration
     return mean, posterior_var
 
 
+def _no_grad_views(tree):
+    """Same parameter arrays, wrapped in Tensors that record no backward closures."""
+    return {key: _no_grad_views(value) if isinstance(value, dict) else Tensor(value.data)
+            for key, value in tree.items()}
+
+
 class TrajectoryPredictor:
-    """Per-ego predictor state: parameters, codec calibration, prior feedback."""
+    """Per-ego predictor state: parameters, codec calibration, prior feedback.
+
+    The predictor runs on views of the parameter arrays that record no tape.
+    The EG weights are evolved from the `eg` parameters at the first
+    prediction and kept, so build a new predictor after changing the
+    parameters.
+    """
 
     def __init__(self, params, cfg: PredictorConfig, calibration=None,
                  norm=None):
-        self.params = params
+        self.params = _no_grad_views(params)
         self.cfg = cfg
         self.calibration = calibration
         self.norm = norm if norm is not None else (np.zeros(cfg.traj_dim),
                                                    np.ones(cfg.traj_dim))
         self.prev_predictions = {}
+        self._weights = None
 
     def reset(self):
         self.prev_predictions.clear()
 
-    def predict_prior(self, target, history, adjacency, obstacle_centers,
-                      prev_prediction=None) -> GaussianTrajectoryEstimate:
+    def predict_prior(self, targets, history, adjacency, obstacle_centers,
+                      prev_predictions=None) -> list[GaussianTrajectoryEstimate]:
+        """One prior estimate per target, in the order given.
+
+        prev_predictions maps a target to the prediction its prior is shifted
+        from; targets without one use the predictor's own feedback, or hold
+        their current position.
+        """
+        targets = list(targets)
+        if not targets:
+            return []
         history = np.asarray(history, dtype=float)
-        if prev_prediction is None:
-            prev_prediction = self.prev_predictions.get(target)
-        if prev_prediction is None:
-            prev_prediction = np.tile(history[-1, target], self.cfg.horizon)
-        mean, sigma = prior_forward(self.params, self.cfg, target, history,
-                                    adjacency, obstacle_centers, prev_prediction)
-        return GaussianTrajectoryEstimate(mean.data.reshape(-1), sigma.data.reshape(-1))
+        given = prev_predictions or {}
+        prev = []
+        for target in targets:
+            prev_target = given.get(target)
+            if prev_target is None:
+                prev_target = self.prev_predictions.get(target)
+            if prev_target is None:
+                prev_target = np.tile(history[-1, target], self.cfg.horizon)
+            prev.append(np.asarray(prev_target, dtype=float).reshape(-1))
+        if self._weights is None:
+            self._weights = evolved_weights(self.params, self.cfg)
+        mean, sigma = prior_forward(self.params, self.cfg, targets, history,
+                                    adjacency, obstacle_centers, np.array(prev),
+                                    weights=self._weights)
+        return [GaussianTrajectoryEstimate(m, s) for m, s in zip(mean.data, sigma.data)]
 
     def encode(self, traj, tick, sender, mode="sample", rng=None) -> Message:
         out = codec_encode_forward(traj, self.params, self.norm)
@@ -254,15 +320,19 @@ class TrajectoryPredictor:
         out = codec_decode_forward(msg.latent.reshape(1, -1), self.params)
         return codec_denormalize(out.data, self.norm)
 
-    def predict(self, target, message, history, adjacency, obstacle_centers,
-                tick) -> np.ndarray:
-        """Full pipeline: prior, then fuse with a fresh decoded message if any."""
-        prior = self.predict_prior(target, history, adjacency, obstacle_centers)
-        msg = message if (message is not None and message.tick == tick) else None
-        if msg is not None and self.calibration is not None:
-            observation = self.decode(msg)
-            result, _ = fuse(prior, observation, self.calibration)
-        else:
-            result = prior.mean
-        self.prev_predictions[target] = result
-        return result
+    def predict(self, targets, messages, history, adjacency, obstacle_centers,
+                tick) -> dict:
+        """Full pipeline: {target: trajectory}, the prior of each target fused
+        with its sender's decoded message when messages holds a fresh one."""
+        targets = list(targets)
+        priors = self.predict_prior(targets, history, adjacency, obstacle_centers)
+        out = {}
+        for target, prior in zip(targets, priors):
+            msg = messages.get(target)
+            if msg is not None and msg.tick == tick and self.calibration is not None:
+                result, _ = fuse(prior, self.decode(msg), self.calibration)
+            else:
+                result = prior.mean
+            self.prev_predictions[target] = result
+            out[target] = result
+        return out

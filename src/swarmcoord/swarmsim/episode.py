@@ -36,7 +36,6 @@ from ..geometry import (
     point_surface_distance,
     scaled_distance,
 )
-from ..predictor import TrajectoryPredictor
 from .scenario import Scenario
 
 
@@ -323,7 +322,12 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
         neighbor_sets = [sorted(np.flatnonzero(adjacency[i])) for i in range(n)]
 
         for i in range(n):
-            preds = {}
+            if mode in (RunMode.EG, RunMode.EG_VAE):
+                # one batched prior per ego, inside the ego's own tick
+                preds = predictors[i].predict(neighbor_sets[i], inboxes[i], history,
+                                              adjacency, obstacle_centers, tick)
+            else:
+                preds = {}
             for j in neighbor_sets[i]:
                 if mode is RunMode.ORACLE:
                     preds[j] = shift_trajectory(prev_trajs[j], cfg.horizon)
@@ -335,10 +339,6 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
                         last_vae[(i, j)] = predictors[i].decode(msg)
                     preds[j] = last_vae.get(
                         (i, j), np.tile(measured_arr[j, :3], cfg.horizon))
-                else:
-                    msg = inboxes[i].get(j)
-                    preds[j] = predictors[i].predict(j, msg, history, adjacency,
-                                                     obstacle_centers, tick)
                 tick_preds[(i, j)] = preds[j]
 
             state_i = AgentState(measured_arr[i, :3], measured_arr[i, 3:])

@@ -10,7 +10,7 @@ Euclidean surface distance.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

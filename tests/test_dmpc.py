@@ -5,13 +5,11 @@ from swarmcoord.dmpc import (
     OBSTACLE_RESERVE,
     AgentState,
     BasisBundle,
-    CollisionProbe,
     ControllerConfig,
     CostWeights,
     MotionLimits,
     PlanningError,
     build_qp,
-    cost_decomposition,
     detect_first_collision,
     hold_position_plan,
     hold_position_trajectory,
@@ -26,7 +24,7 @@ from swarmcoord.geometry import (
     eval_bezier,
     obstacle_planes,
 )
-from swarmcoord.qpcore import SolveStatus, active_set, objective_value, solve
+from swarmcoord.qpcore import SolveStatus, active_set, solve
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,6 @@ from swarmcoord.nn import (
     EgCellState,
     ShapeMismatch,
     Tensor,
-    concat,
     eg_step,
     fc,
     flatten_params,
@@ -18,7 +17,6 @@ from swarmcoord.nn import (
     load_into,
     lstm_step,
     lstm_zero_state,
-    normalize_adjacency,
     save_checkpoint,
     vae_forward,
     vae_kl,

@@ -1,6 +1,19 @@
 import numpy as np
 import pytest
 
+from swarmcoord.dmpc import shift_trajectory
+from swarmcoord.nn import (
+    EgCellState,
+    Tensor,
+    concat,
+    eg_step,
+    fc,
+    flatten_params,
+    gcn_layer,
+    lstm_step,
+    lstm_zero_state,
+    zero_grads,
+)
 from swarmcoord.predictor import (
     CodecCalibration,
     GaussianTrajectoryEstimate,
@@ -8,8 +21,12 @@ from swarmcoord.predictor import (
     PredictorConfig,
     PredictorError,
     TrajectoryPredictor,
+    codec_decode_forward,
+    codec_denormalize,
+    evolved_weights,
     fuse,
     init_predictor_params,
+    prior_forward,
 )
 
 
@@ -41,8 +58,8 @@ class TestPrior:
         rng = np.random.default_rng(1)
         pred = TrajectoryPredictor(params, cfg)
         history = make_history(rng, 5, cfg.history)
-        est = pred.predict_prior(2, history, ring_adjacency(5),
-                                 np.array([[10.0, 4, 0], [10.0, -4, 0]]))
+        est = pred.predict_prior([2], history, ring_adjacency(5),
+                                 np.array([[10.0, 4, 0], [10.0, -4, 0]]))[0]
         assert np.all(np.isfinite(est.mean))
         assert np.all(est.stddev >= cfg.sigma_floor)
         assert est.mean.size == cfg.traj_dim
@@ -55,15 +72,15 @@ class TestPrior:
         adj = ring_adjacency(n)
         obstacles = np.array([[8.0, 3, 0], [8.0, -3, 0]])
         target = 0
-        est = pred.predict_prior(target, history, adj, obstacles)
+        est = pred.predict_prior([target], history, adj, obstacles)[0]
         # swap agents 2 and 4 everywhere
         perm = np.arange(n)
         perm[[2, 4]] = [4, 2]
         history_p = history[:, perm, :]
         adj_p = adj[np.ix_(perm, perm)]
-        est_p = pred.predict_prior(target, history_p, adj_p, obstacles,
-                                   prev_prediction=np.tile(history[-1, target],
-                                                           cfg.horizon))
+        est_p = pred.predict_prior([target], history_p, adj_p, obstacles,
+                                   prev_predictions={target: np.tile(history[-1, target],
+                                                                     cfg.horizon)})[0]
         assert np.allclose(est.mean, est_p.mean, atol=1e-10)
 
     def test_adjacency_history_accepted(self, cfg, params):
@@ -72,10 +89,217 @@ class TestPrior:
         n = 4
         history = make_history(rng, n, cfg.history)
         adj_hist = np.stack([ring_adjacency(n)] * cfg.history)
-        est = pred.predict_prior(1, history, adj_hist, np.zeros((2, 3)))
-        est_flat = pred.predict_prior(1, history, ring_adjacency(n), np.zeros((2, 3)),
-                                      prev_prediction=np.tile(history[-1, 1], cfg.horizon))
+        est = pred.predict_prior([1], history, adj_hist, np.zeros((2, 3)))[0]
+        est_flat = pred.predict_prior([1], history, ring_adjacency(n), np.zeros((2, 3)),
+                                      prev_predictions={1: np.tile(history[-1, 1],
+                                                                   cfg.horizon)})[0]
         assert np.allclose(est.mean, est_flat.mean)
+
+
+def reference_prior_forward(params, cfg, target, history, adjacency,
+                            obstacle_centers, prev_prediction):
+    """The per-target EG prior: every history step through the GCN, on the tape.
+
+    Kept as the oracle the batched prior_forward is compared against.
+    """
+    history = np.asarray(history, dtype=float)
+    hor, feat = cfg.horizon, cfg.feature
+    h_steps, n, _ = history.shape
+    adjacency = np.asarray(adjacency, dtype=float)
+    if adjacency.ndim == 2:
+        adjacency = np.broadcast_to(adjacency, (h_steps, n, n))
+    anchor = history[-1, target]
+
+    prev_rel = np.asarray(prev_prediction, dtype=float) - np.tile(anchor, hor)
+    state = lstm_zero_state(params["query"]["lstm"]["Wh"].shape[0])
+    for tau in range(hor):
+        step_in = Tensor(prev_rel[3 * tau:3 * tau + 3].reshape(1, 3))
+        q_out, state = lstm_step(step_in, state, params["query"]["lstm"])
+    y = fc(q_out, params["query"]["out"], activation="relu")
+
+    eg_states = [EgCellState.initial(params["eg"][f"layer{i}"]["W0"])
+                 for i in range(cfg.eg_layers)]
+    node_out = None
+    for h in range(h_steps):
+        feats = Tensor(history[h] - anchor)
+        for i in range(cfg.eg_layers):
+            feats = gcn_layer(adjacency[h], feats, eg_states[i].weight)
+            eg_states[i] = eg_step(eg_states[i], params["eg"][f"layer{i}"])
+        node_out = feats
+    g = fc(node_out[target:target + 1, :], params["eg_out"], activation="relu")
+
+    centers = np.zeros(3 * cfg.max_obstacles)
+    flat = (np.asarray(obstacle_centers, dtype=float) - anchor).reshape(-1)
+    centers[:min(flat.size, centers.size)] = flat[:centers.size]
+    o = fc(Tensor(centers.reshape(1, -1)), params["obstacle"], activation="relu")
+
+    fused_in = concat([y, o, g], axis=1)
+    dec_state = lstm_zero_state(params["decoder"]["lstm"]["Wh"].shape[0])
+    means, logstds = [], []
+    for tau in range(hor):
+        h_t, dec_state = lstm_step(fused_in, dec_state, params["decoder"]["lstm"])
+        means.append(fc(h_t, params["decoder"]["mean"]))
+        logstds.append(fc(h_t.detach(), params["decoder"]["logstd"]))
+    mean_rel = concat(means, axis=1)
+    logstd = concat(logstds, axis=1)
+
+    if cfg.residual:
+        mean_rel = mean_rel + Tensor(shift_trajectory(prev_rel, hor).reshape(1, -1))
+    mean = mean_rel + Tensor(np.tile(anchor, hor).reshape(1, -1))
+    sigma = logstd.exp() + cfg.sigma_floor
+    return mean.data.reshape(-1), sigma.data.reshape(-1)
+
+
+def random_adjacency(rng, n, steps=None):
+    shape = (n, n) if steps is None else (steps, n, n)
+    upper = np.triu(rng.random(shape) < 0.4, k=1).astype(float)
+    return upper + np.swapaxes(upper, -1, -2)
+
+
+def assert_rel_close(actual, expected, rtol=1e-12):
+    scale = max(np.max(np.abs(expected)), 1e-300)
+    assert np.max(np.abs(actual - expected)) <= rtol * scale
+
+
+class TestBatchedPrior:
+    @pytest.mark.parametrize("n", [4, 13])
+    @pytest.mark.parametrize("adj_steps", [None, "history"])
+    def test_matches_per_target_reference(self, cfg, params, n, adj_steps):
+        rng = np.random.default_rng(100 + n)
+        history = make_history(rng, n, cfg.history)
+        adjacency = random_adjacency(
+            rng, n, cfg.history if adj_steps == "history" else None)
+        adjacency[..., 0, 1:] = adjacency[..., 1:, 0] = 1.0  # ego 0 sees everyone
+        obstacles = np.array([[8.0, 3, 0], [8.0, -3, 0]])
+        last_adj = adjacency if adjacency.ndim == 2 else adjacency[-1]
+        target_sets = [[n - 1],
+                       list(np.flatnonzero(last_adj[0])),
+                       list(rng.permutation(n)[:min(n, 7)])]
+        assert target_sets[2] != sorted(target_sets[2])
+        pred = TrajectoryPredictor(params, cfg)
+        for targets in target_sets:
+            # every other target has a previous prediction, the rest hold position
+            prev = {t: np.tile(history[-1, t], cfg.horizon)
+                    + rng.normal(scale=0.3, size=cfg.traj_dim) for t in targets[::2]}
+            estimates = pred.predict_prior(targets, history, adjacency, obstacles,
+                                           prev_predictions=prev)
+            assert len(estimates) == len(targets)
+            for target, est in zip(targets, estimates):
+                prev_t = prev.get(target, np.tile(history[-1, target], cfg.horizon))
+                mean, sigma = reference_prior_forward(params, cfg, target, history,
+                                                      adjacency, obstacles, prev_t)
+                assert_rel_close(est.mean, mean)
+                assert_rel_close(est.stddev, sigma)
+
+    def test_predict_fuses_fresh_messages(self, cfg, params):
+        rng = np.random.default_rng(101)
+        n, tick = 6, 4
+        history = make_history(rng, n, cfg.history)
+        adjacency = random_adjacency(rng, n)
+        obstacles = np.array([[8.0, 3, 0], [8.0, -3, 0]])
+        calibration = CodecCalibration(rng.uniform(0.05, 2.0, size=cfg.traj_dim))
+        pred = TrajectoryPredictor(params, cfg, calibration=calibration)
+        targets = [4, 1, 3, 5]
+        messages = {4: pred.encode(rng.normal(size=cfg.traj_dim), tick, 4, mode="mean"),
+                    1: pred.encode(rng.normal(size=cfg.traj_dim), tick - 1, 1, mode="mean"),
+                    5: pred.encode(rng.normal(size=cfg.traj_dim), tick, 5, mode="mean")}
+        out = pred.predict(targets, messages, history, adjacency, obstacles, tick)
+        assert list(out) == targets
+        for target in targets:
+            mean, sigma = reference_prior_forward(
+                params, cfg, target, history, adjacency, obstacles,
+                np.tile(history[-1, target], cfg.horizon))
+            expected = mean
+            msg = messages.get(target)
+            if msg is not None and msg.tick == tick:
+                decoded = codec_denormalize(
+                    codec_decode_forward(msg.latent.reshape(1, -1), params).data, pred.norm)
+                expected, _ = fuse(GaussianTrajectoryEstimate(mean, sigma), decoded,
+                                   calibration)
+                assert np.max(np.abs(expected - mean)) > 1e-3
+            assert_rel_close(out[target], expected)
+            assert np.array_equal(pred.prev_predictions[target], out[target])
+
+    def test_only_last_history_row_matters(self, cfg, params):
+        rng = np.random.default_rng(102)
+        n = 5
+        history = make_history(rng, n, cfg.history)
+        adjacency = random_adjacency(rng, n, cfg.history)
+        obstacles = np.array([[8.0, 3, 0], [8.0, -3, 0]])
+        pred = TrajectoryPredictor(params, cfg)
+        base = pred.predict_prior([0, 3, 2], history, adjacency, obstacles)
+        history_r, adjacency_r = history.copy(), adjacency.copy()
+        history_r[:-1] = rng.normal(scale=5.0, size=history_r[:-1].shape)
+        adjacency_r[:-1] = random_adjacency(rng, n, cfg.history - 1)
+        other = pred.predict_prior([0, 3, 2], history_r, adjacency_r, obstacles)
+        for a, b in zip(base, other):
+            assert np.array_equal(a.mean, b.mean)
+            assert np.array_equal(a.stddev, b.stddev)
+
+    def test_evolved_weights_match_explicit_steps(self, cfg, params):
+        weights = evolved_weights(params, cfg)
+        assert len(weights) == cfg.eg_layers
+        for i, w in enumerate(weights):
+            cell = params["eg"][f"layer{i}"]
+            state = EgCellState.initial(cell["W0"])
+            for _ in range(cfg.history - 1):
+                state = eg_step(state, cell)
+            assert np.array_equal(w.data, state.weight.data)
+            assert not np.array_equal(w.data, cell["W0"].data)
+
+    def test_history_length_must_match_config(self, cfg, params):
+        rng = np.random.default_rng(103)
+        history = make_history(rng, 4, cfg.history + 1)
+        with pytest.raises(PredictorError):
+            TrajectoryPredictor(params, cfg).predict_prior(
+                [1], history, ring_adjacency(4), np.zeros((2, 3)))
+
+    def test_inference_records_no_tape(self, cfg, params):
+        pred = TrajectoryPredictor(params, cfg)
+        views = flatten_params(pred.params)
+        live = flatten_params(params)
+        assert all(views[k].data is live[k].data for k in live)
+        # an op records a backward closure only when an input requires grad
+        assert not any(t.requires_grad for t in views.values())
+
+
+class TestPriorGradients:
+    def test_training_path_matches_finite_difference(self, cfg):
+        rng = np.random.default_rng(105)
+        live = init_predictor_params(np.random.default_rng(7), cfg)
+        n = 5
+        history = make_history(rng, n, cfg.history)
+        adjacency = random_adjacency(rng, n, cfg.history)
+        obstacles = np.array([[8.0, 3, 0], [8.0, -3, 0]])
+        targets = [3, 0, 4]
+        prev = np.tile(history[-1, targets], cfg.horizon) + rng.normal(
+            scale=0.3, size=(len(targets), cfg.traj_dim))
+        probe = rng.normal(size=(len(targets), cfg.traj_dim))
+
+        def loss():
+            mean, _ = prior_forward(live, cfg, targets, history, adjacency,
+                                    obstacles, prev)
+            return (mean * Tensor(probe)).sum()
+
+        zero_grads(live)
+        loss().backward()
+        flat = flatten_params(live)
+        eps = 1e-6
+        for name in ("eg.layer0.W0", "eg.layer1.Wx", "query.lstm.Wx", "decoder.mean.W"):
+            param = flat[name]
+            assert param.grad is not None and param.grad.shape == param.data.shape
+            if name.startswith("eg."):
+                assert np.any(param.grad != 0.0)
+            for idx in [tuple(rng.integers(0, s) for s in param.data.shape)
+                        for _ in range(3)]:
+                saved = param.data[idx]
+                param.data[idx] = saved + eps
+                up = loss().data
+                param.data[idx] = saved - eps
+                down = loss().data
+                param.data[idx] = saved
+                fd = (up - down) / (2 * eps)
+                assert abs(param.grad[idx] - fd) <= 1e-6 * max(1.0, abs(fd)), name
 
 
 class TestCodec:
@@ -194,9 +418,9 @@ class TestPredict:
         history = make_history(rng, 4, cfg.history)
         adj = ring_adjacency(4)
         obstacles = np.zeros((2, 3))
-        out = pred.predict(1, None, history, adj, obstacles, tick=0)
+        out = pred.predict([1], {}, history, adj, obstacles, tick=0)[1]
         pred2 = TrajectoryPredictor(params, cfg)
-        prior = pred2.predict_prior(1, history, adj, obstacles)
+        prior = pred2.predict_prior([1], history, adj, obstacles)[0]
         assert np.allclose(out, prior.mean)
 
     def test_tiny_codec_variance_tracks_message(self, cfg, params):
@@ -205,7 +429,8 @@ class TestPredict:
             params, cfg, calibration=CodecCalibration(np.full(cfg.traj_dim, 1e-12)))
         history = make_history(rng, 4, cfg.history)
         msg = pred.encode(rng.normal(size=cfg.traj_dim), tick=5, sender=1, mode="mean")
-        out = pred.predict(1, msg, history, ring_adjacency(4), np.zeros((2, 3)), tick=5)
+        out = pred.predict([1], {1: msg}, history, ring_adjacency(4), np.zeros((2, 3)),
+                           tick=5)[1]
         assert np.max(np.abs(out - pred.decode(msg))) < 1e-6
 
     def test_stale_message_discarded_by_default(self, cfg, params):
@@ -214,9 +439,10 @@ class TestPredict:
             params, cfg, calibration=CodecCalibration(np.full(cfg.traj_dim, 1e-12)))
         history = make_history(rng, 4, cfg.history)
         msg = pred.encode(rng.normal(size=cfg.traj_dim), tick=2, sender=1, mode="mean")
-        out = pred.predict(1, msg, history, ring_adjacency(4), np.zeros((2, 3)), tick=7)
+        out = pred.predict([1], {1: msg}, history, ring_adjacency(4), np.zeros((2, 3)),
+                           tick=7)[1]
         prior = TrajectoryPredictor(params, cfg).predict_prior(
-            1, history, ring_adjacency(4), np.zeros((2, 3)))
+            [1], history, ring_adjacency(4), np.zeros((2, 3)))[0]
         assert np.allclose(out, prior.mean)
 
     def test_full_pipeline_deterministic(self, cfg, params):
@@ -229,8 +455,8 @@ class TestPredict:
                 history = make_history(rng, 4, cfg.history)
                 msg = pred.encode(rng.normal(size=cfg.traj_dim), tick=tick,
                                   sender=1, mode="sample", rng=rng)
-                outs.append(pred.predict(1, msg, history, ring_adjacency(4),
-                                         np.zeros((2, 3)), tick=tick))
+                outs.append(pred.predict([1], {1: msg}, history, ring_adjacency(4),
+                                         np.zeros((2, 3)), tick=tick)[1])
             return np.concatenate(outs)
 
         assert np.array_equal(run(), run())
@@ -241,6 +467,6 @@ class TestPredict:
                                    calibration=CodecCalibration(np.ones(cfg.traj_dim)))
         for tick in range(4):
             history = make_history(rng, 5, cfg.history) * 10
-            out = pred.predict(2, None, history, ring_adjacency(5),
-                               np.zeros((2, 3)), tick=tick)
+            out = pred.predict([2], {}, history, ring_adjacency(5),
+                               np.zeros((2, 3)), tick=tick)[2]
             assert np.all(np.isfinite(out))

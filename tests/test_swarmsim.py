@@ -3,9 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from swarmcoord.dmpc import AgentState, ControllerConfig
+from swarmcoord.dmpc import AgentState
 from swarmcoord.geometry import euclidean_project_ellipsoid, surface_distance
-from swarmcoord.predictor import Message
+from swarmcoord.predictor import (
+    CodecCalibration,
+    Message,
+    PredictorConfig,
+    TrajectoryPredictor,
+    init_predictor_params,
+)
 from swarmcoord.swarmsim import (
     ChannelConfig,
     RunMode,
@@ -251,6 +257,49 @@ class TestEpisode:
         assert RunMode.parse("EG+KKT") is RunMode.EG
         with pytest.raises(ValueError):
             RunMode.parse("ynet")
+
+
+@pytest.fixture(scope="module")
+def desk_scenario():
+    return sample_scenario(0, DESK_SCENARIO)
+
+
+def run_short_episode(scenario, mode):
+    """A 3-tick episode in `mode` with seeded random predictor weights."""
+    pcfg = PredictorConfig(history=6, hidden=12, feature=8, latent=6)
+    params = init_predictor_params(np.random.default_rng(0), pcfg)
+    # an untrained codec decodes about 10 m off: its calibrated variance
+    calibration = CodecCalibration(np.full(pcfg.traj_dim, 100.0))
+
+    def factory():
+        return TrajectoryPredictor(params, pcfg, calibration=calibration)
+
+    return run_episode(scenario, mode=mode, ticks=3, seed=0, predictor_factory=factory)
+
+
+class TestEveryMode:
+    @pytest.mark.parametrize("mode", ["cv", "eg", "vae", "eg+vae"])
+    def test_short_episode_invariants(self, desk_scenario, mode):
+        tr = run_short_episode(desk_scenario, mode)
+        assert tr.ticks == 3
+        for attr in (tr.measured_states, tr.plans, tr.predictions, tr.costs,
+                     tr.adjacency, tr.messages_sent, tr.deliveries, tr.fallback_flags):
+            assert len(attr) == 3
+        assert all(np.all(np.isfinite(a)) for a in tr.true_states + tr.plans)
+        for adjacency, preds in zip(tr.adjacency, tr.predictions):
+            pairs = {(int(i), int(j)) for i, j in zip(*np.nonzero(adjacency))}
+            assert {(int(i), int(j)) for i, j in preds} == pairs
+            assert all(p.shape == (3 * tr.controller.horizon,) and np.all(np.isfinite(p))
+                       for p in preds.values())
+        if RunMode.parse(mode).uses_messages:
+            assert any(tr.deliveries)
+        if mode == "eg":
+            again = run_short_episode(desk_scenario, mode)
+            for a, b in zip(tr.true_states + tr.plans, again.true_states + again.plans):
+                assert np.array_equal(a, b)
+            for a, b in zip(tr.predictions, again.predictions):
+                assert a.keys() == b.keys()
+                assert all(np.array_equal(a[k], b[k]) for k in a)
 
 
 class TestMetrics:
