@@ -24,10 +24,12 @@ the neighbor's predicted trajectory. Obstacle rows are supporting planes of
 the (convex) obstacle, taken at every step of the time-shifted previous plan
 from the first one that comes within OBSTACLE_BAND of r_min: outside the
 obstacle the plane touches at the exact closest point in the agent norm,
-inside it at the radial surface point. Each plane is a lower bound of the
-true signed distance everywhere, so a plan that satisfies a row keeps at
-least r_min from the obstacle at that step; all rows of one obstacle share
-its slack.
+inside it at the radial surface point. The collision probe's pass supplies
+the planes: detect_first_collision projects every step onto each obstacle
+once, and each probe keeps the distances and plane gradients from its first
+step on. Each plane is a lower bound of the true signed distance everywhere,
+so a plan that satisfies a row keeps at least r_min from the obstacle at
+that step; all rows of one obstacle share its slack.
 
 Initial condition: the plan starts from the measured position and velocity;
 its acceleration carries over from the previous plan at +dt, the point the
@@ -58,7 +60,6 @@ from .geometry import (
     build_basis,
     eval_bezier,
     derivative_plan,
-    obstacle_planes,
     point_surface_distance,
     sampling_matrix,
 )
@@ -116,9 +117,14 @@ class AgentState:
 
 @dataclass(frozen=True)
 class CollisionProbe:
+    """First step k_coll at which a plan breaches the probe distance to
+    obstacle `obstacle`; dist (P - k_coll,) and eta (P - k_coll, 3) are the
+    probe pass's point_surface_distance values at steps k_coll..P-1."""
+
     k_coll: int
     obstacle: int
-    depth: float
+    dist: np.ndarray
+    eta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -256,34 +262,30 @@ def hold_position_plan(position, cfg: ControllerConfig) -> BezierPlan:
     return BezierPlan(cp, cfg.horizon * cfg.dt / cfg.segments)
 
 
-def hold_position_trajectory(position, horizon) -> np.ndarray:
-    return np.tile(np.asarray(position, dtype=float), horizon)
-
-
 def shift_trajectory(trajectory, horizon) -> np.ndarray:
     """Advance a sampled trajectory one step, holding the terminal point."""
     pts = np.asarray(trajectory, dtype=float).reshape(horizon, 3)
     return np.vstack([pts[1:], pts[-1:]]).reshape(-1)
 
 
-def detect_first_collision(prev_traj, obstacles, r_min, horizon=None,
+def detect_first_collision(prev_traj, obstacles, r_min,
                            norm_matrix=None) -> list[CollisionProbe]:
     """Earliest step per obstacle at which the trajectory breaches r_min.
 
     Distance is the signed distance from each trajectory point to the
     obstacle in the agent norm (Euclidean by default), as point_surface_distance
-    gives it: exact outside, a lower bound inside.
+    gives it: exact outside, a lower bound inside. One call per obstacle
+    covers every step; each probe keeps that call's distances and supporting
+    planes from its step on, and build_qp makes the obstacle rows from them.
     """
-    traj = np.asarray(prev_traj, dtype=float)
-    horizon = horizon or traj.size // 3
-    pts = traj.reshape(horizon, 3)
+    pts = np.asarray(prev_traj, dtype=float).reshape(-1, 3)
     probes = []
     for m, obs in enumerate(obstacles):
-        sd = point_surface_distance(obs, pts, norm_matrix)
-        breach = np.flatnonzero(sd < r_min)
+        dist, eta = point_surface_distance(obs, pts, norm_matrix)
+        breach = np.flatnonzero(dist < r_min)
         if breach.size:
             k = int(breach[0])
-            probes.append(CollisionProbe(k, m, r_min - float(sd[k])))
+            probes.append(CollisionProbe(k, m, dist[k:], eta[k:]))
     return probes
 
 
@@ -327,7 +329,7 @@ def build_qp(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dic
     prev_traj = bundle.shifted @ prev_plan.flatten()
     prev_pts = prev_traj.reshape(horizon, 3)
     probes = detect_first_collision(prev_traj, obstacles, cfg.r_min + OBSTACLE_BAND,
-                                    horizon, norm_matrix=cfg.agent_shape)
+                                    norm_matrix=cfg.agent_shape)
 
     n_z, n_eps, n_delta = len(probes), n_nb * horizon, n_nb * horizon
     n = n_w + n_z + n_eps + n_delta
@@ -373,11 +375,9 @@ def build_qp(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dic
         # a supporting plane at every step from the first one in the band on:
         # eta'(p_k - p_hat_k) + d_k >= r_min (+ reserve after step 0) - zeta
         steps = np.arange(probe.k_coll, horizon)
-        dist, etas = obstacle_planes(obstacles[probe.obstacle], prev_pts[steps],
-                                     cfg.agent_shape)
         clearance = cfg.r_min + np.where(steps > 0, OBSTACLE_RESERVE, 0.0)
-        w_rows.append(-np.einsum("ki,kiw->kw", etas, f_steps[steps]))
-        h_vals.append(dist - np.sum(etas * prev_pts[steps], axis=1) - clearance)
+        w_rows.append(-np.einsum("ki,kiw->kw", probe.eta, f_steps[steps]))
+        h_vals.append(probe.dist - np.sum(probe.eta * prev_pts[steps], axis=1) - clearance)
         slack_cols.append(np.full(steps.size, layout["zeta"].start + z_idx))
         labels += [("obs", probe.obstacle, int(k)) for k in steps]
 

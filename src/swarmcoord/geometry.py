@@ -4,6 +4,19 @@ Flattening convention for control-point vectors: segment-major, then control
 point, then axis, i.e. w = [s0p0x, s0p0y, s0p0z, s0p1x, ..., s(l-1)p(d)z].
 Sampled trajectories U are time-major with axis innermost: U[3k:3k+3] is the
 3-D setpoint at sample k.
+
+Distances, and who uses them:
+  scaled_distance: ||E (p - q)|| between two agents, for the inter-agent
+      metrics;
+  surface_distance: the scaled ||E (p - C)|| - 1 to an obstacle, for
+      scenario starts (a scaled clearance bounds the Euclidean one from
+      below);
+  point_surface_distance: the exact signed distance to an obstacle in the
+      agent norm, with a supporting plane per point, for collision probes,
+      obstacle rows, the scenario goal check and the obstacle metrics;
+  euclidean_project_ellipsoid and ellipsoid_gap: the Euclidean projection
+      onto a solid obstacle and the gap between two, for the scenario gap
+      check and the benchmark's clearances.
 """
 
 from dataclasses import dataclass
@@ -188,25 +201,18 @@ def surface_distance(obs: Ellipsoid, p) -> float:
 
 def point_surface_distance(obs: Ellipsoid, p, norm_matrix=None):
     """Signed distance from p to the ellipsoid in the norm ||M x|| (Euclidean
-    when norm_matrix M is None); negative inside.
+    when norm_matrix M is None), negative inside, and a supporting-plane
+    gradient.
 
-    p is one point (returns a float) or an (n, 3) array of points (returns an
-    array). Outside the obstacle the value is exact. Inside it is the value at
-    p of the supporting plane at the radial surface point, a lower bound: it
-    overstates the penetration depth, which is the safe direction.
-    """
-    return obstacle_planes(obs, p, norm_matrix)[0]
-
-
-def obstacle_planes(obs: Ellipsoid, p, norm_matrix=None):
-    """Signed distance and a supporting-plane gradient per point, in the norm ||M x||.
-
-    Returns (d, eta) with d as in point_surface_distance and eta such that
+    Returns (d, eta). p is one point (d is a float, eta a 3-vector) or an
+    (n, 3) array of points (d is (n,), eta (n, 3)). eta is such that
     d(x) >= d + eta @ (x - p) for every x, where d(x) is the true signed
     distance: the obstacle is convex, so the plane through a surface point
     with its outward normal keeps the whole obstacle on one side. Outside the
-    obstacle the plane touches at the exact projection of p, so the bound is
-    tight at p and eta is the gradient of the distance. Shapes follow p.
+    obstacle the plane touches at the exact projection of p, so d is exact
+    and eta is the gradient of the distance. Inside, the plane touches at the
+    radial surface point and d is a lower bound: it overstates the
+    penetration depth, which is the safe direction.
     """
     pts = np.asarray(p, dtype=float)
     single = pts.ndim == 1
@@ -226,7 +232,8 @@ def _supporting_planes(obs: Ellipsoid, pts):
     """Surface point and outward unit normal of a supporting plane per row of pts.
 
     Outside: the exact Euclidean projection, whose normal points at p.
-    Inside: the radial point, as in closest_point_on_ellipsoid.
+    Inside: the radial point, where the ray from the center through p meets
+    the surface (the +x-axis point of the sphere frame for the center).
     """
     a, v = obs.principal_axes
     y = (pts - obs.center) @ v           # principal-axis frame
@@ -234,8 +241,7 @@ def _supporting_planes(obs: Ellipsoid, pts):
     outside = r2 > 1.0
     x = np.empty_like(y)
     if outside.any():
-        t = _secular_root(a, y[outside])
-        x[outside] = y[outside] / (1.0 + t[:, None] * a)
+        x[outside] = _project_outside(a, y[outside])
     inside = np.flatnonzero(~outside)
     if inside.size:
         r = np.sqrt(r2[inside])
@@ -247,72 +253,62 @@ def _supporting_planes(obs: Ellipsoid, pts):
     return obs.center + x @ v.T, normal @ v.T
 
 
-def _secular_root(a, y, tol=1e-12, max_iter=128):
-    """Lagrange parameter t of the Euclidean projection of each row of y.
+def _project_outside(a, y):
+    """Euclidean projection y / (1 + t a) of each row of y onto the ellipsoid.
 
     Rows are points outside the ellipsoid sum_i a_i y_i^2 <= 1 in its
-    principal-axis frame; t solves g(t) = sum_i a_i y_i^2 / (1 + t a_i)^2 - 1
-    = 0. g is convex and decreasing on t >= 0 and g((r - 1) / max(a)) >= 0 at
-    the scaled radius r, so Newton from there rises monotonically to the root.
+    principal-axis frame. The Lagrange parameter t solves the secular
+    equation g(t) = sum_i a_i y_i^2 / (1 + t a_i)^2 - 1 = 0. g is convex and
+    decreasing on t >= 0 and g((r - 1) / max(a)) >= 0 at the scaled radius r,
+    so Newton from there rises monotonically to the root. It stops once
+    |g| < 1e-12 on every row, or after 128 steps.
     """
     ay2 = a * y**2
     a2y2 = a * ay2
     t = (np.sqrt(ay2.sum(axis=1)) - 1.0) / a.max()
-    for _ in range(max_iter):
+    for _ in range(128):
         inv = 1.0 / (1.0 + t[:, None] * a)
         inv2 = inv * inv
         g = (ay2 * inv2).sum(axis=1) - 1.0
-        if np.abs(g).max() < tol:
+        if np.abs(g).max() < 1e-12:
             break
         t = t + g / (2.0 * (a2y2 * inv2 * inv).sum(axis=1))
-    return t
+    return y / (1.0 + t[:, None] * a)
 
 
-def closest_point_on_ellipsoid(obs: Ellipsoid, p) -> np.ndarray:
-    """Surface point closest to p in the obstacle's own scaled norm ||E x||.
+def euclidean_project_ellipsoid(obs: Ellipsoid, p) -> np.ndarray:
+    """Euclidean projection of p onto the solid ellipsoid.
 
-    This is the radial projection in the sphere frame. It is not the
-    Euclidean closest point (see euclidean_project_ellipsoid): near an
-    elongated ellipsoid ||p - c|| overstates the Euclidean distance. A query
-    exactly at the center maps to the +x-axis point of the sphere frame.
-    """
-    y = obs.shape_matrix @ (np.asarray(p, float) - obs.center)
-    r = np.linalg.norm(y)
-    direction = y / r if r > 1e-12 else np.array([1.0, 0.0, 0.0])
-    return obs.center + np.linalg.solve(obs.shape_matrix, direction)
-
-
-def euclidean_project_ellipsoid(obs: Ellipsoid, p, tol=1e-12, max_iter=128) -> np.ndarray:
-    """Euclidean projection of p onto the solid ellipsoid (p itself if inside).
-
-    Works in the principal-axis frame of EᵀE and solves the secular equation
-    sum_i (a_i y_i / (1 + t a_i))^2 = 1 for the Lagrange parameter t by
-    monotone Newton (a_i are the eigenvalues of EᵀE).
+    Returns p itself when sum_i a_i y_i^2 <= 1 + 1e-12 in the principal-axis
+    frame of EᵀE (a_i its eigenvalues, y the coordinates of p - center),
+    otherwise the touching point of point_surface_distance's plane at p.
     """
     p = np.asarray(p, dtype=float)
     a, v = obs.principal_axes
     y = v.T @ (p - obs.center)
-    if float(np.sum(a * y**2)) <= 1.0 + tol:
+    if float(np.sum(a * y**2)) <= 1.0 + 1e-12:
         return p.copy()
-    t = _secular_root(a, y[None, :], tol, max_iter)[0]
-    return obs.center + v @ (y / (1.0 + t * a))
+    # the outside branch of _supporting_planes, without its per-call
+    # overhead: the scenario gap check projects several hundred times
+    return obs.center + v @ _project_outside(a, y[None, :])[0]
 
 
-def ellipsoid_gap(a: Ellipsoid, b: Ellipsoid, tol=1e-9, max_iter=256) -> float:
+def ellipsoid_gap(a: Ellipsoid, b: Ellipsoid) -> float:
     """Euclidean distance between two disjoint ellipsoid surfaces.
 
     Alternating exact projections onto the two solid (convex) bodies; returns
-    0.0 when they intersect.
+    0.0 when they intersect. Stops once the distance changes by less than
+    1e-9, or after 256 rounds.
     """
     x = b.center.copy()
     prev = np.inf
-    for _ in range(max_iter):
+    for _ in range(256):
         xa = euclidean_project_ellipsoid(a, x)
         xb = euclidean_project_ellipsoid(b, xa)
         d = float(np.linalg.norm(xa - xb))
         if np.allclose(xa, xb, atol=1e-12):
             return 0.0
-        if abs(prev - d) < tol:
+        if abs(prev - d) < 1e-9:
             return d
         prev = d
         x = xb

@@ -268,9 +268,6 @@ class TrajectoryPredictor:
         self.prev_predictions = {}
         self._weights = None
 
-    def reset(self):
-        self.prev_predictions.clear()
-
     def predict_prior(self, targets, history, adjacency, obstacle_centers,
                       prev_predictions=None) -> list[GaussianTrajectoryEstimate]:
         """One prior estimate per target, in the order given.

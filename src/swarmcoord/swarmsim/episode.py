@@ -239,7 +239,7 @@ class EpisodeTrace:
         e = self.controller.agent_shape
         for t, states in enumerate(self.true_states):
             for obs in self.scenario.obstacles:
-                out[t] = np.minimum(out[t], point_surface_distance(obs, states[:, :3], e))
+                out[t] = np.minimum(out[t], point_surface_distance(obs, states[:, :3], e)[0])
         return out
 
 

@@ -76,6 +76,10 @@ def _starts_clear(point, obstacles, clearance):
     return all(surface_distance(obs, point) >= clearance for obs in obstacles)
 
 
+def _goal_clear(point, obstacles, clearance):
+    return all(point_surface_distance(obs, point)[0] >= clearance for obs in obstacles)
+
+
 def poisson_disk_box(rng, box, radius, count, accept=None, k=30, cap=10_000):
     """Bridson-style Poisson disk sampling in a 3-D box, stopping at `count`.
 
@@ -145,8 +149,7 @@ def sample_scenario(seed, config: ScenarioConfig | None = None) -> Scenario:
         gap = ellipsoid_gap(obstacles[0], obstacles[1])
         if not (cfg.gap_range[0] <= gap <= cfg.gap_range[1]):
             continue
-        if any(point_surface_distance(obs, p_mig) < cfg.goal_clearance
-               for obs in obstacles):
+        if not _goal_clear(p_mig, obstacles, cfg.goal_clearance):
             continue
         n = int(rng.integers(cfg.n_min, cfg.n_max + 1))
         points = poisson_disk_box(
@@ -212,4 +215,6 @@ def validate_scenario(sc: Scenario, config: ScenarioConfig | None = None) -> lis
     for idx, a in enumerate(sc.agents):
         if not _starts_clear(a.position, sc.obstacles, cfg.start_clearance - 1e-9):
             problems.append(f"agent {idx} starts inside obstacle clearance")
+    if not _goal_clear(sc.p_mig, sc.obstacles, cfg.goal_clearance - 1e-9):
+        problems.append("migration point inside obstacle clearance")
     return problems

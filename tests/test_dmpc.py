@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from swarmcoord import geometry
 from swarmcoord.dmpc import (
     OBSTACLE_RESERVE,
     AgentState,
@@ -12,7 +13,6 @@ from swarmcoord.dmpc import (
     build_qp,
     detect_first_collision,
     hold_position_plan,
-    hold_position_trajectory,
     plan,
     prediction_row_gradients,
     shift_trajectory,
@@ -22,7 +22,7 @@ from swarmcoord.geometry import (
     Ellipsoid,
     derivative_plan,
     eval_bezier,
-    obstacle_planes,
+    point_surface_distance,
 )
 from swarmcoord.qpcore import SolveStatus, active_set, solve
 
@@ -35,6 +35,10 @@ def cfg():
 @pytest.fixture(scope="module")
 def bundle(cfg):
     return BasisBundle(cfg)
+
+
+def hold_position_trajectory(position, horizon) -> np.ndarray:
+    return np.tile(np.asarray(position, dtype=float), horizon)
 
 
 def two_obstacles():
@@ -175,7 +179,7 @@ class TestBuildQp:
         for row, label in enumerate(meta["labels"]):
             if label[0] == "obs":
                 _, ob, k = label
-                dist, eta = obstacle_planes(obstacles[ob], prev_pts[k], cfg.agent_shape)
+                dist, eta = point_surface_distance(obstacles[ob], prev_pts[k], cfg.agent_shape)
                 clearance = cfg.r_min + (OBSTACLE_RESERVE if k > 0 else 0.0)
                 expected[row] = (-f[3 * k:3 * k + 3].T @ eta,
                                  dist - eta @ prev_pts[k] - clearance)
@@ -195,6 +199,20 @@ class TestBuildQp:
                 block = qp.layout["eps" if label[0] in ("saf", "nne") else "delta"]
                 slack_row[block.start - n_w + nb[label[1]] * cfg.horizon + label[2]] = -1.0
             assert np.array_equal(qp.G[row, n_w:], slack_row), label
+
+    def test_projects_each_obstacle_once(self, cfg, bundle, monkeypatch):
+        real = geometry._supporting_planes
+        calls = []
+
+        def counting(obs, pts):
+            calls.append(len(pts))
+            return real(obs, pts)
+
+        monkeypatch.setattr(geometry, "_supporting_planes", counting)
+        _, meta, obstacles = crowded_instance(cfg, bundle)
+        assert len(obstacles) == 3 and len(meta["probes"]) == 2
+        # the probe pass projects every step once; the obstacle rows reuse it
+        assert calls == [cfg.horizon] * len(obstacles)
 
     def test_bundle_from_other_config_raises(self, cfg, bundle):
         state = AgentState([0, 0, 0], [0, 0, 0])

@@ -6,12 +6,10 @@ from swarmcoord.geometry import (
     Ellipsoid,
     GeometryError,
     build_basis,
-    closest_point_on_ellipsoid,
     derivative_plan,
     ellipsoid_gap,
     euclidean_project_ellipsoid,
     eval_bezier,
-    obstacle_planes,
     point_surface_distance,
     scaled_distance,
     surface_distance,
@@ -188,37 +186,6 @@ class TestScaledDistance:
                                                 + scaled_distance(b, c, e) + 1e-12)
 
 
-class TestClosestPoint:
-    def test_unit_sphere(self):
-        obs = Ellipsoid.axis_aligned([0, 0, 0], [1, 1, 1])
-        assert np.allclose(closest_point_on_ellipsoid(obs, [2.0, 0.0, 0.0]), [1, 0, 0])
-
-    def test_point_on_surface(self):
-        obs = Ellipsoid.axis_aligned([1, 0, 0], [2, 1, 3])
-        p = np.array([3.0, 0.0, 0.0])  # on surface along +x
-        assert np.allclose(closest_point_on_ellipsoid(obs, p), p, atol=1e-12)
-
-    def test_center_query_deterministic(self):
-        obs = Ellipsoid.axis_aligned([0, 0, 0], [2, 1, 3])
-        cp = closest_point_on_ellipsoid(obs, [0.0, 0.0, 0.0])
-        assert np.allclose(cp, [2.0, 0.0, 0.0])
-
-    def test_beats_random_surface_samples(self):
-        rng = np.random.default_rng(10)
-        for _ in range(5):
-            center = rng.normal(size=3)
-            e = rng.normal(size=(3, 3)) + 3 * np.eye(3)
-            obs = Ellipsoid(center, e)
-            p = center + rng.normal(size=3) * 3
-            best = closest_point_on_ellipsoid(obs, p)
-            best_dist = scaled_distance(p, best, e)
-            dirs = rng.normal(size=(10_000, 3))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            samples = center + np.linalg.solve(e, dirs.T).T
-            sample_dists = np.linalg.norm((samples - p) @ e.T, axis=1)
-            assert best_dist <= sample_dists.min() + 1e-9
-
-
 class TestEuclideanProjection:
     def test_inside_returns_point(self):
         obs = Ellipsoid.axis_aligned([0, 0, 0], [2, 1, 3])
@@ -240,6 +207,23 @@ class TestEuclideanProjection:
             assert (np.linalg.norm(proj - p)
                     <= np.linalg.norm(samples - p, axis=1).min() + 1e-6)
 
+    def test_agrees_with_point_surface_distance(self):
+        rng = np.random.default_rng(16)
+        outside = 0
+        for _ in range(200):
+            rot = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            obs = Ellipsoid(rng.normal(size=3), np.diag(1.0 / rng.uniform(0.3, 5.0, 3)) @ rot)
+            p = obs.center + rng.normal(size=3) * 4.0
+            proj = euclidean_project_ellipsoid(obs, p)
+            d, eta = point_surface_distance(obs, p)
+            if surface_distance(obs, p) <= 0:
+                assert np.array_equal(proj, p)
+                continue
+            outside += 1
+            assert abs(np.linalg.norm(p - proj) - d) < 1e-12
+            assert np.max(np.abs(eta - (p - proj) / d)) < 1e-12
+        assert outside > 100
+
 
 def surface_samples(obs, count, rng):
     dirs = rng.normal(size=(count, 3))
@@ -257,15 +241,18 @@ class TestPointSurfaceDistance:
         m = np.eye(3) if norm is None else norm
         pts = obs.center + rng.normal(size=(30, 3)) * [8.0, 2.0, 4.0]
         pts = pts[[surface_distance(obs, p) > 0.05 for p in pts]]
-        d = point_surface_distance(obs, pts, norm)
+        d = point_surface_distance(obs, pts, norm)[0]
         samples = surface_samples(obs, 200_000, rng)
         for p, d_k in zip(pts, d):
             sampled = np.linalg.norm((samples - p) @ m.T, axis=1).min()
             assert d_k <= sampled + 1e-9
             assert d_k >= sampled - 0.01
-            assert point_surface_distance(obs, p, norm) == pytest.approx(d_k, abs=1e-9)
+            assert point_surface_distance(obs, p, norm)[0] == pytest.approx(d_k, abs=1e-9)
         # the radial closest point overstates the distance on this ellipsoid
-        radial = [np.linalg.norm(m @ (p - closest_point_on_ellipsoid(obs, p))) for p in pts]
+        e, c = obs.shape_matrix, obs.center
+        ys = (pts - c) @ e.T
+        radial_pts = c + np.linalg.solve(e, (ys / np.linalg.norm(ys, axis=1, keepdims=True)).T).T
+        radial = np.linalg.norm((pts - radial_pts) @ m.T, axis=1)
         assert np.max(radial - d) > 0.1
 
     def test_inside_never_exceeds_true_signed_distance(self):
@@ -276,7 +263,7 @@ class TestPointSurfaceDistance:
         ellipse = np.stack([4.0 * np.cos(theta), np.zeros_like(theta), np.sin(theta)], axis=1)
         xs = np.linspace(-3.9, 3.9, 27)
         pts = np.stack([xs, np.zeros_like(xs), np.zeros_like(xs)], axis=1)
-        d = point_surface_distance(obs, pts)
+        d = point_surface_distance(obs, pts)[0]
         for p, d_k in zip(pts, d):
             true_signed = -np.linalg.norm(ellipse - p, axis=1).min()
             assert d_k <= true_signed + 1e-9
@@ -286,10 +273,10 @@ class TestPointSurfaceDistance:
         obs = Ellipsoid(np.array([0.5, 0.0, -1.0]),
                         np.diag([1 / 3.0, 1.0, 1 / 1.5]) @ np.linalg.qr(rng.normal(size=(3, 3)))[0])
         pts = obs.center + rng.normal(size=(40, 3)) * 3.0   # inside and outside
-        d, eta = obstacle_planes(obs, pts)
+        d, eta = point_surface_distance(obs, pts)
         queries = obs.center + rng.normal(size=(300, 3)) * 4.0
         queries = queries[[surface_distance(obs, q) > 0 for q in queries]]
-        d_q = point_surface_distance(obs, queries)   # exact there
+        d_q = point_surface_distance(obs, queries)[0]   # exact there
         # the plane of each point stays below the distance of every query
         assert np.all(d_q[:, None] >= d[None, :] + np.einsum(
             "qpj,pj->qp", queries[:, None, :] - pts[None, :, :], eta) - 1e-9)

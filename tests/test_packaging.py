@@ -1,6 +1,8 @@
 """What pyproject.toml declares must exist: every dependency imports and
-every console-script target resolves."""
+every console-script target resolves. Every module in src/ and tests/ reads
+each name it imports."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -28,3 +30,29 @@ def test_script_targets_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+def _unused_imports(path):
+    """Names a module imports and never reads; names in __all__ count as read."""
+    tree = ast.parse(path.read_text())
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "*":
+                    imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in sorted(imported.items())
+            if name not in used]
+
+
+@pytest.mark.parametrize("package", ["src", "tests"])
+def test_no_unused_imports(package):
+    root = Path(__file__).resolve().parents[1] / package
+    unused = [entry for path in sorted(root.rglob("*.py")) for entry in _unused_imports(path)]
+    assert unused == []

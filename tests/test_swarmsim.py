@@ -49,6 +49,19 @@ class TestScenario:
             sc = sample_scenario(seed, cfg)
             assert validate_scenario(sc, cfg) == [], seed
 
+    def test_goal_clearance_is_exact(self):
+        sc = sample_scenario(3)
+        obs = sc.obstacles[0]
+        sc.p_mig = obs.center.copy()
+        assert validate_scenario(sc) == ["migration point inside obstacle clearance"]
+        # on the x axis of the axis-aligned obstacle the nearest surface point is
+        # its vertex; the scaled distance would reject both goals
+        vertex = obs.center + [1.0 / obs.shape_matrix[0, 0], 0.0, 0.0]
+        sc.p_mig = vertex + [0.34, 0.0, 0.0]
+        assert validate_scenario(sc) == ["migration point inside obstacle clearance"]
+        sc.p_mig = vertex + [0.36, 0.0, 0.0]
+        assert validate_scenario(sc) == []
+
     def test_gap_agrees_with_dense_sampling(self):
         rng = np.random.default_rng(0)
         sc = sample_scenario(3)
