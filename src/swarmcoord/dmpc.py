@@ -63,7 +63,7 @@ from .geometry import (
     point_surface_distance,
     sampling_matrix,
 )
-from .qpcore import QpInstance, SolveStatus, active_set, solve
+from .qpcore import QpInstance, SolveStatus, active_set, kkt_residuals, solve
 
 log = logging.getLogger(__name__)
 
@@ -460,8 +460,11 @@ def plan(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dict,
     sol = solve(qp, warm_start=x0, active_set_hint=hint)
 
     if sol.status != SolveStatus.OPTIMAL:
-        log.warning("DMPC solve returned %s; falling back to shifted previous plan",
-                    sol.status.value)
+        res = kkt_residuals(qp, sol)
+        worst = max(res, key=res.get)
+        log.warning("DMPC solve returned %s after %d iterations (largest KKT residual %s "
+                    "%.3g); falling back to shifted previous plan",
+                    sol.status.value, sol.iterations, worst, res[worst])
         shifted = shift_trajectory(meta["prev_traj"], cfg.horizon)
         fb_plan = bundle.fit_plan(shifted)
         traj = bundle.basis.matrix @ fb_plan.flatten()

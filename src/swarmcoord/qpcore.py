@@ -2,11 +2,23 @@
 
 Problem form:  min 1/2 x'Qx + q'x  s.t.  Gx <= h,  Rx = b.
 
-The solver is operator splitting in the OSQP style over the stacked
-constraint l <= Ax <= u (A = [G; R], equality rows have l = u = b), followed
-by an active-set polish that solves the KKT system of the identified active
-rows to push all four KKT residuals to linear-solver accuracy. Polished duals
-are what the differentiable KKT layer consumes.
+The solver is ADMM operator splitting in the OSQP style (Stellato et al.,
+arXiv:1711.08013) over the stacked constraint l <= Ax <= u (A = [G; R],
+equality rows have l = u = b), followed by an active-set polish that solves
+the KKT system of the identified active rows to push all four KKT residuals
+to linear-solver accuracy. Polished duals are what the differentiable KKT
+layer consumes.
+
+The ADMM iterates on equilibrated data. Ruiz passes over the columns of
+[[Q, Aᵀ], [A, 0]] plus OSQP's cost scaling bring the DMPC's linear costs of
+1e4 (l_saf) and its O(1) box rows to unit size. Each x-update is a
+back-solve with the Cholesky factor of the n x n matrix
+Q̄ + σI + Āᵀ diag(ρ) Ā, positive definite for any PSD Q since σ > 0; the
+(n + m) quasi-definite KKT system is never formed. ρ is one scalar (equality
+rows run at RHO_EQ_RATIO ρ) that follows the ratio of the scaled residuals.
+The residual contract is checked unscaled: the polish triggers, termination,
+the infeasibility certificates and the contract all read the unscaled
+iterates and the original instance.
 
 The reduced KKT matrix (reduced_kkt) and the active-set rule (active_set)
 are defined here once; the polish, the DMPC warm hint and the KKT layer in
@@ -38,6 +50,20 @@ TOL_INEQ = 1e-6
 TOL_CS = 1e-6
 # a row is active when its dual exceeds ACT_TOL or its slack falls below it
 ACT_TOL = 1e-6
+
+# ADMM settings: OSQP's (Stellato et al., arXiv:1711.08013) except RHO_ADAPT
+SIGMA = 1e-6            # proximal weight of the x-update
+ALPHA = 1.6             # over-relaxation
+RHO0 = 0.1              # initial step size
+RHO_EQ_RATIO = 1e3      # equality rows run at this multiple of rho
+RHO_MIN, RHO_MAX = 1e-6, 1e6
+# rho is refactored when its estimate leaves [rho / RHO_ADAPT, rho * RHO_ADAPT].
+# OSQP's 5 left DESK cold solves at estimates of 0.22-0.45 rho for hundreds of
+# iterations; 2.5 halves their iteration count and keeps crowded QPs converging.
+RHO_ADAPT = 2.5
+CHECK_EVERY = 25        # residuals, polish trigger, certificates and rho
+RUIZ_PASSES = 15        # equilibration passes
+SCALE_MIN, SCALE_MAX = 1e-4, 1e4  # equilibration norms outside are left at 1 or clipped
 
 
 @dataclass
@@ -144,39 +170,46 @@ def active_set(qp: QpInstance, sol: QpSolution) -> np.ndarray:
 def reduced_kkt(qp: QpInstance, active: np.ndarray, reg: float) -> np.ndarray:
     """KKT matrix [[Q + reg I, G_actᵀ, Rᵀ], [G_act, -reg I, 0], [R, 0, -reg I]]
     of the QP with the active rows held as equalities; its unknowns are x,
-    the active inequality duals and the equality duals, in that order."""
-    n = qp.num_vars
-    rows = np.vstack([qp.G[active], qp.R])
-    dim = n + rows.shape[0]
-    kkt = np.zeros((dim, dim))
-    kkt[:n, :n] = qp.Q + reg * np.eye(n)
-    kkt[:n, n:] = rows.T
-    kkt[n:, :n] = rows
-    kkt[n:, n:] -= reg * np.eye(dim - n)
+    the active inequality duals and the equality duals, in that order.
+
+    Filled in place in Fortran order, so LAPACK can factor it without a copy.
+    """
+    n, g_act = qp.num_vars, qp.G[active]
+    m_act = g_act.shape[0]
+    dim = n + m_act + qp.num_eq
+    kkt = np.zeros((dim, dim), order="F")
+    kkt[:n, :n] = qp.Q
+    kkt[n:n + m_act, :n] = g_act
+    kkt[:n, n:n + m_act] = g_act.T
+    kkt[n + m_act:, :n] = qp.R
+    kkt[:n, n + m_act:] = qp.R.T
+    diag = np.arange(dim)
+    kkt[diag[:n], diag[:n]] += reg
+    kkt[diag[n:], diag[n:]] = -reg
     return kkt
 
 
 def _polish(qp: QpInstance, active: np.ndarray, reg=1e-11):
     """Solve the equality KKT system on the active rows; None if it fails."""
     n, m_act = qp.num_vars, int(active.sum())
-    kkt = reduced_kkt(qp, active, reg)
     rhs = np.concatenate([-qp.q, qp.h[active], qp.b])
+    lam = np.zeros(qp.num_ineq)
     try:
-        lu = scipy.linalg.lu_factor(kkt)
+        lu = scipy.linalg.lu_factor(reduced_kkt(qp, active, reg), overwrite_a=True)
         sol = scipy.linalg.lu_solve(lu, rhs)
-        # one round of iterative refinement against the unregularized system
-        kkt[:n, :n] -= reg * np.eye(n)
-        kkt[n:, n:] += reg * np.eye(len(kkt) - n)
-        sol += scipy.linalg.lu_solve(lu, rhs - kkt @ sol)
+        # one round of iterative refinement against the unregularized system,
+        # its residual taken from the Q, G and R blocks
+        x, nu = sol[:n], sol[n + m_act:]
+        lam[active] = sol[n:n + m_act]
+        res = np.concatenate([-qp.q - qp.Q @ x - qp.G.T @ lam - qp.R.T @ nu,
+                              (qp.h - qp.G @ x)[active], qp.b - qp.R @ x])
+        sol += scipy.linalg.lu_solve(lu, res)
     except (scipy.linalg.LinAlgError, ValueError):
         return None
     if not np.all(np.isfinite(sol)):
         return None
-    x = sol[:n]
-    lam = np.zeros(qp.num_ineq)
     lam[active] = sol[n:n + m_act]
-    nu = sol[n + m_act:]
-    return x, lam, nu
+    return sol[:n], lam, sol[n + m_act:]
 
 
 def _try_polish(qp: QpInstance, active, iterations, refine_rounds=25) -> QpSolution | None:
@@ -216,6 +249,42 @@ def _try_polish(qp: QpInstance, active, iterations, refine_rounds=25) -> QpSolut
     return None
 
 
+def _limit(norms):
+    """OSQP's guard on equilibration norms: a norm below SCALE_MIN leaves its
+    row or column unscaled, and none counts above SCALE_MAX."""
+    return np.where(norms < SCALE_MIN, 1.0, np.minimum(norms, SCALE_MAX))
+
+
+def _equilibrate(qp: QpInstance, a: np.ndarray):
+    """Ruiz equilibration with cost scaling (OSQP, Stellato et al. §5.1).
+
+    Returns (d, e, c): with D = diag(d) and E = diag(e), the scaled QP
+    Q̄ = c DQD, q̄ = c Dq, Ā = EAD has the columns of [[Q̄, Āᵀ], [Ā, 0]]
+    near unit infinity norm, and c brings its cost to unit size. The norms
+    are taken over the nonzero entries only; DMPC rows are sparse.
+    """
+    n, m = qp.num_vars, a.shape[0]
+    q_row, q_col = np.nonzero(qp.Q)
+    a_row, a_col = np.nonzero(a)
+    q_val, a_val, cost = np.abs(qp.Q[q_row, q_col]), np.abs(a[a_row, a_col]), np.abs(qp.q)
+
+    def col_norms(d, c):
+        norms = np.zeros(n)
+        np.maximum.at(norms, q_col, c * q_val * d[q_row] * d[q_col])
+        return norms
+
+    d, e, c = np.ones(n), np.ones(m), 1.0
+    for _ in range(RUIZ_PASSES):
+        a_scaled = a_val * e[a_row] * d[a_col]
+        cols, rows = col_norms(d, c), np.zeros(m)
+        np.maximum.at(cols, a_col, a_scaled)
+        np.maximum.at(rows, a_row, a_scaled)
+        d = d / np.sqrt(_limit(cols))
+        e = e / np.sqrt(_limit(rows))
+        c = c / _limit(max(col_norms(d, c).mean(), _limit(np.max(c * d * cost, initial=0.0))))
+    return d, e, c
+
+
 def solve(qp: QpInstance, warm_start=None, active_set_hint=None,
           max_iter=20000, eps=1e-9) -> QpSolution:
     """Solve the QP to the residual contract (all four KKT residuals <= 1e-6).
@@ -223,9 +292,20 @@ def solve(qp: QpInstance, warm_start=None, active_set_hint=None,
     Otherwise the status says why: INFEASIBLE on a certificate of primal or
     dual infeasibility (an unbounded QP), MAX_ITER when the iterations run out.
 
-    warm_start is a primal starting point; active_set_hint is a boolean mask
-    over inequality rows tried as an immediate polish candidate (one linear
-    solve) before any splitting iterations.
+    warm_start is a primal starting point. active_set_hint is a boolean mask
+    over inequality rows, tried first as a polish candidate before any
+    splitting iterations: up to 25 refinement rounds, each an LU
+    factorization and solve of the reduced KKT system.
+
+    The splitting iterates live on the equilibrated QP (see _equilibrate).
+    Each x-update solves (Q̄ + σI + Āᵀ diag(ρ) Ā) x̃ = σx - q̄ + Āᵀ(ρz - y)
+    with the Cholesky factor of that n x n matrix, and sets z̃ = Āx̃. ρ is one
+    scalar, RHO_EQ_RATIO times larger on the equality rows. Every CHECK_EVERY
+    iterations the estimate ρ √(r̄_prim / r̄_dual), from the scaled residuals
+    each relative to its largest term, replaces ρ, with a new factor, when it
+    leaves [ρ / RHO_ADAPT, ρ RHO_ADAPT]. Everything that decides the result,
+    the polish triggers, eps termination, both infeasibility certificates and
+    the contract, reads the unscaled iterates and the original instance.
     """
     n, m, p = qp.num_vars, qp.num_ineq, qp.num_eq
 
@@ -234,35 +314,25 @@ def solve(qp: QpInstance, warm_start=None, active_set_hint=None,
         if cand is not None:
             return cand
 
-    # stacked form: l <= Ax <= u
+    # stacked form: l <= Ax <= u, and its equilibrated copy
     a = np.vstack([qp.G, qp.R])
     u = np.concatenate([qp.h, qp.b])
     lo = np.concatenate([np.full(m, -np.inf), qp.b])
-    m_total = m + p
+    d, e, c = _equilibrate(qp, a)
+    Q_s = c * d[:, None] * qp.Q * d
+    q_s = c * d * qp.q
+    a_s = e[:, None] * a * d
+    u_s, lo_s = e * u, e * lo
+    gram_ineq = a_s[:m].T @ a_s[:m]
+    gram_eq = a_s[m:].T @ a_s[m:]
 
-    sigma = 1e-6
-    alpha = 1.6
-    rho = np.full(m_total, 0.1)
-    rho[m:] = 100.0  # stiffer on equality rows
-
-    def factor(rho_vec):
-        kkt = np.zeros((n + m_total, n + m_total))
-        kkt[:n, :n] = qp.Q + sigma * np.eye(n)
-        kkt[:n, n:] = a.T
-        kkt[n:, :n] = a
-        kkt[n:, n:] = -np.diag(1.0 / rho_vec)
-        return scipy.linalg.lu_factor(kkt)
-
-    lu = factor(rho)
-    x = np.zeros(n) if warm_start is None else np.asarray(warm_start, dtype=float).copy()
-    z = np.clip(a @ x, lo, u)
-    y = np.zeros(m_total)
-
-    def residuals(x, z, y):
-        ax = a @ x
-        r_prim = np.max(np.abs(ax - z), initial=0.0)
-        r_dual = np.max(np.abs(qp.Q @ x + qp.q + a.T @ y), initial=0.0)
-        return r_prim, r_dual, ax
+    def factor(rho):
+        rho_vec = np.full(m + p, rho)
+        rho_vec[m:] *= RHO_EQ_RATIO
+        kkt = Q_s + rho * (gram_ineq + RHO_EQ_RATIO * gram_eq)
+        kkt[np.arange(n), np.arange(n)] += SIGMA
+        chol, _ = scipy.linalg.cho_factor(kkt, lower=True, overwrite_a=True)
+        return chol, rho_vec, 1.0 / rho_vec
 
     def finish(x, y, iterations):
         lam = np.maximum(y[:m], 0.0)
@@ -275,26 +345,49 @@ def solve(qp: QpInstance, warm_start=None, active_set_hint=None,
         sol.status = SolveStatus.MAX_ITER
         return sol
 
-    check_every = 25
+    rho = RHO0
+    chol, rho_vec, inv_rho = factor(rho)
+    # LAPACK's back-solve directly: scipy's cho_solve wrapper costs more
+    # than the solve itself at these sizes
+    potrs = scipy.linalg.lapack.dpotrs
+    x = np.zeros(n) if warm_start is None else np.asarray(warm_start, dtype=float) / d
+    z = np.clip(a_s @ x, lo_s, u_s)
+    y = np.zeros(m + p)
+
     last_polish_res = np.inf
     for it in range(1, max_iter + 1):
-        rhs = np.concatenate([sigma * x - qp.q, z - y / rho])
-        sol_kkt = scipy.linalg.lu_solve(lu, rhs)
-        x_tilde, nu_tilde = sol_kkt[:n], sol_kkt[n:]
-        z_tilde = z + (nu_tilde - y) / rho
-        x_prev, z_prev, y_prev = x, z, y
-        x = alpha * x_tilde + (1 - alpha) * x_prev
-        z = np.clip(alpha * z_tilde + (1 - alpha) * z_prev + y / rho, lo, u)
-        y = y + rho * (alpha * z_tilde + (1 - alpha) * z_prev - z)
+        x_prev, y_prev = x, y
+        w = rho_vec * z
+        w -= y
+        rhs = a_s.T @ w
+        rhs += SIGMA * x
+        rhs -= q_s
+        x_tilde = potrs(chol, rhs, lower=True)[0]
+        z_relax = a_s @ x_tilde
+        z_relax *= ALPHA
+        z_relax += (1 - ALPHA) * z
+        x = ALPHA * x_tilde
+        x += (1 - ALPHA) * x_prev
+        z = y * inv_rho
+        z += z_relax
+        np.maximum(z, lo_s, out=z)
+        np.minimum(z, u_s, out=z)
+        y = z_relax - z
+        y *= rho_vec
+        y += y_prev
 
-        if it % check_every:
+        if it % CHECK_EVERY:
             continue
-        r_prim, r_dual, ax = residuals(x, z, y)
-        scale = max(1.0, np.max(np.abs(ax), initial=0.0), np.max(np.abs(z), initial=0.0),
-                    np.max(np.abs(qp.Q @ x), initial=0.0), np.max(np.abs(qp.q), initial=0.0))
+        x_u, z_u, y_u = d * x, z / e, e * y / c
+        ax, qx, aty = a @ x_u, qp.Q @ x_u, a.T @ y_u
+        prim_vec, dual_vec = ax - z_u, qx + qp.q + aty
+        r_prim = np.max(np.abs(prim_vec), initial=0.0)
+        r_dual = np.max(np.abs(dual_vec), initial=0.0)
+        scale = max(1.0, np.max(np.abs(ax), initial=0.0), np.max(np.abs(z_u), initial=0.0),
+                    np.max(np.abs(qx), initial=0.0), np.max(np.abs(qp.q), initial=0.0))
         if max(r_prim, r_dual) < min(1e-4 * scale, last_polish_res):
-            lam = np.maximum(y[:m], 0.0)
-            slack = qp.h - qp.G @ x
+            lam = np.maximum(y_u[:m], 0.0)
+            slack = qp.h - qp.G @ x_u
             lam_scale = max(1.0, np.max(lam, initial=0.0))
             for lam_tol in (1e-7, 1e-4):
                 active = (lam > lam_tol * lam_scale) | (slack < 1e-7)
@@ -304,10 +397,10 @@ def solve(qp: QpInstance, warm_start=None, active_set_hint=None,
             last_polish_res = max(r_prim, r_dual) / 4
 
         if r_prim < eps * scale and r_dual < eps * scale:
-            return finish(x, y, it)
+            return finish(x_u, y_u, it)
 
-        # infeasibility certificates on the iterate deltas
-        dy = y - y_prev
+        # infeasibility certificates on the unscaled iterate deltas
+        dy = e * (y - y_prev) / c
         dy_norm = np.max(np.abs(dy), initial=0.0)
         if dy_norm > 1e-14:
             at_dy = a.T @ dy
@@ -316,9 +409,9 @@ def solve(qp: QpInstance, warm_start=None, active_set_hint=None,
             lo_ok = np.all(dy[:m] >= -1e-12 * dy_norm)  # one-sided rows need dy >= 0
             if (np.max(np.abs(at_dy), initial=0.0) <= 1e-10 * dy_norm
                     and support < -1e-10 * dy_norm and lo_ok):
-                return QpSolution(x, np.maximum(y[:m], 0.0), y[m:],
+                return QpSolution(x_u, np.maximum(y_u[:m], 0.0), y_u[m:],
                                   SolveStatus.INFEASIBLE, np.nan, it)
-        dx = x - x_prev
+        dx = d * (x - x_prev)
         dx_norm = np.max(np.abs(dx), initial=0.0)
         if dx_norm > 1e-14:
             adx = a @ dx
@@ -326,18 +419,23 @@ def solve(qp: QpInstance, warm_start=None, active_set_hint=None,
             eq_ok = np.max(np.abs(adx[m:]), initial=0.0) <= 1e-10 * dx_norm
             if (np.max(np.abs(qp.Q @ dx), initial=0.0) <= 1e-10 * dx_norm
                     and qp.q @ dx < -1e-10 * dx_norm and ineq_ok and eq_ok):
-                return QpSolution(x, np.maximum(y[:m], 0.0), y[m:],
+                return QpSolution(x_u, np.maximum(y_u[:m], 0.0), y_u[m:],
                                   SolveStatus.INFEASIBLE, np.nan, it)
 
-        # adaptive rho, refactor only on large drift
-        if it % 200 == 0 and r_dual > 0 and r_prim > 0:
-            ratio = np.sqrt((r_prim / max(np.max(np.abs(ax), initial=1.0), 1.0))
-                            / max(r_dual / scale, 1e-16))
-            if ratio > 5.0 or ratio < 0.2:
-                rho = np.clip(rho * ratio, 1e-6, 1e6)
-                lu = factor(rho)
+        # rho from the scaled residuals E(Ax - z) and cD(Qx + q + Aᵀy), each
+        # relative to its largest term (OSQP §5.2)
+        prim = (np.max(np.abs(e * prim_vec), initial=0.0)
+                / max(np.max(np.abs(e * ax), initial=0.0), np.max(np.abs(z), initial=0.0), 1e-10))
+        dual = (np.max(np.abs(d * dual_vec), initial=0.0)
+                / max(np.max(np.abs(d * qx), initial=0.0), np.max(np.abs(d * aty), initial=0.0),
+                      np.max(np.abs(d * qp.q), initial=0.0), 1e-10))
+        if prim > 0 and dual > 0:
+            ratio = np.sqrt(prim / dual)
+            if not 1 / RHO_ADAPT <= ratio <= RHO_ADAPT:
+                rho = float(np.clip(rho * ratio, RHO_MIN, RHO_MAX))
+                chol, rho_vec, inv_rho = factor(rho)
 
-    return finish(x, y, max_iter)
+    return finish(d * x, e * y / c, max_iter)
 
 
 def dump_instance(qp: QpInstance, path):

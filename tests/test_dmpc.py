@@ -1,7 +1,11 @@
+import logging
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from swarmcoord import geometry
+from swarmcoord import dmpc, geometry
+from swarmcoord.arrayio import read_container
 from swarmcoord.dmpc import (
     OBSTACLE_RESERVE,
     AgentState,
@@ -24,7 +28,7 @@ from swarmcoord.geometry import (
     eval_bezier,
     point_surface_distance,
 )
-from swarmcoord.qpcore import SolveStatus, active_set, solve
+from swarmcoord.qpcore import SolveStatus, active_set, kkt_residuals, solve
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +359,53 @@ class TestPlan:
         second = plan(state, prev, preds, [], [10.0, 0, 0], cfg, bundle,
                       warm_start=first.plan.flatten(), hint_labels=first.active_labels)
         assert abs(first.total_cost - second.total_cost) < 1e-6
+
+
+CROWDED_QPS = Path(__file__).parent / "data" / "crowded_qps.bin"
+
+
+def crowded_qps(cfg, bundle):
+    """Rebuild the QPs of the two crowded agent-ticks stored by
+    data/make_crowded_qps.py from their plan() inputs."""
+    arrays, meta = read_container(CROWDED_QPS, expect_format="swarmcoord-crowded-qps")
+    obstacles = [Ellipsoid(c, e) for c, e in zip(arrays["obstacle_centers"],
+                                                 arrays["obstacle_shapes"])]
+    for rec in meta["agent_ticks"]:
+        key = f"{rec['tick']}.{rec['agent']}"
+        neighbors = [int(j) for j in arrays[f"{key}.neighbors"]]
+        state = AgentState(arrays[f"{key}.position"], arrays[f"{key}.velocity"])
+        prev = BezierPlan(arrays[f"{key}.prev_control_points"], rec["segment_duration"])
+        preds = dict(zip(neighbors, arrays[f"{key}.predictions"]))
+        qp, _ = build_qp(state, prev, preds, obstacles, arrays["p_mig"], cfg, bundle,
+                         neighbors=neighbors)
+        yield qp
+
+
+class TestCrowdedQps:
+    def test_optimal_within_default_budget(self, cfg, bundle):
+        # on unscaled data both ran out the default 20000 ADMM iterations
+        qps = list(crowded_qps(cfg, bundle))
+        assert [qp.num_vars for qp in qps] == [342, 214]
+        for qp in qps:
+            sol = solve(qp)  # default max_iter
+            assert sol.status == SolveStatus.OPTIMAL
+            assert all(v <= 1e-6 for v in kkt_residuals(qp, sol).values())
+
+
+class TestFallbackWarning:
+    def test_names_iterations_and_largest_residual(self, cfg, bundle, monkeypatch, caplog):
+        real_solve = dmpc.solve
+        monkeypatch.setattr(dmpc, "solve", lambda qp, **kw: real_solve(qp, max_iter=5, **kw))
+        state = AgentState([0, 0, 0], [0.2, 0, 0])
+        prev = hold_position_plan(state.position, cfg)
+        with caplog.at_level(logging.WARNING, logger="swarmcoord.dmpc"):
+            result = plan(state, prev, {}, two_obstacles(), [20.0, 0, 0], cfg, bundle)
+        assert result.fallback and result.status == SolveStatus.MAX_ITER
+        (record,) = caplog.records
+        message = record.getMessage()
+        assert "max-iter after 5 iterations" in message
+        assert any(f"largest KKT residual {name}" in message
+                   for name in ("stationarity", "primal_eq", "primal_ineq", "complementarity"))
 
 
 class TestShift:

@@ -185,3 +185,32 @@ def test_unbounded_without_rows_not_optimal(diag, q):
     qp = QpInstance(np.diag(diag), q, np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2)), np.zeros(0))
     sol = solve(qp)
     assert sol.status == SolveStatus.INFEASIBLE
+
+
+@pytest.mark.parametrize("row_scale, cost_scale", [(1e-3, 1.0), (1e3, 1.0), (1.0, 1e4)])
+def test_badly_scaled_data(row_scale, cost_scale):
+    # Rows far from unit size, or a linear cost of 1e4 (like l_saf) against
+    # unit Q: the same minimizer as the unscaled rows, or as the objective
+    # divided by cost_scale, and the contract holds on the given data.
+    rng = np.random.default_rng(37)
+    for _ in range(10):
+        qp = random_feasible_qp(rng)
+        base = solve(QpInstance(qp.Q / cost_scale, qp.q, qp.G, qp.h, qp.R, qp.b))
+        scaled = QpInstance(qp.Q, cost_scale * qp.q, row_scale * qp.G, row_scale * qp.h,
+                            row_scale * qp.R, row_scale * qp.b)
+        sol = solve(scaled)
+        assert base.status == sol.status == SolveStatus.OPTIMAL
+        assert all(v <= 1e-6 for v in kkt_residuals(scaled, sol).values())
+        assert np.max(np.abs(sol.x - base.x)) <= 1e-6
+
+
+@pytest.mark.parametrize("diag, q, rows, rhs", [
+    ((1.0,), (0.0,), [[1.0], [-1.0]], [0.0, -1.0]),                # infeasible
+    ((0.0, 0.0), (1.0, 0.0), [[1.0, 0.0]], [1.0]),                 # unbounded below in x0
+    ((1.0, 0.0), (0.0, 1.0), [[1.0, 0.0]], [1.0]),                 # unbounded below in x1
+])
+def test_certificates_on_rows_scaled_by_1e4(diag, q, rows, rhs):
+    n = len(diag)
+    qp = QpInstance(np.diag(diag), q, 1e4 * np.array(rows), 1e4 * np.array(rhs),
+                    np.zeros((0, n)), np.zeros(0))
+    assert solve(qp).status == SolveStatus.INFEASIBLE

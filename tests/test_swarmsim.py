@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from swarmcoord import dmpc
 from swarmcoord.dmpc import AgentState
 from swarmcoord.geometry import euclidean_project_ellipsoid, surface_distance
 from swarmcoord.predictor import (
@@ -29,6 +30,7 @@ from swarmcoord.swarmsim import (
     validate_scenario,
     write_trace_csvs,
 )
+from swarmcoord.qpcore import SolveStatus
 from swarmcoord.swarmsim.metrics import R_COLL_DEFAULT
 
 DESK_SCENARIO = ScenarioConfig(n_min=4, n_max=5, p_mig=(18.0, 0.0, 0.0))
@@ -313,6 +315,27 @@ class TestEveryMode:
             for a, b in zip(tr.predictions, again.predictions):
                 assert a.keys() == b.keys()
                 assert all(np.array_equal(a[k], b[k]) for k in a)
+
+
+
+class TestColdStart:
+    def test_tick_zero_admm_iterations(self, desk_scenario, monkeypatch):
+        # Tick 0 has no hint and no warm start, so every QP runs the ADMM
+        # from zero. Iteration counts are deterministic: this guards the
+        # convergence speed of the scaled ADMM without timing anything.
+        real_solve, sols = dmpc.solve, []
+
+        def recording(qp, **kwargs):
+            assert kwargs.get("active_set_hint") is None
+            sols.append(real_solve(qp, **kwargs))
+            return sols[-1]
+
+        monkeypatch.setattr(dmpc, "solve", recording)
+        run_episode(desk_scenario, mode="oracle", ticks=1, seed=0)
+        assert len(sols) == desk_scenario.n == 4
+        for sol in sols:
+            assert sol.status == SolveStatus.OPTIMAL
+            assert 0 < sol.iterations <= 200
 
 
 class TestMetrics:
