@@ -4,7 +4,7 @@ Implicit differentiation of the stationarity / primal-feasibility /
 complementarity system at an optimal, strictly complementary solution.
 Strictly inactive inequality rows are dropped before factorization; their
 gradient blocks are zero by complementarity. The active-set rule and the
-reduced KKT matrix are qpcore's active_set and reduced_kkt, which the
+factored KKT system are qpcore's active_set and KktFactor, which the
 solver's polish uses too. Training-only machinery: nothing here runs in the
 deployed prediction path.
 """
@@ -17,12 +17,12 @@ import scipy.linalg
 
 from .qpcore import (
     ACT_TOL,
+    KktFactor,
     QpInstance,
     QpSolution,
     SolveStatus,
     active_set,
     kkt_residuals,
-    reduced_kkt,
 )
 
 
@@ -39,7 +39,7 @@ class KktFactorization:
     qp: QpInstance
     sol: QpSolution
     active: np.ndarray          # boolean mask over inequality rows
-    lu: tuple                   # LU factors of the reduced KKT matrix
+    kkt: KktFactor              # factor of the active-set KKT system
 
     @property
     def num_active(self):
@@ -64,20 +64,18 @@ def factorize(qp: QpInstance, sol: QpSolution, damping=0.0) -> KktFactorization:
     if max(res.values()) > 1e-5:
         raise ValueError(f"solution residuals too large to differentiate: {res}")
     act = active_set(qp, sol)
-    kkt = reduced_kkt(qp, act, damping)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu = scipy.linalg.lu_factor(kkt)
+            kkt = KktFactor(qp, act, damping)
     except (scipy.linalg.LinAlgError, ValueError):
         raise KktSingularError(act) from None
-    if not np.all(np.isfinite(lu[0])):
-        raise KktSingularError(act)
     # LU of a numerically singular matrix succeeds with tiny pivots; probe it
-    diag = np.abs(np.diag(lu[0]))
-    if diag.min(initial=np.inf) < 1e-12 * max(diag.max(initial=1.0), 1.0):
+    diag = np.abs(np.diag(kkt.lu[0]))
+    if not np.all(np.isfinite(kkt.lu[0])) or diag.min(initial=np.inf) < 1e-12 * max(
+            diag.max(initial=1.0), 1.0):
         raise KktSingularError(act)
-    return KktFactorization(qp, sol, act, lu)
+    return KktFactorization(qp, sol, act, kkt)
 
 
 def backward(fact: KktFactorization, dl_dx) -> dict:
@@ -91,7 +89,7 @@ def backward(fact: KktFactorization, dl_dx) -> dict:
     m_act = fact.num_active
     dl_dx = np.asarray(dl_dx, dtype=float).reshape(n)
     rhs = np.concatenate([-dl_dx, np.zeros(m_act + p)])
-    adj = scipy.linalg.lu_solve(fact.lu, rhs)
+    adj = fact.kkt.solve(rhs)
     d_x = adj[:n]
     d_lam_act = adj[n:n + m_act]
     d_nu = adj[n + m_act:]

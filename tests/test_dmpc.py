@@ -28,7 +28,9 @@ from swarmcoord.geometry import (
     eval_bezier,
     point_surface_distance,
 )
-from swarmcoord.qpcore import SolveStatus, active_set, kkt_residuals, solve
+from swarmcoord.qpcore import SolveStatus, _try_polish, active_set, kkt_residuals, solve
+
+from qp_testing import assert_same_polish, reference_polish
 
 
 @pytest.fixture(scope="module")
@@ -390,6 +392,19 @@ class TestCrowdedQps:
             sol = solve(qp)  # default max_iter
             assert sol.status == SolveStatus.OPTIMAL
             assert all(v <= 1e-6 for v in kkt_residuals(qp, sol).values())
+
+    def test_polish_matches_full_system_reference(self, cfg, bundle):
+        # The polish factors only the variables no active slack bound pins;
+        # the full-system polish in qp_testing is the reference. Candidates:
+        # the solution's active set, and the same without its bound rows.
+        qp, _, _ = crowded_instance(cfg, bundle)
+        sol = solve(qp)
+        assert sol.status == SolveStatus.OPTIMAL
+        act = active_set(qp, sol)
+        bound = np.count_nonzero(qp.G, axis=1) == 1
+        assert np.count_nonzero(act & bound) > 0
+        for start in (act, act & ~bound):
+            assert_same_polish(qp, _try_polish(qp, start, 0), reference_polish(qp, start)[0])
 
 
 class TestFallbackWarning:

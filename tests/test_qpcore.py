@@ -2,18 +2,30 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from swarmcoord.qpcore import (
+    KktFactor,
     QpError,
     QpInstance,
     SolveStatus,
+    _try_polish,
+    active_set,
     dump_instance,
     kkt_residuals,
     objective_value,
     solve,
 )
 
-from qp_testing import grid_search_objective, random_box_qp, random_feasible_qp
+from qp_testing import (
+    assert_same_polish,
+    full_kkt,
+    grid_search_objective,
+    random_box_qp,
+    random_feasible_qp,
+    reference_polish,
+    with_bound_rows,
+)
 
 
 def test_unconstrained_quadratic():
@@ -142,6 +154,53 @@ def test_indefinite_q_rejected():
                    np.zeros((0, 1)), np.zeros(0))
 
 
+@pytest.mark.parametrize("Q", [
+    # indefinite coupled block, positive diagonal tail
+    [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 3.0]],
+    # positive definite coupled block, negative tail entry
+    [[2.0, 0.0, 1.0], [0.0, -1e-3, 0.0], [1.0, 0.0, 2.0]],
+])
+def test_indefinite_q_rejected_with_diagonal_tail(Q):
+    n = len(Q)
+    with pytest.raises(QpError):
+        QpInstance(Q, np.zeros(n), np.zeros((0, n)), np.zeros(0), np.zeros((0, n)), np.zeros(0))
+
+
+def test_psd_probe_matches_full_cholesky():
+    # The probe factors only the coupled columns; it must accept exactly
+    # what a Cholesky of all of Q, or of Q + 1e-9 I, accepts.
+    def full_probe(Q):
+        for shift in (0.0, 1e-9):
+            try:
+                scipy.linalg.cholesky(Q + shift * np.eye(len(Q)))
+                return True
+            except np.linalg.LinAlgError:
+                pass
+        return False
+
+    rng = np.random.default_rng(41)
+    verdicts = []
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        k = int(rng.integers(0, n + 1))
+        basis = np.linalg.qr(rng.normal(size=(k, k)))[0] if k else np.zeros((0, 0))
+        eig = rng.choice([1.0, 0.0, -1e-12, -1e-6], size=k, p=[0.7, 0.1, 0.1, 0.1])
+        Q = np.diag(rng.choice([1.0, 0.0, -1e-12, -1e-6], size=n, p=[0.7, 0.1, 0.1, 0.1]))
+        idx = rng.permutation(n)[:k]
+        Q[np.ix_(idx, idx)] = basis @ np.diag(eig) @ basis.T
+        Q = 0.5 * (Q + Q.T)
+        expected = full_probe(Q)
+        try:
+            QpInstance(Q, np.zeros(n), np.zeros((0, n)), np.zeros(0),
+                       np.zeros((0, n)), np.zeros(0))
+            accepted = True
+        except QpError:
+            accepted = False
+        assert accepted == expected, Q
+        verdicts.append(accepted)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
 def test_psd_singular_q_accepted():
     qp = QpInstance([[1.0, 0.0], [0.0, 0.0]], [1.0, 0.0],
                     [[0.0, -1.0]], [2.0], np.zeros((0, 2)), np.zeros(0))
@@ -187,7 +246,8 @@ def test_unbounded_without_rows_not_optimal(diag, q):
     assert sol.status == SolveStatus.INFEASIBLE
 
 
-@pytest.mark.parametrize("row_scale, cost_scale", [(1e-3, 1.0), (1e3, 1.0), (1.0, 1e4)])
+@pytest.mark.parametrize("row_scale, cost_scale",
+                         [(1e-3, 1.0), (1e3, 1.0), (1.0, 1e4), (1e-3, 1e4)])
 def test_badly_scaled_data(row_scale, cost_scale):
     # Rows far from unit size, or a linear cost of 1e4 (like l_saf) against
     # unit Q: the same minimizer as the unscaled rows, or as the objective
@@ -214,3 +274,38 @@ def test_certificates_on_rows_scaled_by_1e4(diag, q, rows, rhs):
     qp = QpInstance(np.diag(diag), q, 1e4 * np.array(rows), 1e4 * np.array(rhs),
                     np.zeros((0, n)), np.zeros(0))
     assert solve(qp).status == SolveStatus.INFEASIBLE
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_polish_matches_full_system_reference(seed):
+    # The polish factors only the free variables; the full-system polish in
+    # qp_testing is the reference. Candidates: the solution's active set,
+    # every bound row, and no row.
+    rng = np.random.default_rng(100 + seed)
+    qp = with_bound_rows(random_feasible_qp(rng, n=int(rng.integers(4, 13))), rng)
+    bound = np.count_nonzero(qp.G, axis=1) == 1
+    sol = solve(qp)
+    assert sol.status == SolveStatus.OPTIMAL
+    compared = 0
+    for start in (active_set(qp, sol), bound, np.zeros(qp.num_ineq, dtype=bool)):
+        got, ref = _try_polish(qp, start, 0), reference_polish(qp, start)
+        assert (got is None) == (ref is None)
+        if ref is None:
+            continue
+        assert_same_polish(qp, got, ref[0])
+        compared += 1
+    assert compared >= 1
+
+
+def test_kkt_factor_solves_full_system():
+    # Any right-hand side, pinned rows included, against a dense solve of
+    # the full active-set system; without reg the two systems are the same.
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        qp = with_bound_rows(random_feasible_qp(rng, n=int(rng.integers(4, 13))), rng)
+        act = active_set(qp, solve(qp))
+        kkt = KktFactor(qp, act, 0.0)
+        assert kkt.var.size > 0
+        rhs = rng.normal(size=qp.num_vars + int(act.sum()) + qp.num_eq)
+        want = np.linalg.solve(full_kkt(qp, act, 0.0), rhs)
+        assert np.max(np.abs(kkt.solve(rhs) - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
