@@ -35,6 +35,15 @@ Initial condition: the plan starts from the measured position and velocity;
 its acceleration carries over from the previous plan at +dt, the point the
 plant has reached while tracking that plan.
 
+Time shift: BasisBundle.shifted is the one map of a plan onto the next tick's
+sample times. Its product with the previous plan, meta["prev_traj"], is the
+point of every linearization above, and when the solver fails, plan() falls
+back to the least-squares fit of that same trajectory.
+
+build_qp, plan, cost_decomposition and prediction_row_gradients read the
+ControllerConfig from their BasisBundle (bundle.cfg). The neighbor set is
+the key set of the predictions dict.
+
 build_qp also returns a meta dict: "labels" (one per inequality row),
 "probes", "neighbors" (ids in ascending order), "prev_traj" (3P) and the
 neighbor linearization as arrays over (neighbor, step), with n_nb = number
@@ -176,17 +185,16 @@ class PlanResult:
         return sum(self.costs.values())
 
 
-class PlanningError(RuntimeError):
-    pass
-
-
 class BasisBundle:
     """Every part of the QP that is constant per ControllerConfig, built once.
 
     - basis (F), a2 and shifted: sampling matrices of a plan w. F gives the
       positions and a2 the accelerations at the P sample times; shifted gives
-      the positions at the sample times + dt, clamped to the plan's end (the
-      time-shifted previous plan).
+      the positions at the sample times + dt, clamped to the plan's end: the
+      plan on the next tick's horizon. Its users: build_qp (the time-shifted
+      previous plan, which plan() also fits when the solver fails), and the
+      episode loop (oracle predictions and the trajectories VAE messages
+      encode).
     - d1, d2: maps from w to the velocity and acceleration control points.
     - hessian: the w-block of the objective, 2 q_mig FᵀF + 2 q_eft a2ᵀa2.
     - box_rows, box_h, box_labels: the velocity/acceleration bound rows.
@@ -262,12 +270,6 @@ def hold_position_plan(position, cfg: ControllerConfig) -> BezierPlan:
     return BezierPlan(cp, cfg.horizon * cfg.dt / cfg.segments)
 
 
-def shift_trajectory(trajectory, horizon) -> np.ndarray:
-    """Advance a sampled trajectory one step, holding the terminal point."""
-    pts = np.asarray(trajectory, dtype=float).reshape(horizon, 3)
-    return np.vstack([pts[1:], pts[-1:]]).reshape(-1)
-
-
 def detect_first_collision(prev_traj, obstacles, r_min,
                            norm_matrix=None) -> list[CollisionProbe]:
     """Earliest step per obstacle at which the trajectory breaches r_min.
@@ -304,26 +306,18 @@ def _scaled_norm_gradient(u, shape_matrix):
 
 
 def build_qp(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dict,
-             obstacles, p_mig, cfg: ControllerConfig, bundle: BasisBundle,
-             neighbors=None):
+             obstacles, p_mig, bundle: BasisBundle):
     """Assemble the agent's QP. Returns (QpInstance, meta), meta as in the
     module docstring.
 
-    neighbor_predictions maps neighbor id -> predicted trajectory (3P). If
-    `neighbors` is given, every listed id must have a prediction. The rows
-    follow the layout in the module docstring.
+    neighbor_predictions maps neighbor id -> predicted trajectory (3P); its
+    keys are the neighbor set. The rows follow the layout in the module
+    docstring.
     """
-    if bundle.cfg != cfg:
-        raise PlanningError("the basis bundle was built from a different ControllerConfig")
+    cfg = bundle.cfg
     horizon, n_w = cfg.horizon, bundle.n_w
     w = cfg.weights
-    if neighbors is not None:
-        missing = [j for j in neighbors if j not in neighbor_predictions]
-        if missing:
-            raise PlanningError(f"missing neighbor predictions for {missing}")
-        ordered = sorted(neighbors)
-    else:
-        ordered = sorted(neighbor_predictions)
+    ordered = sorted(neighbor_predictions)
     n_nb = len(ordered)
 
     prev_traj = bundle.shifted @ prev_plan.flatten()
@@ -418,10 +412,10 @@ def build_qp(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dic
 
 
 def cost_decomposition(trajectory, slack_obstacle, slack_safety, slack_cohesion,
-                       p_mig, cfg: ControllerConfig, bundle: BasisBundle, w_vec=None):
+                       p_mig, bundle: BasisBundle, w_vec=None):
     """Evaluate the five objective terms from a trajectory and slack values."""
-    wts = cfg.weights
-    pts = np.asarray(trajectory, float).reshape(cfg.horizon, 3)
+    wts = bundle.cfg.weights
+    pts = np.asarray(trajectory, float).reshape(bundle.cfg.horizon, 3)
     p_mig = np.asarray(p_mig, float).reshape(3)
     migration = wts.q_mig * float(np.sum((pts - p_mig) ** 2))
     if w_vec is None:
@@ -442,16 +436,17 @@ def cost_decomposition(trajectory, slack_obstacle, slack_safety, slack_cohesion,
 
 
 def plan(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dict,
-         obstacles, p_mig, cfg: ControllerConfig, bundle: BasisBundle,
-         neighbors=None, warm_start=None, hint_labels=None) -> PlanResult:
-    """Solve the agent's QP; fall back to the time-shifted previous plan on failure.
+         obstacles, p_mig, bundle: BasisBundle, warm_start=None,
+         hint_labels=None) -> PlanResult:
+    """Solve the agent's QP. If the solve fails, the plan is the least-squares
+    fit of the time-shifted previous plan, meta["prev_traj"]: the previous
+    plan on this tick's horizon, so the agent keeps following it on time.
 
     hint_labels is the previous tick's PlanResult.active_labels: row labels
     survive changes in neighbor sets and probes, so the hint stays usable
     from one tick to the next.
     """
-    qp, meta = build_qp(state, prev_plan, neighbor_predictions, obstacles,
-                        p_mig, cfg, bundle, neighbors=neighbors)
+    qp, meta = build_qp(state, prev_plan, neighbor_predictions, obstacles, p_mig, bundle)
     hint = np.array([lab in hint_labels for lab in meta["labels"]]) if hint_labels else None
     x0 = None
     if warm_start is not None:
@@ -465,11 +460,9 @@ def plan(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dict,
         log.warning("DMPC solve returned %s after %d iterations (largest KKT residual %s "
                     "%.3g); falling back to shifted previous plan",
                     sol.status.value, sol.iterations, worst, res[worst])
-        shifted = shift_trajectory(meta["prev_traj"], cfg.horizon)
-        fb_plan = bundle.fit_plan(shifted)
+        fb_plan = bundle.fit_plan(meta["prev_traj"])
         traj = bundle.basis.matrix @ fb_plan.flatten()
-        costs = cost_decomposition(traj, [], [], [], p_mig, cfg, bundle,
-                                   w_vec=fb_plan.flatten())
+        costs = cost_decomposition(traj, [], [], [], p_mig, bundle, w_vec=fb_plan.flatten())
         return PlanResult(fb_plan, traj, np.zeros(0), np.zeros(0), np.zeros(0),
                           np.zeros(qp.num_ineq), costs, sol.status, fallback=True)
 
@@ -478,14 +471,14 @@ def plan(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dict,
     zeta = sol.x[qp.layout["zeta"]]
     eps = sol.x[qp.layout["eps"]]
     delta = sol.x[qp.layout["delta"]]
-    costs = cost_decomposition(traj, zeta, eps, delta, p_mig, cfg, bundle, w_vec=w_vec)
-    bez = BezierPlan.from_flat(w_vec, cfg.segments, cfg.degree, bundle.seg_dur)
+    costs = cost_decomposition(traj, zeta, eps, delta, p_mig, bundle, w_vec=w_vec)
+    bez = BezierPlan.from_flat(w_vec, bundle.cfg.segments, bundle.cfg.degree, bundle.seg_dur)
     active_labels = frozenset(lab for lab, a in zip(meta["labels"], active_set(qp, sol)) if a)
     return PlanResult(bez, traj, zeta, eps, delta, sol.ineq_duals, costs,
                       sol.status, active_labels=active_labels)
 
 
-def prediction_row_gradients(meta, d_g, d_h, cfg: ControllerConfig, bundle: BasisBundle):
+def prediction_row_gradients(meta, d_g, d_h, bundle: BasisBundle):
     """Map KKT-layer gradients on (G, h) back to neighbor-prediction gradients.
 
     Only the linearized safety/cohesion rows depend on the predictions. The
@@ -499,14 +492,14 @@ def prediction_row_gradients(meta, d_g, d_h, cfg: ControllerConfig, bundle: Basi
     Computed over all (neighbor, step) pairs at once from the meta arrays.
     Returns {neighbor id: gradient array of len 3P}.
     """
-    horizon, n_w = cfg.horizon, bundle.n_w
+    horizon, n_w = bundle.cfg.horizon, bundle.n_w
     eta, degen = meta["eta"], meta["degenerate"]
     sign = np.array([-1.0, 1.0])                           # (saf, coh)
     c_w = np.einsum("c,jkcw->jkw", sign, d_g[meta["nb_rows"], :n_w])
     c_h = d_h[meta["nb_rows"]] @ sign
     f_steps = bundle.basis.matrix.reshape(horizon, 3, n_w)
     d_eta = np.einsum("kiw,jkw->jki", f_steps, c_w) + c_h[..., None] * meta["preds"]
-    m = cfg.agent_shape.T @ cfg.agent_shape
+    m = bundle.cfg.agent_shape.T @ bundle.cfg.agent_shape
     s = np.where(degen, 1.0, meta["scale"])[..., None]
     jac_d_eta = (d_eta @ m - eta * np.sum(eta * d_eta, axis=-1, keepdims=True)) / s
     d_ptilde = c_h[..., None] * eta - np.where(degen[..., None], 0.0, jac_d_eta)

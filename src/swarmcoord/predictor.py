@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dmpc import shift_trajectory
 from .nn import (
     EgCellState,
     Tensor,
@@ -120,6 +119,13 @@ def init_predictor_params(rng, cfg: PredictorConfig):
         "vae": init_vae(rng, cfg.traj_dim, cfg.latent, cfg.hidden),
     }
     return params
+
+
+def shift_trajectory(trajectory, horizon) -> np.ndarray:
+    """Advance a sampled trajectory one step, holding the terminal point: the
+    prior's residual base, the previous prediction on this tick's horizon."""
+    pts = np.asarray(trajectory, dtype=float).reshape(horizon, 3)
+    return np.vstack([pts[1:], pts[-1:]]).reshape(-1)
 
 
 def evolved_weights(params, cfg: PredictorConfig):

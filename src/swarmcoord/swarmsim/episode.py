@@ -3,15 +3,21 @@
 Tick pipeline (barrier-synchronized, all cross-agent reads on the snapshot
 taken at the top of the tick):
 
-  1. sense: every agent's position, with zero-mean Gaussian noise
+  1. sense: every agent's position, with zero-mean Gaussian noise; snapshot
+     every agent's previous plan on this tick's horizon
   2. deliver messages encoded at the end of the previous tick (period/loss)
   3. predict each comm-graph neighbor's plan for this tick
   4. solve every agent's DMPC, commit plans
   5. advance each plant one tick, tracking its just-committed plan
-  6. on communication ticks, encode the just-committed plans for the next tick
+  6. on communication ticks, encode the just-committed plans, shifted onto
+     the next tick's horizon, for the next tick
 
-Oracle mode shares the true previous plans (time-shifted onto the current
-horizon) with every neighbor, the perfect-communication baseline.
+BasisBundle.shifted owns the shift of a plan onto the next tick's horizon.
+The snapshot is bundle.shifted times each previous plan, taken before any
+agent plans: the agent loop overwrites the previous plans one by one. Oracle
+mode shares the snapshot with every neighbor, the perfect-communication
+baseline; a VAE message carries the same trajectory, so a fresh message
+describes the sender's plan on the receiver's horizon, as the oracle does.
 """
 
 import itertools
@@ -21,14 +27,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from ..dmpc import (
-    AgentState,
-    BasisBundle,
-    ControllerConfig,
-    hold_position_plan,
-    plan,
-    shift_trajectory,
-)
+from ..dmpc import AgentState, BasisBundle, ControllerConfig, hold_position_plan, plan
 from ..geometry import (
     BezierPlan,
     derivative_plan,
@@ -100,13 +99,13 @@ class ChannelConfig:
 
 @dataclass
 class DynamicsModel:
+    """A is the one-tick transition of the tracking error (x - r)."""
+
     A: np.ndarray
-    B: np.ndarray
     dt: float
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float).reshape(6, 6)
-        self.B = np.asarray(self.B, dtype=float).reshape(6, 3)
         radius = np.max(np.abs(np.linalg.eigvals(self.A)))
         if radius > 1.0 + 1e-9:
             raise ValueError(f"closed-loop dynamics unstable (spectral radius {radius})")
@@ -124,32 +123,22 @@ def make_default_dynamics(dt=0.2, natural_freq=12.0) -> DynamicsModel:
     a_cont[:3, 3:] = np.eye(3)
     a_cont[3:, :3] = -kp * np.eye(3)
     a_cont[3:, 3:] = -kd * np.eye(3)
-    b_cont = np.zeros((6, 3))
-    b_cont[3:, :] = kp * np.eye(3)
-    block = np.zeros((9, 9))
-    block[:6, :6] = a_cont
-    block[:6, 6:] = b_cont
-    disc = scipy.linalg.expm(block * dt)
-    return DynamicsModel(disc[:6, :6], disc[:6, 6:], dt)
+    return DynamicsModel(scipy.linalg.expm(a_cont * dt), dt)
 
 
-def step_dynamics(state: AgentState, reference, model: DynamicsModel) -> AgentState:
+def step_dynamics(state: AgentState, reference: BezierPlan, model: DynamicsModel) -> AgentState:
     """Advance the PD-servoed plant by one tick of length model.dt.
 
-    reference is either a 3-D position setpoint held over the tick, or a
-    BezierPlan that the loop tracks with velocity and acceleration
-    feed-forward. Along a plan r(t) = (position, velocity) the tracking error
-    x - r obeys the unforced loop, so x(dt) = r(dt) + A (x(0) - r(0)) exactly.
-    A held setpoint s is the reference r = (s, 0), for which that is A x + B s.
+    The loop tracks the plan `reference` with velocity and acceleration
+    feed-forward. Along the plan r(t) = (position, velocity) the tracking
+    error x - r obeys the unforced loop, so x(dt) = r(dt) + A (x(0) - r(0))
+    exactly. A held setpoint s is the plan hold_position_plan(s), r = (s, 0).
     """
     x = np.concatenate([state.position, state.velocity])
-    if isinstance(reference, BezierPlan):
-        velocity = derivative_plan(reference, 1)
-        r0, r1 = (np.concatenate([eval_bezier(reference, t), eval_bezier(velocity, t)])
-                  for t in (0.0, model.dt))
-        x_next = r1 + model.A @ (x - r0)
-    else:
-        x_next = model.A @ x + model.B @ np.asarray(reference, dtype=float).reshape(3)
+    velocity = derivative_plan(reference, 1)
+    r0, r1 = (np.concatenate([eval_bezier(reference, t), eval_bezier(velocity, t)])
+              for t in (0.0, model.dt))
+    x_next = r1 + model.A @ (x - r0)
     return AgentState(x_next[:3], x_next[3:])
 
 
@@ -266,6 +255,8 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
     if channel.dt != cfg.dt:
         raise ValueError("channel and controller disagree on the tick length")
     bundle = bundle or BasisBundle(cfg)
+    if bundle.cfg != cfg:
+        raise ValueError("the basis bundle was built from a different ControllerConfig")
     dynamics = dynamics or make_default_dynamics(cfg.dt)
     if mode.needs_checkpoint and predictor_factory is None:
         raise ValueError(f"mode {mode.value} needs a predictor_factory")
@@ -277,7 +268,6 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
 
     states = list(scenario.agents)
     prev_plans = [hold_position_plan(a.position, cfg) for a in scenario.agents]
-    prev_trajs = [bundle.basis.matrix @ p_.flatten() for p_ in prev_plans]
     obstacle_centers = np.array([o.center for o in scenario.obstacles])
 
     predictors = None
@@ -298,6 +288,7 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
         noise = rng_noise.normal(0.0, noise_std, size=(n, 3)) if noise_std > 0 else np.zeros((n, 3))
         measured_arr = true_arr.copy()
         measured_arr[:, :3] += noise
+        shifted_plans = [bundle.shifted @ p.flatten() for p in prev_plans]
 
         history_buf.append(measured_arr[:, :3].copy())
         h_needed = getattr(predictors[0].cfg, "history", 1) if predictors else 1
@@ -330,7 +321,7 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
                 preds = {}
             for j in neighbor_sets[i]:
                 if mode is RunMode.ORACLE:
-                    preds[j] = shift_trajectory(prev_trajs[j], cfg.horizon)
+                    preds[j] = shifted_plans[j]
                 elif mode is RunMode.CONSTANT_VELOCITY:
                     preds[j] = _cv_prediction(measured_arr[j], cfg.horizon, cfg.dt)
                 elif mode is RunMode.VAE:
@@ -343,8 +334,7 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
 
             state_i = AgentState(measured_arr[i, :3], measured_arr[i, 3:])
             result = plan(state_i, prev_plans[i], preds, scenario.obstacles,
-                          scenario.p_mig, cfg, bundle, neighbors=neighbor_sets[i],
-                          warm_start=warm[i], hint_labels=hints[i])
+                          scenario.p_mig, bundle, warm_start=warm[i], hint_labels=hints[i])
             if result.fallback:
                 tick_fallbacks.append(i)
             tick_plans[i] = result.trajectory
@@ -365,15 +355,14 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
         trace.deliveries.append(delivered)
         trace.fallback_flags.append(tick_fallbacks)
 
-        prev_trajs = [tick_plans[i].copy() for i in range(n)]
-
         outbox = {}
         sent = []
         next_tick = tick + 1
         if mode.uses_messages and next_tick % channel.period_ticks == 0:
             for j in range(n):
-                outbox[j] = codec.encode(prev_trajs[j], tick=next_tick, sender=j,
-                                         mode="sample", rng=rng_codec)
+                outbox[j] = codec.encode(bundle.shifted @ prev_plans[j].flatten(),
+                                         tick=next_tick, sender=j, mode="sample",
+                                         rng=rng_codec)
                 sent.append(j)
         trace.messages_sent.append(sent)
 

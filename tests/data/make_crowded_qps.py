@@ -50,13 +50,13 @@ def main():
               "obstacle_centers": np.array([o.center for o in scenario.obstacles]),
               "obstacle_shapes": np.array([o.shape_matrix for o in scenario.obstacles])}
 
-    def plan(state, prev_plan, preds, obstacles, p_mig, cfg, bundle, **kwargs):
+    def plan(state, prev_plan, preds, obstacles, p_mig, bundle, **kwargs):
         tick, agent = divmod(calls[0], scenario.n)
         calls[0] += 1
         if (tick, agent) not in FALLBACKS:
-            return real_plan(state, prev_plan, preds, obstacles, p_mig, cfg, bundle, **kwargs)
+            return real_plan(state, prev_plan, preds, obstacles, p_mig, bundle, **kwargs)
         key = f"{tick}.{agent}"
-        neighbors = kwargs["neighbors"]
+        neighbors = sorted(preds)
         arrays.update({
             f"{key}.position": state.position, f"{key}.velocity": state.velocity,
             f"{key}.prev_control_points": prev_plan.control_points,
@@ -66,7 +66,7 @@ def main():
         meta.append({"tick": tick, "agent": agent, "segment_duration": prev_plan.segment_duration})
         dmpc.solve = max_iter_stub
         try:
-            return real_plan(state, prev_plan, preds, obstacles, p_mig, cfg, bundle, **kwargs)
+            return real_plan(state, prev_plan, preds, obstacles, p_mig, bundle, **kwargs)
         finally:
             dmpc.solve = real_solve
 

@@ -12,14 +12,11 @@ from swarmcoord.dmpc import (
     BasisBundle,
     ControllerConfig,
     CostWeights,
-    MotionLimits,
-    PlanningError,
     build_qp,
     detect_first_collision,
     hold_position_plan,
     plan,
     prediction_row_gradients,
-    shift_trajectory,
 )
 from swarmcoord.geometry import (
     BezierPlan,
@@ -127,7 +124,7 @@ def crowded_instance(cfg, bundle, p_mig=(6.0, 0.0, 0.0), nudge=None):
              9: hold_position_trajectory(state.position, cfg.horizon)}
     for j, offset in (nudge or {}).items():
         preds[j] = preds[j] + offset
-    qp, meta = build_qp(state, prev, preds, obstacles, p_mig, cfg, bundle)
+    qp, meta = build_qp(state, prev, preds, obstacles, p_mig, bundle)
     return qp, meta, obstacles
 
 
@@ -135,7 +132,7 @@ class TestBuildQp:
     def test_no_neighbors_no_probe_slack_free(self, cfg, bundle):
         state = AgentState([0, 0, 0], [0, 0, 0])
         prev = hold_position_plan(state.position, cfg)
-        qp, meta = build_qp(state, prev, {}, two_obstacles(), [20.0, 0, 0], cfg, bundle)
+        qp, meta = build_qp(state, prev, {}, two_obstacles(), [20.0, 0, 0], bundle)
         assert qp.layout["zeta"].stop - qp.layout["zeta"].start == 0
         assert qp.layout["eps"].stop - qp.layout["eps"].start == 0
         assert qp.layout["delta"].stop - qp.layout["delta"].start == 0
@@ -144,12 +141,6 @@ class TestBuildQp:
         # solution moves toward the migration point
         traj = (bundle.basis.matrix @ sol.x[qp.layout["w"]]).reshape(cfg.horizon, 3)
         assert traj[-1, 0] > 0.1
-
-    def test_missing_neighbor_prediction_raises(self, cfg, bundle):
-        state = AgentState([0, 0, 0], [0, 0, 0])
-        prev = hold_position_plan(state.position, cfg)
-        with pytest.raises(PlanningError, match="7"):
-            build_qp(state, prev, {}, [], [20.0, 0, 0], cfg, bundle, neighbors=[7])
 
     def test_labels_unique_one_per_row(self, cfg, bundle):
         qp, meta, _ = crowded_instance(cfg, bundle)
@@ -220,20 +211,11 @@ class TestBuildQp:
         # the probe pass projects every step once; the obstacle rows reuse it
         assert calls == [cfg.horizon] * len(obstacles)
 
-    def test_bundle_from_other_config_raises(self, cfg, bundle):
-        state = AgentState([0, 0, 0], [0, 0, 0])
-        prev = hold_position_plan(state.position, cfg)
-        other = BasisBundle(ControllerConfig(limits=MotionLimits(v_max=1.0)))
-        with pytest.raises(PlanningError, match="ControllerConfig"):
-            build_qp(state, prev, {}, [], [5.0, 0, 0], cfg, other)
-        # a config equal in value is the same config
-        build_qp(state, prev, {}, [], [5.0, 0, 0], cfg, BasisBundle(ControllerConfig()))
-
     def test_agents_at_r_min_activate_safety(self, cfg, bundle):
         state = AgentState([0, 0, 0], [0, 0, 0])
         prev = hold_position_plan(state.position, cfg)
         neighbor = hold_position_trajectory([cfg.r_min, 0.0, 0.0], cfg.horizon)
-        qp, meta = build_qp(state, prev, {1: neighbor}, [], [0.0, 0, 0], cfg, bundle)
+        qp, meta = build_qp(state, prev, {1: neighbor}, [], [0.0, 0, 0], bundle)
         sol = solve(qp)
         assert sol.status == SolveStatus.OPTIMAL
         eps = sol.x[qp.layout["eps"]]
@@ -249,7 +231,7 @@ class TestBuildQp:
         state = AgentState([0, 0, 0], [0, 0, 0])
         prev = hold_position_plan(state.position, cfg)
         p_mig = np.array([5.0, 0.0, 0.0])
-        result = plan(state, prev, {}, [], p_mig, cfg, local_bundle)
+        result = plan(state, prev, {}, [], p_mig, local_bundle)
         start_dist = np.linalg.norm(state.position - p_mig)
         end = result.trajectory.reshape(cfg.horizon, 3)[-1]
         assert np.linalg.norm(end - p_mig) < start_dist
@@ -258,7 +240,7 @@ class TestBuildQp:
         state = AgentState([1.0, 0.5, -0.2], [0.1, 0, 0])
         prev = hold_position_plan(state.position, cfg)
         nb = hold_position_trajectory([2.0, 0.0, 0.0], cfg.horizon)
-        qp, _ = build_qp(state, prev, {3: nb}, [], [5.0, 0, 0], cfg, bundle)
+        qp, _ = build_qp(state, prev, {3: nb}, [], [5.0, 0, 0], bundle)
         sol = solve(qp)
         w = sol.x[qp.layout["w"]]
         result_traj = bundle.basis.matrix @ w
@@ -270,7 +252,7 @@ class TestPlan:
         p_mig = np.array([1.0, 2.0, 0.5])
         state = AgentState(p_mig, [0, 0, 0])
         prev = hold_position_plan(p_mig, cfg)
-        result = plan(state, prev, {}, [], p_mig, cfg, bundle)
+        result = plan(state, prev, {}, [], p_mig, bundle)
         assert result.status == SolveStatus.OPTIMAL
         assert np.max(np.abs(result.trajectory.reshape(cfg.horizon, 3) - p_mig)) < 1e-5
         assert result.costs["control_effort"] < 1e-8
@@ -281,21 +263,21 @@ class TestPlan:
         prev = hold_position_plan(state.position, cfg)
         preds = {j: hold_position_trajectory(rng.normal(scale=2.0, size=3), cfg.horizon)
                  for j in range(2)}
-        qp, meta = build_qp(state, prev, preds, two_obstacles(), [20.0, 0, 0], cfg, bundle)
-        result = plan(state, prev, preds, two_obstacles(), [20.0, 0, 0], cfg, bundle)
+        qp, meta = build_qp(state, prev, preds, two_obstacles(), [20.0, 0, 0], bundle)
+        result = plan(state, prev, preds, two_obstacles(), [20.0, 0, 0], bundle)
         sol = solve(qp)
         assert abs(result.total_cost - (sol.objective + qp.objective_constant)) < 1e-6
 
     def test_total_equals_component_sum(self, cfg, bundle):
         state = AgentState([0, 0, 0], [0, 0, 0])
         prev = hold_position_plan(state.position, cfg)
-        result = plan(state, prev, {}, [], [20.0, 0, 0], cfg, bundle)
+        result = plan(state, prev, {}, [], [20.0, 0, 0], bundle)
         assert result.total_cost == pytest.approx(sum(result.costs.values()), abs=1e-9)
 
     def test_c2_continuity_of_solved_plans(self, cfg, bundle):
         state = AgentState([0, 0, 0], [0.3, -0.1, 0.05])
         prev = hold_position_plan(state.position, cfg)
-        result = plan(state, prev, {}, [], [20.0, 0, 0], cfg, bundle)
+        result = plan(state, prev, {}, [], [20.0, 0, 0], bundle)
         bez = result.plan
         for order in (0, 1, 2):
             curve = bez if order == 0 else derivative_plan(bez, order)
@@ -308,7 +290,7 @@ class TestPlan:
     def test_dynamics_bounds_on_derivative_control_points(self, cfg, bundle):
         state = AgentState([0, 0, 0], [0, 0, 0])
         prev = hold_position_plan(state.position, cfg)
-        result = plan(state, prev, {}, [], [20.0, 0, 0], cfg, bundle)
+        result = plan(state, prev, {}, [], [20.0, 0, 0], bundle)
         vel_cp = (bundle.d1 @ result.plan.flatten())
         acc_cp = (bundle.d2 @ result.plan.flatten())
         assert vel_cp.max() <= cfg.limits.v_max + 1e-6
@@ -319,7 +301,7 @@ class TestPlan:
     def test_initial_conditions_pinned(self, cfg, bundle):
         state = AgentState([0.5, -0.5, 0.1], [0.4, 0.2, -0.1])
         prev = hold_position_plan(state.position, cfg)
-        result = plan(state, prev, {}, [], [20.0, 0, 0], cfg, bundle)
+        result = plan(state, prev, {}, [], [20.0, 0, 0], bundle)
         assert np.allclose(eval_bezier(result.plan, 0.0), state.position, atol=1e-7)
         vel = derivative_plan(result.plan, 1)
         assert np.allclose(eval_bezier(vel, 0.0), state.velocity, atol=1e-7)
@@ -329,7 +311,7 @@ class TestPlan:
         prev = hold_position_plan(state.position, cfg)
         nb = hold_position_trajectory([4.0, 0.0, 0.0], cfg.horizon)  # within r_coh? 4 > 2.5
         preds = {1: hold_position_trajectory([1.0, 0.0, 0.0], cfg.horizon)}
-        result = plan(state, prev, preds, [], state.position, cfg, bundle)
+        result = plan(state, prev, preds, [], state.position, bundle)
         assert result.slack_safety.max(initial=0.0) <= 1e-6
 
     def test_obstacle_between_start_and_goal_avoided(self, cfg, bundle):
@@ -340,7 +322,7 @@ class TestPlan:
         min_sd = np.inf
         best_goal_dist = np.inf
         for _ in range(110):
-            result = plan(state, prev, {}, obstacles, [6.0, 0, 0], cfg, bundle,
+            result = plan(state, prev, {}, obstacles, [6.0, 0, 0], bundle,
                           warm_start=prev.flatten())
             assert result.status == SolveStatus.OPTIMAL
             setpoint = result.trajectory[:3]
@@ -357,8 +339,8 @@ class TestPlan:
         state = AgentState([0, 0, 0], [0, 0, 0])
         prev = hold_position_plan(state.position, cfg)
         preds = {1: hold_position_trajectory([1.5, 0.5, 0.0], cfg.horizon)}
-        first = plan(state, prev, preds, [], [10.0, 0, 0], cfg, bundle)
-        second = plan(state, prev, preds, [], [10.0, 0, 0], cfg, bundle,
+        first = plan(state, prev, preds, [], [10.0, 0, 0], bundle)
+        second = plan(state, prev, preds, [], [10.0, 0, 0], bundle,
                       warm_start=first.plan.flatten(), hint_labels=first.active_labels)
         assert abs(first.total_cost - second.total_cost) < 1e-6
 
@@ -378,8 +360,7 @@ def crowded_qps(cfg, bundle):
         state = AgentState(arrays[f"{key}.position"], arrays[f"{key}.velocity"])
         prev = BezierPlan(arrays[f"{key}.prev_control_points"], rec["segment_duration"])
         preds = dict(zip(neighbors, arrays[f"{key}.predictions"]))
-        qp, _ = build_qp(state, prev, preds, obstacles, arrays["p_mig"], cfg, bundle,
-                         neighbors=neighbors)
+        qp, _ = build_qp(state, prev, preds, obstacles, arrays["p_mig"], bundle)
         yield qp
 
 
@@ -414,7 +395,7 @@ class TestFallbackWarning:
         state = AgentState([0, 0, 0], [0.2, 0, 0])
         prev = hold_position_plan(state.position, cfg)
         with caplog.at_level(logging.WARNING, logger="swarmcoord.dmpc"):
-            result = plan(state, prev, {}, two_obstacles(), [20.0, 0, 0], cfg, bundle)
+            result = plan(state, prev, {}, two_obstacles(), [20.0, 0, 0], bundle)
         assert result.fallback and result.status == SolveStatus.MAX_ITER
         (record,) = caplog.records
         message = record.getMessage()
@@ -422,13 +403,30 @@ class TestFallbackWarning:
         assert any(f"largest KKT residual {name}" in message
                    for name in ("stationarity", "primal_eq", "primal_ineq", "complementarity"))
 
+    def test_fits_the_time_shifted_previous_plan(self, cfg, bundle, monkeypatch):
+        real_solve, real_build, metas = dmpc.solve, dmpc.build_qp, []
+        monkeypatch.setattr(dmpc, "solve", lambda qp, **kw: real_solve(qp, max_iter=5, **kw))
 
-class TestShift:
-    def test_shift_trajectory(self):
-        traj = np.arange(12.0)
-        shifted = shift_trajectory(traj, 4)
-        assert np.array_equal(shifted[:9], traj[3:])
-        assert np.array_equal(shifted[9:], traj[9:])
+        def recording(*args):
+            qp, meta = real_build(*args)
+            metas.append(meta)
+            return qp, meta
+
+        monkeypatch.setattr(dmpc, "build_qp", recording)
+        # control points equally spaced in time: a line along +x at 1 m/s
+        times = (np.arange(cfg.segments)[:, None]
+                 + np.arange(cfg.degree + 1) / cfg.degree) * bundle.seg_dur
+        prev = BezierPlan(times[..., None] * [1.0, 0.0, 0.0], bundle.seg_dur)
+        state = AgentState(eval_bezier(prev, cfg.dt), [1.0, 0, 0])
+        result = plan(state, prev, {}, two_obstacles(), [20.0, 0, 0], bundle)
+        assert result.fallback and result.status == SolveStatus.MAX_ITER
+        (meta,) = metas
+        # on time: one tick after the previous plan started, at t = dt, the
+        # fallback reads the previous plan at 2 dt (0.40 m), not 3 dt
+        assert abs(result.trajectory[0] - 2 * cfg.dt) < 1e-4
+        # the fit follows the shifted plan everywhere; the C2 spline cannot
+        # follow the kink where the shift holds the terminal point exactly
+        assert np.max(np.abs(result.trajectory - meta["prev_traj"])) < 1e-2
 
 
 def per_row_gradients(meta, d_g, d_h, cfg, bundle):
@@ -462,7 +460,7 @@ class TestPredictionGradients:
         qp, meta, _ = crowded_instance(cfg, bundle)
         rng = np.random.default_rng(5)
         d_g, d_h = rng.normal(size=qp.G.shape), rng.normal(size=qp.num_ineq)
-        got = prediction_row_gradients(meta, d_g, d_h, cfg, bundle)
+        got = prediction_row_gradients(meta, d_g, d_h, bundle)
         want = per_row_gradients(meta, d_g, d_h, cfg, bundle)
         assert list(got) == list(want) == [2, 4, 9]
         for j in want:
@@ -479,7 +477,7 @@ class TestPredictionGradients:
         p_mig = np.array([5.0, 0, 0])
 
         def solve_u_star(pred):
-            qp, meta = build_qp(state, prev, {1: pred}, [], p_mig, cfg, bundle)
+            qp, meta = build_qp(state, prev, {1: pred}, [], p_mig, bundle)
             sol = solve(qp)
             assert sol.status == SolveStatus.OPTIMAL
             return qp, meta, sol
@@ -497,7 +495,7 @@ class TestPredictionGradients:
         dl_dx = np.zeros(qp.num_vars)
         dl_dx[qp.layout["w"]] = bundle.basis.matrix.T @ dl_du_star
         grads = backward(factorize(qp, sol), dl_dx)
-        pred_grads = prediction_row_gradients(meta, grads["dG"], grads["dh"], cfg, bundle)
+        pred_grads = prediction_row_gradients(meta, grads["dG"], grads["dh"], bundle)
 
         step = 1e-5
         check_idx = rng.choice(3 * cfg.horizon, size=12, replace=False)
@@ -534,7 +532,7 @@ class TestPredictionGradients:
         dl_dx = np.zeros(qp.num_vars)
         dl_dx[qp.layout["w"]] = 2 * f.T @ (f @ sol.x[qp.layout["w"]] - target)
         grads = backward(factorize(qp, sol), dl_dx)
-        pred_grads = prediction_row_gradients(meta, grads["dG"], grads["dh"], cfg, bundle)
+        pred_grads = prediction_row_gradients(meta, grads["dG"], grads["dh"], bundle)
         assert sorted(pred_grads) == [2, 4, 9]
         assert [j for j, d in zip(meta["neighbors"], meta["degenerate"]) if d.any()] == [9]
         # neighbour 9's eta is the +x fallback, which does not move with its

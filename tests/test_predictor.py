@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from swarmcoord.dmpc import shift_trajectory
 from swarmcoord.nn import (
     EgCellState,
     Tensor,
@@ -27,6 +26,7 @@ from swarmcoord.predictor import (
     fuse,
     init_predictor_params,
     prior_forward,
+    shift_trajectory,
 )
 
 
@@ -51,6 +51,14 @@ def ring_adjacency(n):
     for i in range(n):
         adj[i, (i + 1) % n] = adj[(i + 1) % n, i] = 1.0
     return adj
+
+
+class TestShift:
+    def test_shift_trajectory(self):
+        traj = np.arange(12.0)
+        shifted = shift_trajectory(traj, 4)
+        assert np.array_equal(shifted[:9], traj[3:])
+        assert np.array_equal(shifted[9:], traj[9:])
 
 
 class TestPrior:

@@ -5,7 +5,13 @@ import pytest
 import scipy.linalg
 
 from swarmcoord import dmpc
-from swarmcoord.dmpc import AgentState
+from swarmcoord.dmpc import (
+    AgentState,
+    BasisBundle,
+    ControllerConfig,
+    MotionLimits,
+    hold_position_plan,
+)
 from swarmcoord.geometry import euclidean_project_ellipsoid, surface_distance
 from swarmcoord.predictor import (
     CodecCalibration,
@@ -13,6 +19,7 @@ from swarmcoord.predictor import (
     PredictorConfig,
     TrajectoryPredictor,
     init_predictor_params,
+    shift_trajectory,
 )
 from swarmcoord.swarmsim import (
     ChannelConfig,
@@ -20,6 +27,7 @@ from swarmcoord.swarmsim import (
     ScenarioConfig,
     channel_deliver,
     comm_graph,
+    episode,
     load_scenario,
     make_default_dynamics,
     metrics,
@@ -93,12 +101,17 @@ class TestScenario:
         assert validate_scenario(back) == []
 
 
+def hold(setpoint):
+    """A held setpoint: the plan that rests at it."""
+    return hold_position_plan(setpoint, ControllerConfig())
+
+
 class TestDynamics:
     def test_hold_setpoint_is_equilibrium(self):
         model = make_default_dynamics()
         p = np.array([1.0, -2.0, 0.5])
         state = AgentState(p, np.zeros(3))
-        nxt = step_dynamics(state, p, model)
+        nxt = step_dynamics(state, hold(p), model)
         assert np.linalg.norm(nxt.position - p) <= 1e-9
         assert np.linalg.norm(nxt.velocity) <= 1e-9
 
@@ -108,7 +121,7 @@ class TestDynamics:
         target = np.array([1.0, 0.0, 0.0])
         errors = []
         for _ in range(25):  # 5 s at dt=0.2
-            state = step_dynamics(state, target, model)
+            state = step_dynamics(state, hold(target), model)
             errors.append(np.linalg.norm(state.position - target))
         assert errors[-1] < 1e-2
         # norm error decreases monotonically for the critically damped loop
@@ -119,7 +132,7 @@ class TestDynamics:
         state = AgentState(np.zeros(3), np.zeros(3))
         t_90 = None
         for k in range(50):
-            state = step_dynamics(state, [1.0, 0, 0], model)
+            state = step_dynamics(state, hold([1.0, 0, 0]), model)
             if t_90 is None and state.position[0] >= 0.9:
                 t_90 = (k + 1) * model.dt
         assert t_90 is not None and t_90 <= 0.6
@@ -132,10 +145,10 @@ class TestDynamics:
         u1, u2 = rng.normal(size=3), rng.normal(size=3)
         lhs = step_dynamics(AgentState(x1.position + x2.position,
                                        x1.velocity + x2.velocity),
-                            u1 + u2, model)
-        a = step_dynamics(x1, u1, model)
-        b = step_dynamics(x2, u2, model)
-        zero = step_dynamics(AgentState(np.zeros(3), np.zeros(3)), np.zeros(3), model)
+                            hold(u1 + u2), model)
+        a = step_dynamics(x1, hold(u1), model)
+        b = step_dynamics(x2, hold(u2), model)
+        zero = step_dynamics(AgentState(np.zeros(3), np.zeros(3)), hold(np.zeros(3)), model)
         assert np.allclose(lhs.position, a.position + b.position - zero.position)
         assert np.allclose(lhs.velocity, a.velocity + b.velocity - zero.velocity)
 
@@ -268,6 +281,20 @@ class TestEpisode:
         dists = [np.linalg.norm(s[0, :3] - sc.p_mig) for s in trace.true_states]
         assert min(dists) < 0.1
 
+    def test_bundle_from_other_config_raises(self, monkeypatch):
+        sc = sample_scenario(0, DESK_SCENARIO)
+        cfg = ControllerConfig()
+        other = BasisBundle(ControllerConfig(limits=MotionLimits(v_max=1.0)))
+
+        def no_plan(*args, **kwargs):
+            raise AssertionError("planned before the config check")
+
+        monkeypatch.setattr(episode, "plan", no_plan)
+        with pytest.raises(ValueError, match="ControllerConfig"):
+            run_episode(sc, controller=cfg, bundle=other, ticks=1)
+        # a config equal in value is the same config
+        run_episode(sc, controller=cfg, bundle=BasisBundle(ControllerConfig()), ticks=0)
+
     def test_mode_parse_aliases(self):
         assert RunMode.parse("vae+eg+kkt") is RunMode.EG_VAE
         assert RunMode.parse("EG+KKT") is RunMode.EG
@@ -317,6 +344,36 @@ class TestEveryMode:
                 assert a.keys() == b.keys()
                 assert all(np.array_equal(a[k], b[k]) for k in a)
 
+
+class TestTickShift:
+    """Every neighbour trajectory an agent plans against lies on the current
+    tick's horizon: the sender's previous plan shifted one sample."""
+
+    def test_oracle_reads_previous_plans_shifted(self, small_oracle_trace):
+        tr = small_oracle_trace
+        for t in range(1, tr.ticks):
+            shared = {}
+            assert tr.predictions[t]
+            for (ego, j), pred in tr.predictions[t].items():
+                want = shift_trajectory(tr.plans[t - 1][j], tr.controller.horizon)
+                assert np.max(np.abs(pred - want)) < 1e-12, (t, ego, j)
+                # every ego reads the same snapshot of j's plan
+                assert np.array_equal(pred, shared.setdefault(j, pred)), (t, ego, j)
+
+    @pytest.mark.parametrize("mode", ["vae", "eg+vae"])
+    def test_message_carries_plan_on_next_horizon(self, desk_scenario, mode, monkeypatch):
+        real_encode, sent = TrajectoryPredictor.encode, {}
+
+        def recording(self, traj, tick, sender, **kwargs):
+            sent[(tick, sender)] = np.array(traj)
+            return real_encode(self, traj, tick, sender, **kwargs)
+
+        monkeypatch.setattr(TrajectoryPredictor, "encode", recording)
+        tr = run_short_episode(desk_scenario, mode)
+        assert sorted(sent) == [(t + 1, j) for t in range(tr.ticks) for j in range(tr.n)]
+        for (tick, sender), traj in sent.items():
+            want = shift_trajectory(tr.plans[tick - 1][sender], tr.controller.horizon)
+            assert np.max(np.abs(traj - want)) < 1e-12, (tick, sender)
 
 
 class TestColdStart:
