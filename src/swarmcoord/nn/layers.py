@@ -40,16 +40,24 @@ def init_lstm(rng, n_in, n_hidden):
             "b": Tensor(np.zeros((1, 4 * n_hidden)), requires_grad=True)}
 
 
-def lstm_step(x, state, params):
-    """One gated recurrence step; state is (h, c), both (batch, hidden)."""
+def lstm_step(xw, state, params):
+    """One gated recurrence step; state is (h, c), both (batch, hidden).
+
+    xw is the projected input x @ params["Wx"], (batch, 4 hidden): the input
+    projection does not depend on the state, so a caller projects all its
+    steps, or a constant input, once outside the recurrence.
+    """
     h_prev, c_prev = state
     n_hidden = params["Wh"].shape[0]
     if h_prev.shape[-1] != n_hidden or c_prev.shape[-1] != n_hidden:
         raise ShapeMismatch("lstm state width does not match parameters")
-    gates = x @ params["Wx"] + h_prev @ params["Wh"] + params["b"]
-    i = gates[:, :n_hidden].sigmoid()
-    f = gates[:, n_hidden:2 * n_hidden].sigmoid()
-    o = gates[:, 2 * n_hidden:3 * n_hidden].sigmoid()
+    if xw.shape[-1] != 4 * n_hidden:
+        raise ShapeMismatch(f"lstm projected input {xw.shape} vs {4 * n_hidden} gates")
+    gates = xw + h_prev @ params["Wh"] + params["b"]
+    ifo = gates[:, :3 * n_hidden].sigmoid()
+    i = ifo[:, :n_hidden]
+    f = ifo[:, n_hidden:2 * n_hidden]
+    o = ifo[:, 2 * n_hidden:]
     g = gates[:, 3 * n_hidden:].tanh()
     c = f * c_prev + i * g
     h = o * c.tanh()
@@ -72,12 +80,15 @@ def normalize_adjacency(adj):
     return a_hat * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
 
 
-def gcn_layer(adj, h, w):
-    """Graph convolution relu(A_hat h W); adj is a raw adjacency ndarray."""
-    a_hat = Tensor(normalize_adjacency(adj))
+def gcn_layer(a_hat, h, w):
+    """Graph convolution relu(A_hat h W), one output row per row of a_hat.
+
+    a_hat is an ndarray of rows of normalize_adjacency(adj): normalise once
+    per graph, and pass only the rows whose outputs are read.
+    """
     if h.shape[-1] != w.shape[0]:
         raise ShapeMismatch(f"gcn features {h.shape} vs weights {w.shape}")
-    return (a_hat @ h @ w).relu()
+    return (Tensor(a_hat) @ h @ w).relu()
 
 
 @dataclass
@@ -100,10 +111,11 @@ def init_eg_cell(rng, n_in, n_out):
 def eg_step(state: EgCellState, params) -> EgCellState:
     """Evolve the GCN weight matrix one step (columns as the LSTM batch).
 
-    The weight matrix itself is both the LSTM input and its hidden state.
+    The weight matrix itself is both the LSTM input and its hidden state; its
+    columns are projected by the cell's Wx here and passed to lstm_step.
     """
     w_cols = state.weight.T  # (cols, rows): one batch row per weight column
-    h, (_, c) = lstm_step(w_cols, (w_cols, state.carry.T), params)
+    h, (_, c) = lstm_step(w_cols @ params["Wx"], (w_cols, state.carry.T), params)
     return EgCellState(h.T, c.T)
 
 

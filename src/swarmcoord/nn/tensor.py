@@ -1,9 +1,10 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
-Supports exactly what the predictor stack needs: dense matmul, elementwise
-arithmetic with bias-style broadcasting, relu/tanh/sigmoid/exp/log, slicing,
-concatenation, transpose, and reductions. Backward walks the tape in reverse
-topological order and accumulates into .grad buffers.
+Supports exactly what the predictor stack needs: dense matmul (the left
+operand may be a stack of matrices), elementwise arithmetic with bias-style
+broadcasting, relu/tanh/sigmoid/exp/log, slicing, concatenation, transposes,
+reshapes and reductions. Backward walks the tape in reverse topological order
+and accumulates into .grad buffers.
 """
 
 import numpy as np
@@ -46,12 +47,18 @@ class Tensor:
     def _lift(value):
         return value if isinstance(value, Tensor) else Tensor(value)
 
-    def _make(self, data, parents, backward_fn):
+    @staticmethod
+    def _make(data, parents, backward_fn):
+        """Output tensor of an op; it joins the tape only when a parent
+        requires grad. Runs once per op, so the test is a plain loop rather
+        than any() over a generator."""
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = parents
-            out._backward = backward_fn
+        for parent in parents:
+            if parent.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._backward = backward_fn
+                break
         return out
 
     def __add__(self, other):
@@ -100,7 +107,10 @@ class Tensor:
             raise ShapeMismatch(f"matmul {self.data.shape} @ {other.data.shape}")
 
         def backward(grad):
-            return (grad @ other.data.T, self.data.T @ grad)
+            # a stacked (..., m, k) left operand shares `other` across its
+            # leading axes: sum their contributions in one product
+            k, n = other.data.shape[0], grad.shape[-1]
+            return (grad @ other.data.T, self.data.reshape(-1, k).T @ grad.reshape(-1, n))
 
         return self._make(self.data @ other.data, (self, other), backward)
 
@@ -115,6 +125,11 @@ class Tensor:
     @property
     def T(self):
         return self._make(self.data.T, (self,), lambda grad: (grad.T,))
+
+    def transpose(self, *axes):
+        inverse = np.argsort(axes)
+        return self._make(self.data.transpose(axes), (self,),
+                          lambda grad: (grad.transpose(inverse),))
 
     def reshape(self, *shape):
         old = self.data.shape
@@ -207,9 +222,4 @@ def concat(tensors, axis=0):
     def backward(grad):
         return tuple(np.split(grad, np.cumsum(sizes)[:-1], axis=axis))
 
-    out = Tensor(out_data)
-    if any(t.requires_grad for t in tensors):
-        out.requires_grad = True
-        out._parents = tuple(tensors)
-        out._backward = backward
-    return out
+    return Tensor._make(out_data, tuple(tensors), backward)

@@ -12,6 +12,14 @@ far the weights have evolved. prior_forward with weights=None evolves them on
 the autodiff tape (the training path); TrajectoryPredictor evolves them once,
 without a tape, and passes them in.
 
+Work that does not change inside a loop runs once per call. The query
+LSTM's inputs are projected for every step before its recurrence, the
+decoder projects its constant input once, and each decoder head runs once
+over the stacked hidden states. The adjacency is normalised once, and the
+last GCN layer computes only the target's row. lstm_step, gcn_layer and
+eg_step are called through this module's attributes, where a tracer can
+wrap them.
+
 The VAE codec normalizes trajectories with dataset statistics stored next to
 the parameters.
 """
@@ -33,6 +41,7 @@ from .nn import (
     init_vae,
     lstm_step,
     lstm_zero_state,
+    normalize_adjacency,
     vae_decode,
     vae_forward,
 )
@@ -123,7 +132,8 @@ def init_predictor_params(rng, cfg: PredictorConfig):
 
 def shift_trajectory(trajectory, horizon) -> np.ndarray:
     """Advance a sampled trajectory one step, holding the terminal point: the
-    prior's residual base, the previous prediction on this tick's horizon."""
+    prior's residual base, the previous prediction on this tick's horizon,
+    and a held VAE message on each tick it is held."""
     pts = np.asarray(trajectory, dtype=float).reshape(horizon, 3)
     return np.vstack([pts[1:], pts[-1:]]).reshape(-1)
 
@@ -173,20 +183,27 @@ def prior_forward(params, cfg: PredictorConfig, targets, history, adjacency,
     anchor_traj = np.tile(anchors, hor)
 
     prev_rel = np.asarray(prev_predictions, dtype=float).reshape(rows, -1) - anchor_traj
-    state = lstm_zero_state(params["query"]["lstm"]["Wh"].shape[0], batch=rows)
+    query = params["query"]["lstm"]
+    # every step's input projected before the recurrence, in one stacked
+    # (hor, rows, 3) product; numpy multiplies each step's (rows, 3) block
+    # as a product of its own, so the sums round as step by step
+    steps_in = prev_rel.reshape(rows, hor, 3).transpose(1, 0, 2)
+    query_xw = Tensor(steps_in) @ query["Wx"]
+    state = lstm_zero_state(query["Wh"].shape[0], batch=rows)
     for tau in range(hor):
-        step_in = Tensor(prev_rel[:, 3 * tau:3 * tau + 3])
-        q_out, state = lstm_step(step_in, state, params["query"]["lstm"])
+        q_out, state = lstm_step(query_xw[tau], state, query)
     y = fc(q_out, params["query"]["out"], activation="relu")
 
     if weights is None:
         weights = evolved_weights(params, cfg)
+    a_hat = normalize_adjacency(adj_now)
     node_rows = []
     for target, anchor in zip(targets, anchors):
         feats = Tensor(history[-1] - anchor)
-        for w in weights:
-            feats = gcn_layer(adj_now, feats, w)
-        node_rows.append(feats[target:target + 1, :])
+        for w in weights[:-1]:
+            feats = gcn_layer(a_hat, feats, w)
+        # only the target's row of the last layer is read
+        node_rows.append(gcn_layer(a_hat[target:target + 1], feats, weights[-1]))
     g = fc(concat(node_rows, axis=0), params["eg_out"], activation="relu")
 
     centers = np.zeros((rows, 3 * cfg.max_obstacles))
@@ -196,15 +213,19 @@ def prior_forward(params, cfg: PredictorConfig, targets, history, adjacency,
     centers[:, :used] = flat[:, :used]
     o = fc(Tensor(centers), params["obstacle"], activation="relu")
 
-    fused_in = concat([y, o, g], axis=1)
-    dec_state = lstm_zero_state(params["decoder"]["lstm"]["Wh"].shape[0], batch=rows)
-    means, logstds = [], []
+    decoder = params["decoder"]
+    # the decoder reads the same fused input at every step: project it once
+    fused_xw = concat([y, o, g], axis=1) @ decoder["lstm"]["Wx"]
+    dec_state = lstm_zero_state(decoder["lstm"]["Wh"].shape[0], batch=rows)
+    hiddens = []
     for tau in range(hor):
-        h_t, dec_state = lstm_step(fused_in, dec_state, params["decoder"]["lstm"])
-        means.append(fc(h_t, params["decoder"]["mean"]))
-        logstds.append(fc(h_t.detach(), params["decoder"]["logstd"]))
-    mean_rel = concat(means, axis=1)
-    logstd = concat(logstds, axis=1)
+        h_t, dec_state = lstm_step(fused_xw, dec_state, decoder["lstm"])
+        hiddens.append(h_t)
+    # each head runs once over the (hor, rows, hidden) stack of steps; its
+    # (hor, rows, 3) output re-slices into the (rows, 3P) layout
+    h_steps = concat(hiddens, axis=0).reshape(hor, rows, -1)
+    mean_rel = fc(h_steps, decoder["mean"]).transpose(1, 0, 2).reshape(rows, 3 * hor)
+    logstd = fc(h_steps.detach(), decoder["logstd"]).transpose(1, 0, 2).reshape(rows, 3 * hor)
 
     if cfg.residual:
         shifted = np.array([shift_trajectory(r, hor) for r in prev_rel])

@@ -18,6 +18,9 @@ agent plans: the agent loop overwrites the previous plans one by one. Oracle
 mode shares the snapshot with every neighbor, the perfect-communication
 baseline; a VAE message carries the same trajectory, so a fresh message
 describes the sender's plan on the receiver's horizon, as the oracle does.
+On a tick without a fresh message (off the communication period, or the
+packet lost), VAE mode plans against the last decoded message, shifted one
+sample per tick since it arrived (predictor.shift_trajectory).
 """
 
 import itertools
@@ -35,6 +38,7 @@ from ..geometry import (
     point_surface_distance,
     scaled_distance,
 )
+from ..predictor import shift_trajectory
 from .scenario import Scenario
 
 
@@ -289,6 +293,9 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
         measured_arr = true_arr.copy()
         measured_arr[:, :3] += noise
         shifted_plans = [bundle.shifted @ p.flatten() for p in prev_plans]
+        # a held message ages one tick per tick: keep it on this tick's horizon
+        last_vae = {key: shift_trajectory(traj, cfg.horizon)
+                    for key, traj in last_vae.items()}
 
         history_buf.append(measured_arr[:, :3].copy())
         h_needed = getattr(predictors[0].cfg, "history", 1) if predictors else 1

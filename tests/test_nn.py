@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from swarmcoord.nn import (
     EgCellState,
     ShapeMismatch,
     Tensor,
+    concat,
     eg_step,
     fc,
     flatten_params,
@@ -17,10 +20,17 @@ from swarmcoord.nn import (
     load_into,
     lstm_step,
     lstm_zero_state,
+    normalize_adjacency,
     save_checkpoint,
     vae_forward,
     vae_kl,
     zero_grads,
+)
+from swarmcoord.predictor import (
+    PredictorConfig,
+    TrajectoryPredictor,
+    init_predictor_params,
+    prior_forward,
 )
 
 
@@ -93,6 +103,14 @@ class TestTensor:
         expected[:, 1:3] = 1.0
         assert np.allclose(a.grad, expected)
 
+    def test_stacked_matmul_and_transpose_backward(self):
+        rng = np.random.default_rng(24)
+        params = {"x": Tensor(rng.normal(size=(4, 2, 3)), requires_grad=True),
+                  "w": Tensor(rng.normal(size=(3, 5)), requires_grad=True)}
+        probe = Tensor(rng.normal(size=(2, 4, 5)))
+        check_grads(lambda: ((params["x"] @ params["w"]).transpose(1, 0, 2) * probe).sum(),
+                    params)
+
     def test_determinism(self):
         def run():
             rng = np.random.default_rng(99)
@@ -104,6 +122,45 @@ class TestTensor:
         y1, g1 = run()
         y2, g2 = run()
         assert np.array_equal(y1, y2) and np.array_equal(g1, g2)
+
+
+class TestTape:
+    """An op joins the tape exactly when at least one input requires grad."""
+
+    @staticmethod
+    def assert_taped(out, taped):
+        assert out.requires_grad is taped
+        assert bool(out._parents) is taped
+        assert (out._backward is not None) is taped
+
+    def test_records_exactly_when_an_input_requires_grad(self):
+        rng = np.random.default_rng(22)
+        for a_grad, b_grad in itertools.product([False, True], repeat=2):
+            a = Tensor(rng.normal(size=(2, 3)), requires_grad=a_grad)
+            b = Tensor(rng.normal(size=(2, 3)), requires_grad=b_grad)
+            for out in (a + b, a * b, a - b, a / (b.square() + 1.0), a @ b.T,
+                        concat([a, b], axis=0), concat([b, a, b], axis=1)):
+                self.assert_taped(out, a_grad or b_grad)
+            for out in (a + 1.0, a * np.ones((1, 3)), a[:, 1:], a[1], a.T,
+                        a.transpose(1, 0), a.reshape(3, 2), a.sigmoid()):
+                self.assert_taped(out, a_grad)
+            cat = concat([a, b], axis=0)
+            if a_grad or b_grad:
+                assert cat._parents[0] is a and cat._parents[1] is b
+
+    def test_prior_on_no_grad_views_records_no_tape(self):
+        cfg = PredictorConfig(history=4, hidden=8, feature=4, latent=6)
+        params = init_predictor_params(np.random.default_rng(23), cfg)
+        rng = np.random.default_rng(25)
+        history = rng.normal(size=(cfg.history, 3, 3))
+        adjacency = np.ones((3, 3)) - np.eye(3)
+        targets = [0, 2]
+        prev = np.tile(history[-1, targets], cfg.horizon)
+        args = (cfg, targets, history, adjacency, np.zeros((2, 3)), prev)
+        for out in prior_forward(TrajectoryPredictor(params, cfg).params, *args):
+            self.assert_taped(out, False)
+        for out in prior_forward(params, *args):
+            self.assert_taped(out, True)
 
 
 class TestFc:
@@ -141,7 +198,8 @@ class TestLstm:
         params = init_lstm(rng, 3, 4)
         for t in params.values():
             t.data[:] = 0.0
-        out, _ = lstm_step(Tensor(rng.normal(size=(2, 3))), lstm_zero_state(4, 2), params)
+        out, _ = lstm_step(Tensor(rng.normal(size=(2, 3))) @ params["Wx"],
+                           lstm_zero_state(4, 2), params)
         assert np.allclose(out.data, 0.0)
 
     def test_repeated_input_converges(self):
@@ -152,7 +210,7 @@ class TestLstm:
         residuals = []
         prev_h = state[0].data.copy()
         for _ in range(100):
-            h, state = lstm_step(x, state, params)
+            h, state = lstm_step(x @ params["Wx"], state, params)
             residuals.append(np.linalg.norm(h.data - prev_h))
             prev_h = h.data.copy()
         assert residuals[-1] < 1e-6
@@ -167,7 +225,7 @@ class TestLstm:
         def loss():
             state = lstm_zero_state(3)
             for x in xs:
-                out, state = lstm_step(x, state, params)
+                out, state = lstm_step(x @ params["Wx"], state, params)
             return (out - target).square().sum()
 
         check_grads(loss, params, rel_tol=1e-4)
@@ -177,7 +235,7 @@ class TestGcn:
     def test_isolated_nodes_self_loop_only(self):
         h = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]))
         w = Tensor(np.eye(2))
-        out = gcn_layer(np.zeros((2, 2)), h, w)
+        out = gcn_layer(normalize_adjacency(np.zeros((2, 2))), h, w)
         assert np.allclose(out.data, np.maximum(h.data, 0.0))
 
     def test_identical_connected_nodes_identical_rows(self):
@@ -185,7 +243,7 @@ class TestGcn:
         feat = rng.normal(size=2)
         h = Tensor(np.vstack([feat, feat]))
         w = Tensor(rng.normal(size=(2, 3)))
-        out = gcn_layer(np.array([[0.0, 1.0], [1.0, 0.0]]), h, w)
+        out = gcn_layer(normalize_adjacency(np.array([[0.0, 1.0], [1.0, 0.0]])), h, w)
         assert np.allclose(out.data[0], out.data[1])
 
     def test_matches_dense_formula(self):
@@ -199,7 +257,7 @@ class TestGcn:
         a_hat = adj + np.eye(n)
         d = np.diag(1.0 / np.sqrt(a_hat.sum(axis=1)))
         expected = np.maximum(d @ a_hat @ d @ h @ w, 0.0)
-        out = gcn_layer(adj, Tensor(h), Tensor(w))
+        out = gcn_layer(normalize_adjacency(adj), Tensor(h), Tensor(w))
         assert np.max(np.abs(out.data - expected)) < 1e-12
 
     def test_permutation_equivariance(self):
@@ -211,8 +269,8 @@ class TestGcn:
         h = rng.normal(size=(n, 3))
         w = Tensor(rng.normal(size=(3, 3)))
         perm = rng.permutation(n)
-        out = gcn_layer(adj, Tensor(h), w).data
-        out_p = gcn_layer(adj[np.ix_(perm, perm)], Tensor(h[perm]), w).data
+        out = gcn_layer(normalize_adjacency(adj), Tensor(h), w).data
+        out_p = gcn_layer(normalize_adjacency(adj[np.ix_(perm, perm)]), Tensor(h[perm]), w).data
         assert np.allclose(out[perm], out_p)
 
     def test_gradients(self):
@@ -220,7 +278,8 @@ class TestGcn:
         adj = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         h = Tensor(rng.normal(size=(3, 2)))
         params = {"W": Tensor(rng.normal(size=(2, 2)), requires_grad=True)}
-        check_grads(lambda: gcn_layer(adj, h, params["W"]).square().sum(), params)
+        check_grads(lambda: gcn_layer(normalize_adjacency(adj), h, params["W"]).square().sum(),
+                    params)
 
 
 class TestEgCell:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from swarmcoord import predictor
 from swarmcoord.nn import (
     EgCellState,
     Tensor,
@@ -11,6 +12,7 @@ from swarmcoord.nn import (
     gcn_layer,
     lstm_step,
     lstm_zero_state,
+    normalize_adjacency,
     zero_grads,
 )
 from swarmcoord.predictor import (
@@ -122,7 +124,8 @@ def reference_prior_forward(params, cfg, target, history, adjacency,
     state = lstm_zero_state(params["query"]["lstm"]["Wh"].shape[0])
     for tau in range(hor):
         step_in = Tensor(prev_rel[3 * tau:3 * tau + 3].reshape(1, 3))
-        q_out, state = lstm_step(step_in, state, params["query"]["lstm"])
+        q_out, state = lstm_step(step_in @ params["query"]["lstm"]["Wx"], state,
+                                 params["query"]["lstm"])
     y = fc(q_out, params["query"]["out"], activation="relu")
 
     eg_states = [EgCellState.initial(params["eg"][f"layer{i}"]["W0"])
@@ -131,7 +134,7 @@ def reference_prior_forward(params, cfg, target, history, adjacency,
     for h in range(h_steps):
         feats = Tensor(history[h] - anchor)
         for i in range(cfg.eg_layers):
-            feats = gcn_layer(adjacency[h], feats, eg_states[i].weight)
+            feats = gcn_layer(normalize_adjacency(adjacency[h]), feats, eg_states[i].weight)
             eg_states[i] = eg_step(eg_states[i], params["eg"][f"layer{i}"])
         node_out = feats
     g = fc(node_out[target:target + 1, :], params["eg_out"], activation="relu")
@@ -145,7 +148,8 @@ def reference_prior_forward(params, cfg, target, history, adjacency,
     dec_state = lstm_zero_state(params["decoder"]["lstm"]["Wh"].shape[0])
     means, logstds = [], []
     for tau in range(hor):
-        h_t, dec_state = lstm_step(fused_in, dec_state, params["decoder"]["lstm"])
+        h_t, dec_state = lstm_step(fused_in @ params["decoder"]["lstm"]["Wx"], dec_state,
+                                   params["decoder"]["lstm"])
         means.append(fc(h_t, params["decoder"]["mean"]))
         logstds.append(fc(h_t.detach(), params["decoder"]["logstd"]))
     mean_rel = concat(means, axis=1)
@@ -269,6 +273,31 @@ class TestBatchedPrior:
         assert all(views[k].data is live[k].data for k in live)
         # an op records a backward closure only when an input requires grad
         assert not any(t.requires_grad for t in views.values())
+
+
+class TestHookContract:
+    """A benchmark tracer wraps lstm_step, gcn_layer and eg_step at the
+    predictor module's attributes: the prior calls each through them."""
+
+    @pytest.mark.parametrize("config", ["default", "small"])
+    def test_one_prior_call_counts(self, cfg, monkeypatch, config):
+        pcfg = PredictorConfig() if config == "default" else cfg
+        calls = dict.fromkeys(("lstm_step", "gcn_layer", "eg_step"), 0)
+        for name in calls:
+            def counting(*args, _name=name, _real=getattr(predictor, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(predictor, name, counting)
+        rng = np.random.default_rng(106)
+        targets = [1, 2, 3]
+        pred = TrajectoryPredictor(init_predictor_params(rng, pcfg), pcfg)
+        pred.predict_prior(targets, make_history(rng, 4, pcfg.history), ring_adjacency(4),
+                           np.zeros((2, 3)))
+        assert calls == {"lstm_step": 2 * pcfg.horizon,
+                         "gcn_layer": pcfg.eg_layers * len(targets),
+                         "eg_step": pcfg.eg_layers * (pcfg.history - 1)}
+        if config == "default":
+            assert tuple(calls.values()) == (32, 6, 38)
 
 
 class TestPriorGradients:

@@ -307,8 +307,8 @@ def desk_scenario():
     return sample_scenario(0, DESK_SCENARIO)
 
 
-def run_short_episode(scenario, mode):
-    """A 3-tick episode in `mode` with seeded random predictor weights."""
+def run_short_episode(scenario, mode, ticks=3, channel=None):
+    """A short episode in `mode` with seeded random predictor weights."""
     pcfg = PredictorConfig(history=6, hidden=12, feature=8, latent=6)
     params = init_predictor_params(np.random.default_rng(0), pcfg)
     # an untrained codec decodes about 10 m off: its calibrated variance
@@ -317,7 +317,8 @@ def run_short_episode(scenario, mode):
     def factory():
         return TrajectoryPredictor(params, pcfg, calibration=calibration)
 
-    return run_episode(scenario, mode=mode, ticks=3, seed=0, predictor_factory=factory)
+    return run_episode(scenario, mode=mode, channel=channel, ticks=ticks, seed=0,
+                       predictor_factory=factory)
 
 
 class TestEveryMode:
@@ -374,6 +375,31 @@ class TestTickShift:
         for (tick, sender), traj in sent.items():
             want = shift_trajectory(tr.plans[tick - 1][sender], tr.controller.horizon)
             assert np.max(np.abs(traj - want)) < 1e-12, (tick, sender)
+
+    @pytest.mark.parametrize("channel", [ChannelConfig(f_comm=2.5), ChannelConfig(p_loss=0.3)],
+                             ids=["f_comm=2.5", "p_loss=0.3"])
+    def test_held_message_shifted_by_its_age(self, desk_scenario, channel, monkeypatch):
+        real_decode, decoded = TrajectoryPredictor.decode, {}
+
+        def recording(self, msg):
+            decoded[(msg.tick, msg.sender)] = real_decode(self, msg)
+            return decoded[(msg.tick, msg.sender)]
+
+        monkeypatch.setattr(TrajectoryPredictor, "decode", recording)
+        tr = run_short_episode(desk_scenario, "vae", ticks=6, channel=channel)
+        ages = []
+        for t in range(tr.ticks):
+            for (ego, j), pred in tr.predictions[t].items():
+                arrivals = [t0 for t0 in range(t + 1) if (j, ego) in tr.deliveries[t0]]
+                if not arrivals:
+                    continue
+                want = decoded[(arrivals[-1], j)]
+                for _ in range(t - arrivals[-1]):
+                    want = shift_trajectory(want, tr.controller.horizon)
+                assert np.array_equal(pred, want), (t, ego, j)
+                ages.append(t - arrivals[-1])
+        # fresh messages and messages held for at least one tick were both read
+        assert min(ages) == 0 and max(ages) >= 1
 
 
 class TestColdStart:
