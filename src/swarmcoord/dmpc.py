@@ -436,8 +436,7 @@ def cost_decomposition(trajectory, slack_obstacle, slack_safety, slack_cohesion,
 
 
 def plan(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dict,
-         obstacles, p_mig, bundle: BasisBundle, warm_start=None,
-         hint_labels=None) -> PlanResult:
+         obstacles, p_mig, bundle: BasisBundle, hint_labels=None) -> PlanResult:
     """Solve the agent's QP. If the solve fails, the plan is the least-squares
     fit of the time-shifted previous plan, meta["prev_traj"]: the previous
     plan on this tick's horizon, so the agent keeps following it on time.
@@ -448,11 +447,7 @@ def plan(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dict,
     """
     qp, meta = build_qp(state, prev_plan, neighbor_predictions, obstacles, p_mig, bundle)
     hint = np.array([lab in hint_labels for lab in meta["labels"]]) if hint_labels else None
-    x0 = None
-    if warm_start is not None:
-        x0 = np.zeros(qp.num_vars)
-        x0[:bundle.n_w] = warm_start
-    sol = solve(qp, warm_start=x0, active_set_hint=hint)
+    sol = solve(qp, active_set_hint=hint)
 
     if sol.status != SolveStatus.OPTIMAL:
         res = kkt_residuals(qp, sol)

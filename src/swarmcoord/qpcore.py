@@ -2,23 +2,15 @@
 
 Problem form:  min 1/2 x'Qx + q'x  s.t.  Gx <= h,  Rx = b.
 
-The solver is ADMM operator splitting in the OSQP style (Stellato et al.,
-arXiv:1711.08013) over the stacked constraint l <= Ax <= u (A = [G; R],
-equality rows have l = u = b), followed by an active-set polish that solves
-the KKT system of the identified active rows to push all four KKT residuals
-to linear-solver accuracy. Polished duals are what the differentiable KKT
-layer consumes.
-
-The ADMM iterates on equilibrated data. Ruiz passes over the columns of
-[[Q, Aᵀ], [A, 0]] plus OSQP's cost scaling bring the DMPC's linear costs of
-1e4 (l_saf) and its O(1) box rows to unit size. Each x-update is a
-back-solve with the Cholesky factor of the n x n matrix
-Q̄ + σI + Āᵀ diag(ρ) Ā, positive definite for any PSD Q since σ > 0; the
-(n + m) quasi-definite KKT system is never formed. ρ is one scalar (equality
-rows run at RHO_EQ_RATIO ρ) that follows the ratio of the scaled residuals.
-The residual contract is checked unscaled: the polish triggers, termination,
-the infeasibility certificates and the contract all read the unscaled
-iterates and the original instance.
+The solver is a dense Mehrotra predictor-corrector interior point, followed
+by an active-set polish that solves the KKT system of the identified active
+rows to push all four KKT residuals to linear-solver accuracy. Polished
+duals are what the differentiable KKT layer consumes. Each Newton step
+factors only the columns that the constraints couple: a column that no
+off-diagonal Q entry, no equality row and no shared inequality row ties to
+another such column (every slack of a DMPC QP) leaves the system through a
+diagonal Schur complement. Infeasibility is read from certificates on the
+Newton directions, so no homogeneous embedding is needed.
 
 The active-set rule (active_set) and the factored active-set KKT system
 (KktFactor, with the variables that active bound rows pin taken out) are
@@ -51,19 +43,10 @@ TOL_CS = 1e-6
 # a row is active when its dual exceeds ACT_TOL or its slack falls below it
 ACT_TOL = 1e-6
 
-# ADMM settings: OSQP's (Stellato et al., arXiv:1711.08013) except RHO_ADAPT
-SIGMA = 1e-6            # proximal weight of the x-update
-ALPHA = 1.6             # over-relaxation
-RHO0 = 0.1              # initial step size
-RHO_EQ_RATIO = 1e3      # equality rows run at this multiple of rho
-RHO_MIN, RHO_MAX = 1e-6, 1e6
-# rho is refactored when its estimate leaves [rho / RHO_ADAPT, rho * RHO_ADAPT].
-# OSQP's 5 left DESK cold solves at estimates of 0.22-0.45 rho for hundreds of
-# iterations; 2.5 halves their iteration count and keeps crowded QPs converging.
-RHO_ADAPT = 2.5
-CHECK_EVERY = 25        # residuals, polish trigger, certificates and rho
-RUIZ_PASSES = 15        # equilibration passes
-SCALE_MIN, SCALE_MAX = 1e-4, 1e4  # equilibration norms outside are left at 1 or clipped
+# interior-point settings
+STEP_FRACTION = 0.99    # of the step that would take s or λ to zero
+POLISH_MU = 1e-3        # the first polish once sᵀλ/m falls below it
+REG = 1e-10             # diagonal regularization of the Newton system
 
 
 @dataclass
@@ -290,63 +273,44 @@ def _try_polish(qp: QpInstance, active, iterations, refine_rounds=25) -> QpSolut
     return None
 
 
-def _limit(norms):
-    """OSQP's guard on equilibration norms: a norm below SCALE_MIN leaves its
-    row or column unscaled, and none counts above SCALE_MAX."""
-    return np.where(norms < SCALE_MIN, 1.0, np.minimum(norms, SCALE_MAX))
+def _eliminable(qp: QpInstance) -> np.ndarray:
+    """Mask of the columns with no off-diagonal Q entry, no R entry and no G
+    row shared with another such column: their block of Q + Gᵀ W G is
+    diagonal for any row weights W. On a DMPC QP these are the slacks."""
+    diag = np.diag(qp.Q)
+    cand = (np.count_nonzero(qp.Q, axis=0) == (diag != 0)) & ~np.any(qp.R, axis=0)
+    shared = np.count_nonzero(qp.G[:, cand], axis=1) > 1
+    cand[cand] = ~np.any(qp.G[np.ix_(shared, cand)], axis=0)
+    return cand
 
 
-def _equilibrate(qp: QpInstance, a: np.ndarray):
-    """Ruiz equilibration with cost scaling (OSQP, Stellato et al. §5.1).
-
-    Returns (d, e, c): with D = diag(d) and E = diag(e), the scaled QP
-    Q̄ = c DQD, q̄ = c Dq, Ā = EAD has the columns of [[Q̄, Āᵀ], [Ā, 0]]
-    near unit infinity norm, and c brings its cost to unit size. The norms
-    are taken over the nonzero entries only; DMPC rows are sparse.
-    """
-    n, m = qp.num_vars, a.shape[0]
-    q_row, q_col = np.nonzero(qp.Q)
-    a_row, a_col = np.nonzero(a)
-    q_val, a_val, cost = np.abs(qp.Q[q_row, q_col]), np.abs(a[a_row, a_col]), np.abs(qp.q)
-
-    def col_norms(d, c):
-        norms = np.zeros(n)
-        np.maximum.at(norms, q_col, c * q_val * d[q_row] * d[q_col])
-        return norms
-
-    d, e, c = np.ones(n), np.ones(m), 1.0
-    for _ in range(RUIZ_PASSES):
-        a_scaled = a_val * e[a_row] * d[a_col]
-        cols, rows = col_norms(d, c), np.zeros(m)
-        np.maximum.at(cols, a_col, a_scaled)
-        np.maximum.at(rows, a_row, a_scaled)
-        d = d / np.sqrt(_limit(cols))
-        e = e / np.sqrt(_limit(rows))
-        c = c / _limit(max(col_norms(d, c).mean(), _limit(np.max(c * d * cost, initial=0.0))))
-    return d, e, c
-
-
-def solve(qp: QpInstance, warm_start=None, active_set_hint=None,
-          max_iter=20000, eps=1e-9) -> QpSolution:
+def solve(qp: QpInstance, active_set_hint=None, max_iter=50) -> QpSolution:
     """Solve the QP to the residual contract (all four KKT residuals <= 1e-6).
 
     Otherwise the status says why: INFEASIBLE on a certificate of primal or
-    dual infeasibility (an unbounded QP), MAX_ITER when the iterations run out.
+    dual infeasibility (an unbounded QP), MAX_ITER when max_iter iterations
+    run out.
 
-    warm_start is a primal starting point. active_set_hint is a boolean mask
-    over inequality rows, tried first as a polish candidate before any
-    splitting iterations: up to 25 refinement rounds, each an LU
-    factorization and solve of the reduced KKT system.
+    active_set_hint is a boolean mask over inequality rows, tried first as a
+    polish candidate: up to 25 refinement rounds, each an LU factorization
+    and solve of the reduced KKT system. A solution from it reports 0
+    iterations.
 
-    The splitting iterates live on the equilibrated QP (see _equilibrate).
-    Each x-update solves (Q̄ + σI + Āᵀ diag(ρ) Ā) x̃ = σx - q̄ + Āᵀ(ρz - y)
-    with the Cholesky factor of that n x n matrix, and sets z̃ = Āx̃. ρ is one
-    scalar, RHO_EQ_RATIO times larger on the equality rows. Every CHECK_EVERY
-    iterations the estimate ρ √(r̄_prim / r̄_dual), from the scaled residuals
-    each relative to its largest term, replaces ρ, with a new factor, when it
-    leaves [ρ / RHO_ADAPT, ρ RHO_ADAPT]. Everything that decides the result,
-    the polish triggers, eps termination, both infeasibility certificates and
-    the contract, reads the unscaled iterates and the original instance.
+    Otherwise a Mehrotra predictor-corrector interior point (Mehrotra 1992;
+    Wright, Primal-Dual Interior-Point Methods, 1997) runs on Gx + s = h,
+    s >= 0, from x = 0, s = max(h, 1), λ = 1, ν = 0. Each iteration first
+    examines its iterate: once the mean complementarity sᵀλ/m is at most
+    POLISH_MU, the rows with λ > s go to the polish, and a failed polish is
+    tried again at a 10x smaller sᵀλ/m. Then it takes one Newton step,
+    factoring the Newton system once for the predictor and the corrector.
+    With W = diag(λ / s) the system reduces to x and ν,
+    [[Q + Gᵀ W G, Rᵀ], [R, 0]]; the columns that _eliminable finds leave it
+    through a diagonal Schur complement (Rao, Wright & Rawlings 1998), so
+    the LU covers only the coupled columns and the equality rows. Each step
+    checks its direction for an infeasibility certificate: dλ >= 0 with
+    Gᵀdλ + Rᵀdν ≈ 0 and hᵀdλ + bᵀdν < 0 (no x satisfies the rows), or dx
+    with Q dx ≈ 0, G dx <= 0, R dx ≈ 0 and qᵀdx < 0 (the objective is
+    unbounded below), each to 1e-8 of the direction's size.
     """
     n, m, p = qp.num_vars, qp.num_ineq, qp.num_eq
 
@@ -355,128 +319,86 @@ def solve(qp: QpInstance, warm_start=None, active_set_hint=None,
         if cand is not None:
             return cand
 
-    # stacked form: l <= Ax <= u, and its equilibrated copy
-    a = np.vstack([qp.G, qp.R])
-    u = np.concatenate([qp.h, qp.b])
-    lo = np.concatenate([np.full(m, -np.inf), qp.b])
-    d, e, c = _equilibrate(qp, a)
-    Q_s = c * d[:, None] * qp.Q * d
-    q_s = c * d * qp.q
-    a_s = e[:, None] * a * d
-    u_s, lo_s = e * u, e * lo
-    gram_ineq = a_s[:m].T @ a_s[:m]
-    gram_eq = a_s[m:].T @ a_s[m:]
+    Q, q, G, h, R, b = qp.Q, qp.q, qp.G, qp.h, qp.R, qp.b
+    elim = _eliminable(qp)
+    kept = ~elim
+    nc = int(kept.sum())
+    g_kept, g_elim, r_kept = G[:, kept], G[:, elim], R[:, kept]
+    g_elim_sq, q_kept, q_elim = g_elim**2, Q[np.ix_(kept, kept)], np.diag(Q)[elim]
+    diag = np.arange(nc + p)
 
-    def factor(rho):
-        rho_vec = np.full(m + p, rho)
-        rho_vec[m:] *= RHO_EQ_RATIO
-        kkt = Q_s + rho * (gram_ineq + RHO_EQ_RATIO * gram_eq)
-        kkt[np.arange(n), np.arange(n)] += SIGMA
-        chol, _ = scipy.linalg.cho_factor(kkt, lower=True, overwrite_a=True)
-        return chol, rho_vec, 1.0 / rho_vec
-
-    def finish(x, y, iterations):
-        lam = np.maximum(y[:m], 0.0)
-        nu = y[m:].copy()
-        sol = QpSolution(x, lam, nu, SolveStatus.OPTIMAL, objective_value(qp, x),
-                         iterations)
-        res = kkt_residuals(qp, sol)
-        if _meets_contract(res):
-            return sol
-        sol.status = SolveStatus.MAX_ITER
-        return sol
-
-    rho = RHO0
-    chol, rho_vec, inv_rho = factor(rho)
-    # LAPACK's back-solve directly: scipy's cho_solve wrapper costs more
-    # than the solve itself at these sizes
-    potrs = scipy.linalg.lapack.dpotrs
-    x = np.zeros(n) if warm_start is None else np.asarray(warm_start, dtype=float) / d
-    z = np.clip(a_s @ x, lo_s, u_s)
-    y = np.zeros(m + p)
-
-    last_polish_res = np.inf
+    x, s, lam, nu = np.zeros(n), np.maximum(h, 1.0), np.ones(m), np.zeros(p)
+    mu_polish = POLISH_MU
     for it in range(1, max_iter + 1):
-        x_prev, y_prev = x, y
-        w = rho_vec * z
-        w -= y
-        rhs = a_s.T @ w
-        rhs += SIGMA * x
-        rhs -= q_s
-        x_tilde = potrs(chol, rhs, lower=True)[0]
-        z_relax = a_s @ x_tilde
-        z_relax *= ALPHA
-        z_relax += (1 - ALPHA) * z
-        x = ALPHA * x_tilde
-        x += (1 - ALPHA) * x_prev
-        z = y * inv_rho
-        z += z_relax
-        np.maximum(z, lo_s, out=z)
-        np.minimum(z, u_s, out=z)
-        y = z_relax - z
-        y *= rho_vec
-        y += y_prev
+        if s @ lam <= mu_polish * m:
+            cand = _try_polish(qp, lam > s, it)
+            if cand is not None:
+                return cand
+            mu_polish /= 10
+        r_d = Q @ x + q + G.T @ lam + R.T @ nu
+        r_i = G @ x + s - h
+        r_e = R @ x - b
+        w = lam / s
+        wg_kept = w[:, None] * g_kept
+        cross = g_elim.T @ wg_kept  # the (elim, kept) block of Gᵀ W G
+        d_inv = 1.0 / (q_elim + w @ g_elim_sq + REG)
+        kkt = np.zeros((nc + p,) * 2, order="F")
+        kkt[:nc, :nc] = q_kept + g_kept.T @ wg_kept - cross.T @ (d_inv[:, None] * cross)
+        kkt[nc:, :nc] = r_kept
+        kkt[:nc, nc:] = r_kept.T
+        kkt[diag[:nc], diag[:nc]] += REG
+        kkt[diag[nc:], diag[nc:]] = -REG
+        lu = scipy.linalg.lu_factor(kkt, overwrite_a=True)
 
-        if it % CHECK_EVERY:
-            continue
-        x_u, z_u, y_u = d * x, z / e, e * y / c
-        ax, qx, aty = a @ x_u, qp.Q @ x_u, a.T @ y_u
-        prim_vec, dual_vec = ax - z_u, qx + qp.q + aty
-        r_prim = np.max(np.abs(prim_vec), initial=0.0)
-        r_dual = np.max(np.abs(dual_vec), initial=0.0)
-        scale = max(1.0, np.max(np.abs(ax), initial=0.0), np.max(np.abs(z_u), initial=0.0),
-                    np.max(np.abs(qx), initial=0.0), np.max(np.abs(qp.q), initial=0.0))
-        if max(r_prim, r_dual) < min(1e-4 * scale, last_polish_res):
-            lam = np.maximum(y_u[:m], 0.0)
-            slack = qp.h - qp.G @ x_u
-            lam_scale = max(1.0, np.max(lam, initial=0.0))
-            for lam_tol in (1e-7, 1e-4):
-                active = (lam > lam_tol * lam_scale) | (slack < 1e-7)
-                cand = _try_polish(qp, active, it)
-                if cand is not None:
-                    return cand
-            last_polish_res = max(r_prim, r_dual) / 4
+        def newton(r_comp):
+            # Λ ds + S dλ = -r_comp and G dx + ds = -r_i give dλ = t + W G dx
+            t = (lam * r_i - r_comp) / s
+            rhs_x = -r_d - G.T @ t
+            y_elim = d_inv * rhs_x[elim]
+            red = scipy.linalg.lu_solve(lu, np.concatenate([rhs_x[kept] - cross.T @ y_elim, -r_e]))
+            dx = np.empty(n)
+            dx[kept] = red[:nc]
+            dx[elim] = y_elim - d_inv * (cross @ red[:nc])
+            g_dx = G @ dx
+            return dx, -r_i - g_dx, t + w * g_dx, red[nc:]
 
-        if r_prim < eps * scale and r_dual < eps * scale:
-            return finish(x_u, y_u, it)
+        comp = s * lam
+        dx, ds, dlam, dnu = newton(comp)
+        alpha = min(1.0, _max_step(s, ds), _max_step(lam, dlam))
+        mu = comp.sum() / max(m, 1)
+        mu_aff = (s + alpha * ds) @ (lam + alpha * dlam) / max(m, 1)
+        sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
+        dx, ds, dlam, dnu = newton(comp + ds * dlam - sigma * mu)
 
-        # infeasibility certificates on the unscaled iterate deltas
-        dy = e * (y - y_prev) / c
-        dy_norm = np.max(np.abs(dy), initial=0.0)
-        if dy_norm > 1e-14:
-            at_dy = a.T @ dy
-            support = float(u @ np.maximum(dy, 0.0)
-                            + np.where(np.isfinite(lo), lo, 0.0) @ np.minimum(dy, 0.0))
-            lo_ok = np.all(dy[:m] >= -1e-12 * dy_norm)  # one-sided rows need dy >= 0
-            if (np.max(np.abs(at_dy), initial=0.0) <= 1e-10 * dy_norm
-                    and support < -1e-10 * dy_norm and lo_ok):
-                return QpSolution(x_u, np.maximum(y_u[:m], 0.0), y_u[m:],
-                                  SolveStatus.INFEASIBLE, np.nan, it)
-        dx = d * (x - x_prev)
-        dx_norm = np.max(np.abs(dx), initial=0.0)
-        if dx_norm > 1e-14:
-            adx = a @ dx
-            ineq_ok = np.all(adx[:m] <= 1e-10 * dx_norm)
-            eq_ok = np.max(np.abs(adx[m:]), initial=0.0) <= 1e-10 * dx_norm
-            if (np.max(np.abs(qp.Q @ dx), initial=0.0) <= 1e-10 * dx_norm
-                    and qp.q @ dx < -1e-10 * dx_norm and ineq_ok and eq_ok):
-                return QpSolution(x_u, np.maximum(y_u[:m], 0.0), y_u[m:],
-                                  SolveStatus.INFEASIBLE, np.nan, it)
+        if _certificate(qp, dx, dlam, dnu):
+            return QpSolution(x, lam, nu, SolveStatus.INFEASIBLE, np.nan, it)
+        alpha = min(1.0, STEP_FRACTION * min(_max_step(s, ds), _max_step(lam, dlam)))
+        x, s, lam, nu = x + alpha * dx, s + alpha * ds, lam + alpha * dlam, nu + alpha * dnu
 
-        # rho from the scaled residuals E(Ax - z) and cD(Qx + q + Aᵀy), each
-        # relative to its largest term (OSQP §5.2)
-        prim = (np.max(np.abs(e * prim_vec), initial=0.0)
-                / max(np.max(np.abs(e * ax), initial=0.0), np.max(np.abs(z), initial=0.0), 1e-10))
-        dual = (np.max(np.abs(d * dual_vec), initial=0.0)
-                / max(np.max(np.abs(d * qx), initial=0.0), np.max(np.abs(d * aty), initial=0.0),
-                      np.max(np.abs(d * qp.q), initial=0.0), 1e-10))
-        if prim > 0 and dual > 0:
-            ratio = np.sqrt(prim / dual)
-            if not 1 / RHO_ADAPT <= ratio <= RHO_ADAPT:
-                rho = float(np.clip(rho * ratio, RHO_MIN, RHO_MAX))
-                chol, rho_vec, inv_rho = factor(rho)
+    return QpSolution(x, lam, nu, SolveStatus.MAX_ITER, objective_value(qp, x), max_iter)
 
-    return finish(d * x, e * y / c, max_iter)
+
+def _max_step(v, dv):
+    """The largest step along dv that keeps v >= 0 (inf if none limits it)."""
+    neg = dv < 0
+    return np.min(-v[neg] / dv[neg], initial=np.inf)
+
+
+def _certificate(qp: QpInstance, dx, dlam, dnu) -> bool:
+    """Whether a Newton direction certifies primal or dual infeasibility."""
+    tol = 1e-8
+    scale = np.max(np.abs(np.concatenate([dlam, dnu])), initial=0.0)
+    if scale > 0 and np.all(dlam >= -tol * scale):
+        stat = qp.G.T @ dlam + qp.R.T @ dnu
+        if (np.max(np.abs(stat), initial=0.0) <= tol * scale
+                and qp.h @ dlam + qp.b @ dnu < -tol * scale):
+            return True
+    scale = np.max(np.abs(dx), initial=0.0)
+    return bool(scale > 0
+                and np.max(np.abs(qp.Q @ dx), initial=0.0) <= tol * scale
+                and np.all(qp.G @ dx <= tol * scale)
+                and np.max(np.abs(qp.R @ dx), initial=0.0) <= tol * scale
+                and qp.q @ dx < -tol * scale)
 
 
 def dump_instance(qp: QpInstance, path):

@@ -283,7 +283,6 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
 
     history_buf = []
     trace = EpisodeTrace(scenario, mode, seed, noise_std, cfg, channel)
-    warm = [None] * n
     hints = [None] * n
     outbox = {}
 
@@ -341,13 +340,12 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
 
             state_i = AgentState(measured_arr[i, :3], measured_arr[i, 3:])
             result = plan(state_i, prev_plans[i], preds, scenario.obstacles,
-                          scenario.p_mig, bundle, warm_start=warm[i], hint_labels=hints[i])
+                          scenario.p_mig, bundle, hint_labels=hints[i])
             if result.fallback:
                 tick_fallbacks.append(i)
             tick_plans[i] = result.trajectory
             tick_costs.append(result.costs)
             hints[i] = result.active_labels
-            warm[i] = result.plan.flatten()
             prev_plans[i] = result.plan
 
         # actuate along the committed plans, then log

@@ -322,8 +322,7 @@ class TestPlan:
         min_sd = np.inf
         best_goal_dist = np.inf
         for _ in range(110):
-            result = plan(state, prev, {}, obstacles, [6.0, 0, 0], bundle,
-                          warm_start=prev.flatten())
+            result = plan(state, prev, {}, obstacles, [6.0, 0, 0], bundle)
             assert result.status == SolveStatus.OPTIMAL
             setpoint = result.trajectory[:3]
             # position controller tracks perfectly for this test
@@ -341,27 +340,41 @@ class TestPlan:
         preds = {1: hold_position_trajectory([1.5, 0.5, 0.0], cfg.horizon)}
         first = plan(state, prev, preds, [], [10.0, 0, 0], bundle)
         second = plan(state, prev, preds, [], [10.0, 0, 0], bundle,
-                      warm_start=first.plan.flatten(), hint_labels=first.active_labels)
+                      hint_labels=first.active_labels)
         assert abs(first.total_cost - second.total_cost) < 1e-6
 
 
-CROWDED_QPS = Path(__file__).parent / "data" / "crowded_qps.bin"
+DATA = Path(__file__).parent / "data"
+CROWDED_QPS = DATA / "crowded_qps.bin"
+TICK0_QPS = DATA / "tick0_qps.bin"
+
+
+def fixture_qp(arrays, key, segment_duration, scenario, bundle):
+    """The QP of one plan() call stored by data/make_crowded_qps.py, rebuilt
+    from its inputs; scenario is the key prefix of its obstacles and p_mig."""
+    obstacles = [Ellipsoid(c, e) for c, e in zip(arrays[f"{scenario}obstacle_centers"],
+                                                 arrays[f"{scenario}obstacle_shapes"])]
+    neighbors = [int(j) for j in arrays[f"{key}.neighbors"]]
+    state = AgentState(arrays[f"{key}.position"], arrays[f"{key}.velocity"])
+    prev = BezierPlan(arrays[f"{key}.prev_control_points"], segment_duration)
+    preds = dict(zip(neighbors, arrays[f"{key}.predictions"]))
+    return build_qp(state, prev, preds, obstacles, arrays[f"{scenario}p_mig"], bundle)[0]
 
 
 def crowded_qps(cfg, bundle):
-    """Rebuild the QPs of the two crowded agent-ticks stored by
-    data/make_crowded_qps.py from their plan() inputs."""
+    """The QPs of the two crowded agent-ticks, which share one scenario."""
     arrays, meta = read_container(CROWDED_QPS, expect_format="swarmcoord-crowded-qps")
-    obstacles = [Ellipsoid(c, e) for c, e in zip(arrays["obstacle_centers"],
-                                                 arrays["obstacle_shapes"])]
     for rec in meta["agent_ticks"]:
         key = f"{rec['tick']}.{rec['agent']}"
-        neighbors = [int(j) for j in arrays[f"{key}.neighbors"]]
-        state = AgentState(arrays[f"{key}.position"], arrays[f"{key}.velocity"])
-        prev = BezierPlan(arrays[f"{key}.prev_control_points"], rec["segment_duration"])
-        preds = dict(zip(neighbors, arrays[f"{key}.predictions"]))
-        qp, _ = build_qp(state, prev, preds, obstacles, arrays["p_mig"], bundle)
-        yield qp
+        yield fixture_qp(arrays, key, rec["segment_duration"], "", bundle)
+
+
+def tick0_qps(bundle):
+    """The QPs of the three tick-0 agent-ticks, each from its own scenario."""
+    arrays, meta = read_container(TICK0_QPS, expect_format="swarmcoord-tick0-qps")
+    for rec in meta["agent_ticks"]:
+        key = f"{rec['scenario_seed']}.{rec['agent']}"
+        yield fixture_qp(arrays, key, rec["segment_duration"], f"{key}.", bundle)
 
 
 class TestCrowdedQps:
@@ -386,6 +399,66 @@ class TestCrowdedQps:
         assert np.count_nonzero(act & bound) > 0
         for start in (act, act & ~bound):
             assert_same_polish(qp, _try_polish(qp, start, 0), reference_polish(qp, start)[0])
+
+    def test_every_fixture_within_step_budget(self, cfg, bundle):
+        # The tick-0 QPs ran out 20000 iterations of the equilibrated ADMM,
+        # and the crowded ones needed 875-1825.
+        qps = [*crowded_qps(cfg, bundle), *tick0_qps(bundle)]
+        assert [qp.num_vars for qp in qps] == [342, 214, 214, 214, 214]
+        for qp in qps:
+            sol = solve(qp)
+            assert sol.status == SolveStatus.OPTIMAL
+            assert all(v <= 1e-6 for v in kkt_residuals(qp, sol).values())
+            assert 1 <= sol.iterations <= 50
+
+
+HOSTILE_POSITION = np.array([1.0, -0.5, 0.3])
+
+
+def hostile_inputs(case, horizon):
+    """(velocity, neighbour predictions, obstacles) of one hostile plan() call
+    at HOSTILE_POSITION; every case but one changes a calm baseline."""
+    velocity, obstacles = [0.2, 0.0, 0.0], two_obstacles()
+    preds = {1: hold_position_trajectory(HOSTILE_POSITION + [1.0, 0.0, 0.0], horizon)}
+    if case == "no neighbours":
+        preds = {}
+    elif case == "1e3 m prediction noise":
+        rng = np.random.default_rng(5)
+        preds = {j: rng.normal(scale=1e3, size=3 * horizon) for j in (1, 2, 3)}
+    elif case == "two neighbours on the agent":
+        preds = {j: hold_position_trajectory(HOSTILE_POSITION, horizon) for j in (1, 2)}
+    elif case == "at an obstacle's centre":
+        obstacles = [Ellipsoid.axis_aligned(HOSTILE_POSITION, [0.5, 0.4, 0.6])]
+    elif case == "5 m/s per axis":
+        velocity = [5.0, 5.0, 5.0]
+    return velocity, preds, obstacles
+
+
+class TestHostileInputs:
+    @pytest.mark.parametrize("case", ["no neighbours", "1e3 m prediction noise",
+                                      "two neighbours on the agent", "at an obstacle's centre",
+                                      "5 m/s per axis"])
+    def test_contract_or_explicit_status(self, cfg, bundle, monkeypatch, case):
+        # Either OPTIMAL within the residual contract or a non-OPTIMAL
+        # status with a fallback, in both cases within the default budget.
+        real_solve, solved = dmpc.solve, []
+
+        def recording(qp, **kwargs):
+            solved.append((qp, real_solve(qp, **kwargs)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(dmpc, "solve", recording)
+        velocity, preds, obstacles = hostile_inputs(case, cfg.horizon)
+        result = plan(AgentState(HOSTILE_POSITION, velocity),
+                      hold_position_plan(HOSTILE_POSITION, cfg), preds, obstacles,
+                      [20.0, 0, 0], bundle)
+        ((qp, sol),) = solved
+        assert sol.iterations <= 50
+        assert result.status == sol.status
+        assert result.fallback == (sol.status != SolveStatus.OPTIMAL)
+        if not result.fallback:
+            assert all(v <= 1e-6 for v in kkt_residuals(qp, sol).values())
+        assert np.all(np.isfinite(result.trajectory))
 
 
 class TestFallbackWarning:

@@ -301,7 +301,11 @@ class TestHookContract:
 
 
 class TestPriorGradients:
-    def test_training_path_matches_finite_difference(self, cfg):
+    @pytest.mark.parametrize("output, checked", [
+        ("mean", ("eg.layer0.W0", "eg.layer1.Wx", "query.lstm.Wx", "decoder.mean.W")),
+        ("sigma", ("decoder.logstd.W", "decoder.logstd.b")),
+    ], ids=["mean", "sigma"])
+    def test_training_path_matches_finite_difference(self, cfg, output, checked):
         rng = np.random.default_rng(105)
         live = init_predictor_params(np.random.default_rng(7), cfg)
         n = 5
@@ -314,18 +318,23 @@ class TestPriorGradients:
         probe = rng.normal(size=(len(targets), cfg.traj_dim))
 
         def loss():
-            mean, _ = prior_forward(live, cfg, targets, history, adjacency,
-                                    obstacles, prev)
-            return (mean * Tensor(probe)).sum()
+            mean, sigma = prior_forward(live, cfg, targets, history, adjacency,
+                                        obstacles, prev)
+            return ({"mean": mean, "sigma": sigma}[output] * Tensor(probe)).sum()
 
         zero_grads(live)
         loss().backward()
         flat = flatten_params(live)
+        if output == "sigma":
+            # sigma's trunk input is detached: no trunk parameter gets a gradient
+            for name in ("eg.layer0.W0", "query.lstm.Wx", "decoder.lstm.Wx", "decoder.mean.W"):
+                grad = flat[name].grad
+                assert grad is None or not np.any(grad), name
         eps = 1e-6
-        for name in ("eg.layer0.W0", "eg.layer1.Wx", "query.lstm.Wx", "decoder.mean.W"):
+        for name in checked:
             param = flat[name]
             assert param.grad is not None and param.grad.shape == param.data.shape
-            if name.startswith("eg."):
+            if name.startswith("eg.") or output == "sigma":
                 assert np.any(param.grad != 0.0)
             for idx in [tuple(rng.integers(0, s) for s in param.data.shape)
                         for _ in range(3)]:

@@ -404,9 +404,10 @@ class TestTickShift:
 
 class TestColdStart:
     def test_tick_zero_admm_iterations(self, desk_scenario, monkeypatch):
-        # Tick 0 has no hint and no warm start, so every QP runs the ADMM
-        # from zero. Iteration counts are deterministic: this guards the
-        # convergence speed of the scaled ADMM without timing anything.
+        # Tick 0 has no hint, so every QP runs the interior point from its
+        # fixed start, and its iterations are Newton steps. Step counts are
+        # deterministic: this guards the convergence speed of the cold path
+        # without timing anything.
         real_solve, sols = dmpc.solve, []
 
         def recording(qp, **kwargs):
