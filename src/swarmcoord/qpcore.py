@@ -5,12 +5,15 @@ Problem form:  min 1/2 x'Qx + q'x  s.t.  Gx <= h,  Rx = b.
 The solver is a dense Mehrotra predictor-corrector interior point, followed
 by an active-set polish that solves the KKT system of the identified active
 rows to push all four KKT residuals to linear-solver accuracy. Polished
-duals are what the differentiable KKT layer consumes. Each Newton step
-factors only the columns that the constraints couple: a column that no
-off-diagonal Q entry, no equality row and no shared inequality row ties to
-another such column (every slack of a DMPC QP) leaves the system through a
-diagonal Schur complement. Infeasibility is read from certificates on the
-Newton directions, so no homogeneous embedding is needed.
+duals are what the differentiable KKT layer consumes. The interior point
+starts its multipliers at max(1, ‖q‖∞), the scale of the slack penalties in
+q (l_saf = 1e4 on a DMPC QP), so its first steps need not climb there.
+Each Newton step factors only the columns that the constraints couple: a
+column that no off-diagonal Q entry, no equality row and no shared
+inequality row ties to another such column (every slack of a DMPC QP)
+leaves the system through a diagonal Schur complement. Infeasibility is
+read from certificates on the Newton directions, so no homogeneous
+embedding is needed.
 
 The active-set rule (active_set) and the factored active-set KKT system
 (KktFactor, with the variables that active bound rows pin taken out) are
@@ -33,6 +36,7 @@ class SolveStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     MAX_ITER = "max-iter"
+    SINGULAR = "singular"
 
 
 # residual contract, shared with callers
@@ -46,6 +50,7 @@ ACT_TOL = 1e-6
 # interior-point settings
 STEP_FRACTION = 0.99    # of the step that would take s or λ to zero
 POLISH_MU = 1e-3        # the first polish once sᵀλ/m falls below it
+POLISH_ROUNDS = 5       # refinement rounds of a polish the interior point starts
 REG = 1e-10             # diagonal regularization of the Newton system
 
 
@@ -289,7 +294,9 @@ def solve(qp: QpInstance, active_set_hint=None, max_iter=50) -> QpSolution:
 
     Otherwise the status says why: INFEASIBLE on a certificate of primal or
     dual infeasibility (an unbounded QP), MAX_ITER when max_iter iterations
-    run out.
+    run out, SINGULAR when a Newton system is singular in floating point or
+    not finite (multipliers of 1e7 against slacks of 1e-25 can leave Q below
+    the rounding of Gᵀ W G), rather than raise.
 
     active_set_hint is a boolean mask over inequality rows, tried first as a
     polish candidate: up to 25 refinement rounds, each an LU factorization
@@ -298,10 +305,17 @@ def solve(qp: QpInstance, active_set_hint=None, max_iter=50) -> QpSolution:
 
     Otherwise a Mehrotra predictor-corrector interior point (Mehrotra 1992;
     Wright, Primal-Dual Interior-Point Methods, 1997) runs on Gx + s = h,
-    s >= 0, from x = 0, s = max(h, 1), λ = 1, ν = 0. Each iteration first
-    examines its iterate: once the mean complementarity sᵀλ/m is at most
-    POLISH_MU, the rows with λ > s go to the polish, and a failed polish is
-    tried again at a 10x smaller sᵀλ/m. Then it takes one Newton step,
+    s >= 0, from x = 0, s = max(h, 1), ν = 0 and λ = max(1, ‖q‖∞) on every
+    row. That λ is the multiplier scale of linear slack penalties: a slack
+    ζ >= 0 with cost l ζ that softens a row makes l = λ_row + λ_bound at
+    the optimum, so the largest penalty in q bounds those multipliers, and
+    on DESK (l_saf = 1e4) the steps run 0.75-0.99 long from the first one
+    instead of 0.00-0.17 from λ = 1 (Gertz & Wright, OOQP, 2003, scale their
+    start by the data the same way). Each iteration first examines its
+    iterate: once the mean complementarity sᵀλ/m is at most POLISH_MU, the
+    rows with λ > s go to a polish of at most POLISH_ROUNDS rounds, and a
+    failed polish is tried again at a 10x smaller sᵀλ/m, where λ > s marks
+    the optimal rows more closely. Then it takes one Newton step,
     factoring the Newton system once for the predictor and the corrector.
     With W = diag(λ / s) the system reduces to x and ν,
     [[Q + Gᵀ W G, Rᵀ], [R, 0]]; the columns that _eliminable finds leave it
@@ -327,11 +341,12 @@ def solve(qp: QpInstance, active_set_hint=None, max_iter=50) -> QpSolution:
     g_elim_sq, q_kept, q_elim = g_elim**2, Q[np.ix_(kept, kept)], np.diag(Q)[elim]
     diag = np.arange(nc + p)
 
-    x, s, lam, nu = np.zeros(n), np.maximum(h, 1.0), np.ones(m), np.zeros(p)
+    x, s, nu = np.zeros(n), np.maximum(h, 1.0), np.zeros(p)
+    lam = np.full(m, max(1.0, np.max(np.abs(q), initial=0.0)))
     mu_polish = POLISH_MU
     for it in range(1, max_iter + 1):
         if s @ lam <= mu_polish * m:
-            cand = _try_polish(qp, lam > s, it)
+            cand = _try_polish(qp, lam > s, it, POLISH_ROUNDS)
             if cand is not None:
                 return cand
             mu_polish /= 10
@@ -348,14 +363,17 @@ def solve(qp: QpInstance, active_set_hint=None, max_iter=50) -> QpSolution:
         kkt[:nc, nc:] = r_kept.T
         kkt[diag[:nc], diag[:nc]] += REG
         kkt[diag[nc:], diag[nc:]] = -REG
-        lu = scipy.linalg.lu_factor(kkt, overwrite_a=True)
+        lu = scipy.linalg.lu_factor(kkt, overwrite_a=True, check_finite=False)
+        if not (np.all(np.isfinite(lu[0])) and np.all(np.diag(lu[0]))):
+            return QpSolution(x, lam, nu, SolveStatus.SINGULAR, objective_value(qp, x), it)
 
         def newton(r_comp):
             # Λ ds + S dλ = -r_comp and G dx + ds = -r_i give dλ = t + W G dx
             t = (lam * r_i - r_comp) / s
             rhs_x = -r_d - G.T @ t
             y_elim = d_inv * rhs_x[elim]
-            red = scipy.linalg.lu_solve(lu, np.concatenate([rhs_x[kept] - cross.T @ y_elim, -r_e]))
+            red = scipy.linalg.lu_solve(lu, np.concatenate([rhs_x[kept] - cross.T @ y_elim, -r_e]),
+                                        check_finite=False)
             dx = np.empty(n)
             dx[kept] = red[:nc]
             dx[elim] = y_elim - d_inv * (cross @ red[:nc])

@@ -411,6 +411,14 @@ class TestCrowdedQps:
             assert all(v <= 1e-6 for v in kkt_residuals(qp, sol).values())
             assert 1 <= sol.iterations <= 50
 
+    def test_tick0_fixtures_within_twelve_steps(self, bundle):
+        # The multipliers start at the scale of the slack penalties, so the
+        # steps run near full length from the first.
+        for qp in tick0_qps(bundle):
+            sol = solve(qp)
+            assert sol.status == SolveStatus.OPTIMAL
+            assert sol.iterations <= 12
+
 
 HOSTILE_POSITION = np.array([1.0, -0.5, 0.3])
 
@@ -464,7 +472,7 @@ class TestHostileInputs:
 class TestFallbackWarning:
     def test_names_iterations_and_largest_residual(self, cfg, bundle, monkeypatch, caplog):
         real_solve = dmpc.solve
-        monkeypatch.setattr(dmpc, "solve", lambda qp, **kw: real_solve(qp, max_iter=5, **kw))
+        monkeypatch.setattr(dmpc, "solve", lambda qp, **kw: real_solve(qp, max_iter=1, **kw))
         state = AgentState([0, 0, 0], [0.2, 0, 0])
         prev = hold_position_plan(state.position, cfg)
         with caplog.at_level(logging.WARNING, logger="swarmcoord.dmpc"):
@@ -472,13 +480,13 @@ class TestFallbackWarning:
         assert result.fallback and result.status == SolveStatus.MAX_ITER
         (record,) = caplog.records
         message = record.getMessage()
-        assert "max-iter after 5 iterations" in message
+        assert "max-iter after 1 iterations" in message
         assert any(f"largest KKT residual {name}" in message
                    for name in ("stationarity", "primal_eq", "primal_ineq", "complementarity"))
 
     def test_fits_the_time_shifted_previous_plan(self, cfg, bundle, monkeypatch):
         real_solve, real_build, metas = dmpc.solve, dmpc.build_qp, []
-        monkeypatch.setattr(dmpc, "solve", lambda qp, **kw: real_solve(qp, max_iter=5, **kw))
+        monkeypatch.setattr(dmpc, "solve", lambda qp, **kw: real_solve(qp, max_iter=1, **kw))
 
         def recording(*args):
             qp, meta = real_build(*args)

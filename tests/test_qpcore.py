@@ -255,6 +255,20 @@ def test_badly_scaled_data(row_scale, cost_scale):
         assert np.max(np.abs(sol.x - base.x)) <= 1e-6
 
 
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_badly_scaled_qps_end_in_a_status():
+    # Multipliers of about 1e7 against slacks that reach 1e-25 make the
+    # Newton system exactly singular in floating point on some of these
+    # QPs: the solve must end with a status, not an exception.
+    for seed in range(100):
+        qp = random_feasible_qp(np.random.default_rng(seed))
+        scaled = QpInstance(1e4 * qp.Q, 1e4 * qp.q, 1e-3 * qp.G, 1e-3 * qp.h, qp.R, qp.b)
+        sol = solve(scaled)
+        assert sol.iterations <= 50
+        if sol.status == SolveStatus.OPTIMAL:
+            assert all(v <= 1e-6 for v in kkt_residuals(scaled, sol).values()), seed
+
+
 @pytest.mark.parametrize("diag, q, rows, rhs", [
     ((1.0,), (0.0,), [[1.0], [-1.0]], [0.0, -1.0]),                # infeasible
     ((0.0, 0.0), (1.0, 0.0), [[1.0, 0.0]], [1.0]),                 # unbounded below in x0

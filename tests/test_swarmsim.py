@@ -402,25 +402,39 @@ class TestTickShift:
         assert min(ages) == 0 and max(ages) >= 1
 
 
+def tick_zero_solves(scenario, monkeypatch):
+    """The solutions of the cold QPs of a one-tick oracle episode."""
+    real_solve, sols = dmpc.solve, []
+
+    def recording(qp, **kwargs):
+        assert kwargs.get("active_set_hint") is None
+        sols.append(real_solve(qp, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(dmpc, "solve", recording)
+    run_episode(scenario, mode="oracle", ticks=1, seed=0)
+    assert len(sols) == scenario.n
+    return sols
+
+
 class TestColdStart:
     def test_tick_zero_admm_iterations(self, desk_scenario, monkeypatch):
         # Tick 0 has no hint, so every QP runs the interior point from its
         # fixed start, and its iterations are Newton steps. Step counts are
         # deterministic: this guards the convergence speed of the cold path
         # without timing anything.
-        real_solve, sols = dmpc.solve, []
-
-        def recording(qp, **kwargs):
-            assert kwargs.get("active_set_hint") is None
-            sols.append(real_solve(qp, **kwargs))
-            return sols[-1]
-
-        monkeypatch.setattr(dmpc, "solve", recording)
-        run_episode(desk_scenario, mode="oracle", ticks=1, seed=0)
-        assert len(sols) == desk_scenario.n == 4
+        sols = tick_zero_solves(desk_scenario, monkeypatch)
+        assert len(sols) == 4
         for sol in sols:
             assert sol.status == SolveStatus.OPTIMAL
             assert 0 < sol.iterations <= 200
+
+    def test_tick_zero_within_twelve_steps(self, desk_scenario, monkeypatch):
+        # The multipliers start at the scale of the slack penalties
+        # (l_saf = 1e4), so the steps run near full length from the first.
+        for sol in tick_zero_solves(desk_scenario, monkeypatch):
+            assert sol.status == SolveStatus.OPTIMAL
+            assert sol.iterations <= 12
 
 
 class TestHintPolish:
