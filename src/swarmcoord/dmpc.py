@@ -174,7 +174,6 @@ class PlanResult:
     slack_obstacle: np.ndarray
     slack_safety: np.ndarray
     slack_cohesion: np.ndarray
-    duals: np.ndarray
     costs: dict
     status: SolveStatus
     fallback: bool = False
@@ -412,14 +411,13 @@ def build_qp(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dic
 
 
 def cost_decomposition(trajectory, slack_obstacle, slack_safety, slack_cohesion,
-                       p_mig, bundle: BasisBundle, w_vec=None):
-    """Evaluate the five objective terms from a trajectory and slack values."""
+                       p_mig, bundle: BasisBundle, w_vec):
+    """Evaluate the five objective terms of a plan: its control points w_vec,
+    its sampled trajectory F w_vec and its slack values."""
     wts = bundle.cfg.weights
     pts = np.asarray(trajectory, float).reshape(bundle.cfg.horizon, 3)
     p_mig = np.asarray(p_mig, float).reshape(3)
     migration = wts.q_mig * float(np.sum((pts - p_mig) ** 2))
-    if w_vec is None:
-        w_vec = bundle.fit_plan(trajectory).flatten()
     acc = bundle.a2 @ np.asarray(w_vec, float)
     effort = wts.q_eft * float(acc @ acc)
     # slacks are nonnegative; the solver returns them to within its tolerance
@@ -459,7 +457,7 @@ def plan(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dict,
         traj = bundle.basis.matrix @ fb_plan.flatten()
         costs = cost_decomposition(traj, [], [], [], p_mig, bundle, w_vec=fb_plan.flatten())
         return PlanResult(fb_plan, traj, np.zeros(0), np.zeros(0), np.zeros(0),
-                          np.zeros(qp.num_ineq), costs, sol.status, fallback=True)
+                          costs, sol.status, fallback=True)
 
     w_vec = sol.x[qp.layout["w"]]
     traj = bundle.basis.matrix @ w_vec
@@ -469,8 +467,8 @@ def plan(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dict,
     costs = cost_decomposition(traj, zeta, eps, delta, p_mig, bundle, w_vec=w_vec)
     bez = BezierPlan.from_flat(w_vec, bundle.cfg.segments, bundle.cfg.degree, bundle.seg_dur)
     active_labels = frozenset(lab for lab, a in zip(meta["labels"], active_set(qp, sol)) if a)
-    return PlanResult(bez, traj, zeta, eps, delta, sol.ineq_duals, costs,
-                      sol.status, active_labels=active_labels)
+    return PlanResult(bez, traj, zeta, eps, delta, costs, sol.status,
+                      active_labels=active_labels)
 
 
 def prediction_row_gradients(meta, d_g, d_h, bundle: BasisBundle):

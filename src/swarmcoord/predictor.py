@@ -2,15 +2,17 @@
 
 All network inputs are expressed relative to the target's current position
 (the anchor), which keeps feature magnitudes O(1) across the workspace. The
-prior mean is the time-shifted previous prediction plus a learned correction
-when cfg.residual is set.
+prior mean is the previous prediction, shifted onto this tick's horizon, plus
+a learned correction.
 
-The prior is batched: one call predicts a list of targets, one output row
-each. As in EvolveGCN-O, the GCN weights evolve without looking at the input,
-so the history window enters only through its last row; its length fixes how
-far the weights have evolved. prior_forward with weights=None evolves them on
-the autodiff tape (the training path); TrajectoryPredictor evolves them once,
-without a tape, and passes them in.
+The prior reads the current tick only: the agents' current (n, 3) positions
+and the current (n, n) communication graph. It is EvolveGCN-O with a
+last-step readout (Pareja et al., AAAI 2020): the GCN weights evolve without
+looking at the input, cfg.history - 1 steps, and the GCN runs once on the
+current graph with the evolved weights. The prior is batched: one call
+predicts a list of targets, one output row each. prior_forward with
+weights=None evolves the weights on the autodiff tape (the training path);
+TrajectoryPredictor evolves them once, without a tape, and passes them in.
 
 Work that does not change inside a loop runs once per call. The query
 LSTM's inputs are projected for every step before its recurrence, the
@@ -54,13 +56,12 @@ class PredictorError(ValueError):
 @dataclass
 class PredictorConfig:
     horizon: int = 16
-    history: int = 20
+    history: int = 20  # the EG weights evolve history - 1 steps
     hidden: int = 128
     feature: int = 16
     latent: int = 24
     eg_layers: int = 2
     sigma_floor: float = 1e-3
-    residual: bool = True
     max_obstacles: int = 2
 
     @property
@@ -131,9 +132,8 @@ def init_predictor_params(rng, cfg: PredictorConfig):
 
 
 def shift_trajectory(trajectory, horizon) -> np.ndarray:
-    """Advance a sampled trajectory one step, holding the terminal point: the
-    prior's residual base, the previous prediction on this tick's horizon,
-    and a held VAE message on each tick it is held."""
+    """Advance a sampled trajectory one step, holding the terminal point: a
+    prediction ages by one shift per tick, onto the next tick's horizon."""
     pts = np.asarray(trajectory, dtype=float).reshape(horizon, 3)
     return np.vstack([pts[1:], pts[-1:]]).reshape(-1)
 
@@ -142,7 +142,7 @@ def evolved_weights(params, cfg: PredictorConfig):
     """GCN weight of each EG layer after cfg.history - 1 evolution steps.
 
     The evolution reads only the parameters, never the input (EvolveGCN-O), so
-    these are the weights the GCN applies at the last history step.
+    these are the weights the GCN applies to the current tick.
     """
     weights = []
     for i in range(cfg.eg_layers):
@@ -154,32 +154,27 @@ def evolved_weights(params, cfg: PredictorConfig):
     return weights
 
 
-def prior_forward(params, cfg: PredictorConfig, targets, history, adjacency,
+def prior_forward(params, cfg: PredictorConfig, targets, positions, adjacency,
                   obstacle_centers, prev_predictions, weights=None):
     """Forward pass of the EG prior, one output row per entry of targets.
 
-    history: (cfg.history, n, 3) positions, oldest first, last row = current
-    tick. adjacency: (n, n) or (H, n, n). prev_predictions: (len(targets), 3P)
-    rows in target order. History and adjacency enter only through their last
-    row, as in EvolveGCN-O: the GCN runs once per target anchor on
-    history[-1] with the weights evolved cfg.history - 1 steps. weights=None
-    evolves them here, on the tape (the training path); otherwise `weights`
-    is the evolved_weights list to apply.
+    positions: (n, 3) current positions. adjacency: (n, n) current
+    communication graph. prev_predictions: (len(targets), 3P) rows in target
+    order, each on the previous tick's horizon; the prior shifts it once and
+    adds the learned correction. The GCN runs once per target anchor on the
+    current positions and graph, with the weights evolved cfg.history - 1
+    steps (EvolveGCN-O). weights=None evolves them here, on the tape (the
+    training path); otherwise `weights` is the evolved_weights list to apply.
 
     Returns (mean, sigma) Tensors of shape (len(targets), 3P); mean carries
     gradients, sigma's trunk input is detached so the deviation head trains
     independently of the mean pathway.
     """
     targets = list(targets)
-    history = np.asarray(history, dtype=float)
-    if history.shape[0] != cfg.history:
-        raise PredictorError(
-            f"history has {history.shape[0]} steps, the config expects {cfg.history}")
+    positions = np.asarray(positions, dtype=float)
     hor = cfg.horizon
     rows = len(targets)
-    adjacency = np.asarray(adjacency, dtype=float)
-    adj_now = adjacency if adjacency.ndim == 2 else adjacency[-1]
-    anchors = history[-1, targets]
+    anchors = positions[targets]
     anchor_traj = np.tile(anchors, hor)
 
     prev_rel = np.asarray(prev_predictions, dtype=float).reshape(rows, -1) - anchor_traj
@@ -196,10 +191,10 @@ def prior_forward(params, cfg: PredictorConfig, targets, history, adjacency,
 
     if weights is None:
         weights = evolved_weights(params, cfg)
-    a_hat = normalize_adjacency(adj_now)
+    a_hat = normalize_adjacency(np.asarray(adjacency, dtype=float))
     node_rows = []
     for target, anchor in zip(targets, anchors):
-        feats = Tensor(history[-1] - anchor)
+        feats = Tensor(positions - anchor)
         for w in weights[:-1]:
             feats = gcn_layer(a_hat, feats, w)
         # only the target's row of the last layer is read
@@ -227,10 +222,8 @@ def prior_forward(params, cfg: PredictorConfig, targets, history, adjacency,
     mean_rel = fc(h_steps, decoder["mean"]).transpose(1, 0, 2).reshape(rows, 3 * hor)
     logstd = fc(h_steps.detach(), decoder["logstd"]).transpose(1, 0, 2).reshape(rows, 3 * hor)
 
-    if cfg.residual:
-        shifted = np.array([shift_trajectory(r, hor) for r in prev_rel])
-        mean_rel = mean_rel + Tensor(shifted)
-    mean = mean_rel + Tensor(anchor_traj)
+    shifted = np.array([shift_trajectory(r, hor) for r in prev_rel])
+    mean = mean_rel + Tensor(shifted) + Tensor(anchor_traj)
     sigma = logstd.exp() + cfg.sigma_floor
     return mean, sigma
 
@@ -277,12 +270,15 @@ def _no_grad_views(tree):
 
 
 class TrajectoryPredictor:
-    """Per-ego predictor state: parameters, codec calibration, prior feedback.
+    """Per-ego predictor state: parameters, codec calibration, and the belief
+    about each neighbour's plan, which predict (eg, eg+vae) and hold (vae)
+    read and write.
 
-    The predictor runs on views of the parameter arrays that record no tape.
-    The EG weights are evolved from the `eg` parameters at the first
-    prediction and kept, so build a new predictor after changing the
-    parameters.
+    beliefs maps a target to (its last prediction, the tick it was made); a
+    belief is read aged one shift_trajectory per tick since then. The
+    predictor runs on views of the parameter arrays that record no tape. The
+    EG weights are evolved from the `eg` parameters at the first prediction
+    and kept, so build a new predictor after changing the parameters.
     """
 
     def __init__(self, params, cfg: PredictorConfig, calibration=None,
@@ -292,33 +288,34 @@ class TrajectoryPredictor:
         self.calibration = calibration
         self.norm = norm if norm is not None else (np.zeros(cfg.traj_dim),
                                                    np.ones(cfg.traj_dim))
-        self.prev_predictions = {}
+        self.beliefs = {}
         self._weights = None
 
-    def predict_prior(self, targets, history, adjacency, obstacle_centers,
+    def _aged(self, target, tick):
+        """target's belief on tick's horizon."""
+        traj, made = self.beliefs[target]
+        for _ in range(tick - made):
+            traj = shift_trajectory(traj, self.cfg.horizon)
+        return traj
+
+    def predict_prior(self, targets, positions, adjacency, obstacle_centers,
                       prev_predictions=None) -> list[GaussianTrajectoryEstimate]:
         """One prior estimate per target, in the order given.
 
         prev_predictions maps a target to the prediction its prior is shifted
-        from; targets without one use the predictor's own feedback, or hold
-        their current position.
+        from, on the previous tick's horizon; a target without one holds its
+        current position.
         """
         targets = list(targets)
         if not targets:
             return []
-        history = np.asarray(history, dtype=float)
+        positions = np.asarray(positions, dtype=float)
         given = prev_predictions or {}
-        prev = []
-        for target in targets:
-            prev_target = given.get(target)
-            if prev_target is None:
-                prev_target = self.prev_predictions.get(target)
-            if prev_target is None:
-                prev_target = np.tile(history[-1, target], self.cfg.horizon)
-            prev.append(np.asarray(prev_target, dtype=float).reshape(-1))
+        prev = [np.asarray(given[t], dtype=float).reshape(-1) if t in given
+                else np.tile(positions[t], self.cfg.horizon) for t in targets]
         if self._weights is None:
             self._weights = evolved_weights(self.params, self.cfg)
-        mean, sigma = prior_forward(self.params, self.cfg, targets, history,
+        mean, sigma = prior_forward(self.params, self.cfg, targets, positions,
                                     adjacency, obstacle_centers, np.array(prev),
                                     weights=self._weights)
         return [GaussianTrajectoryEstimate(m, s) for m, s in zip(mean.data, sigma.data)]
@@ -344,12 +341,15 @@ class TrajectoryPredictor:
         out = codec_decode_forward(msg.latent.reshape(1, -1), self.params)
         return codec_denormalize(out.data, self.norm)
 
-    def predict(self, targets, messages, history, adjacency, obstacle_centers,
+    def predict(self, targets, messages, positions, adjacency, obstacle_centers,
                 tick) -> dict:
-        """Full pipeline: {target: trajectory}, the prior of each target fused
-        with its sender's decoded message when messages holds a fresh one."""
+        """Full pipeline: {target: trajectory}. Each target's prior is shifted
+        from its belief, aged onto the previous tick's horizon, and fused with
+        its sender's decoded message when messages holds a fresh one. The
+        result becomes the target's belief."""
         targets = list(targets)
-        priors = self.predict_prior(targets, history, adjacency, obstacle_centers)
+        bases = {t: self._aged(t, tick - 1) for t in targets if t in self.beliefs}
+        priors = self.predict_prior(targets, positions, adjacency, obstacle_centers, bases)
         out = {}
         for target, prior in zip(targets, priors):
             msg = messages.get(target)
@@ -357,6 +357,25 @@ class TrajectoryPredictor:
                 result, _ = fuse(prior, self.decode(msg), self.calibration)
             else:
                 result = prior.mean
-            self.prev_predictions[target] = result
+            self.beliefs[target] = (result, tick)
             out[target] = result
+        return out
+
+    def hold(self, targets, messages, positions, tick) -> dict:
+        """VAE mode, without a prior: {target: trajectory}.
+
+        A fresh message (its tick is this tick) is decoded and replaces the
+        target's belief. On a tick without one (off the communication period,
+        or the packet lost) the last decoded message is held, shifted one
+        sample per tick since it arrived, so it stays on this tick's horizon.
+        Before a target's first message its current position is held, and
+        not stored.
+        """
+        out = {}
+        for target in targets:
+            msg = messages.get(target)
+            if msg is not None and msg.tick == tick:
+                self.beliefs[target] = (self.decode(msg), tick)
+            out[target] = (self._aged(target, tick) if target in self.beliefs
+                           else np.tile(positions[target], self.cfg.horizon))
         return out

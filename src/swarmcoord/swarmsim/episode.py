@@ -18,9 +18,8 @@ agent plans: the agent loop overwrites the previous plans one by one. Oracle
 mode shares the snapshot with every neighbor, the perfect-communication
 baseline; a VAE message carries the same trajectory, so a fresh message
 describes the sender's plan on the receiver's horizon, as the oracle does.
-On a tick without a fresh message (off the communication period, or the
-packet lost), VAE mode plans against the last decoded message, shifted one
-sample per tick since it arrived (predictor.shift_trajectory).
+In the learned modes each agent's TrajectoryPredictor keeps and ages its
+belief about every neighbor's plan (TrajectoryPredictor.predict and hold).
 """
 
 import itertools
@@ -38,7 +37,6 @@ from ..geometry import (
     point_surface_distance,
     scaled_distance,
 )
-from ..predictor import shift_trajectory
 from .scenario import Scenario
 
 
@@ -250,8 +248,9 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
                 dynamics: DynamicsModel | None = None) -> EpisodeTrace:
     """Run one closed-loop episode; deterministic in (scenario, seed, configs).
 
-    predictor_factory() must build a fresh TrajectoryPredictor per ego for the
-    learned modes; the oracle and constant-velocity modes need none.
+    predictor_factory() must build a fresh TrajectoryPredictor per agent for
+    the learned modes: it predicts the agent's neighbors and encodes the
+    agent's messages. The oracle and constant-velocity modes need none.
     """
     mode = RunMode.parse(mode) if isinstance(mode, str) else mode
     cfg = controller or ControllerConfig()
@@ -262,6 +261,8 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
     if bundle.cfg != cfg:
         raise ValueError("the basis bundle was built from a different ControllerConfig")
     dynamics = dynamics or make_default_dynamics(cfg.dt)
+    if dynamics.dt != cfg.dt:
+        raise ValueError("dynamics and controller disagree on the tick length")
     if mode.needs_checkpoint and predictor_factory is None:
         raise ValueError(f"mode {mode.value} needs a predictor_factory")
 
@@ -274,14 +275,10 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
     prev_plans = [hold_position_plan(a.position, cfg) for a in scenario.agents]
     obstacle_centers = np.array([o.center for o in scenario.obstacles])
 
-    predictors = None
-    codec = None
-    if mode.needs_checkpoint:
-        predictors = [predictor_factory() for _ in range(n)]
-        codec = predictor_factory()  # shared parameters; used by senders
-    last_vae = {}
+    predictors = [predictor_factory() for _ in range(n)] if mode.needs_checkpoint else []
+    if any(p.cfg.horizon != cfg.horizon for p in predictors):
+        raise ValueError("predictor and controller disagree on the horizon")
 
-    history_buf = []
     trace = EpisodeTrace(scenario, mode, seed, noise_std, cfg, channel)
     hints = [None] * n
     outbox = {}
@@ -291,26 +288,12 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
         noise = rng_noise.normal(0.0, noise_std, size=(n, 3)) if noise_std > 0 else np.zeros((n, 3))
         measured_arr = true_arr.copy()
         measured_arr[:, :3] += noise
+        positions = measured_arr[:, :3]
         shifted_plans = [bundle.shifted @ p.flatten() for p in prev_plans]
-        # a held message ages one tick per tick: keep it on this tick's horizon
-        last_vae = {key: shift_trajectory(traj, cfg.horizon)
-                    for key, traj in last_vae.items()}
 
-        history_buf.append(measured_arr[:, :3].copy())
-        h_needed = getattr(predictors[0].cfg, "history", 1) if predictors else 1
-        window = history_buf[-h_needed:]
-        if len(window) < h_needed:
-            window = [window[0]] * (h_needed - len(window)) + window
-        history = np.stack(window)
+        adjacency = comm_graph(positions, channel.comm_range, channel.max_neighbors)
 
-        adjacency = comm_graph(measured_arr[:, :3], channel.comm_range,
-                               channel.max_neighbors)
-
-        inboxes = {i: {} for i in range(n)}
-        delivered = []
-        if mode.uses_messages and outbox:
-            inboxes, delivered = channel_deliver(outbox, tick, adjacency,
-                                                 channel, rng_channel)
+        inboxes, delivered = channel_deliver(outbox, tick, adjacency, channel, rng_channel)
 
         tick_plans = np.zeros((n, 3 * cfg.horizon))
         tick_costs = []
@@ -321,22 +304,16 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
         for i in range(n):
             if mode in (RunMode.EG, RunMode.EG_VAE):
                 # one batched prior per ego, inside the ego's own tick
-                preds = predictors[i].predict(neighbor_sets[i], inboxes[i], history,
+                preds = predictors[i].predict(neighbor_sets[i], inboxes[i], positions,
                                               adjacency, obstacle_centers, tick)
+            elif mode is RunMode.VAE:
+                preds = predictors[i].hold(neighbor_sets[i], inboxes[i], positions, tick)
+            elif mode is RunMode.ORACLE:
+                preds = {j: shifted_plans[j] for j in neighbor_sets[i]}
             else:
-                preds = {}
-            for j in neighbor_sets[i]:
-                if mode is RunMode.ORACLE:
-                    preds[j] = shifted_plans[j]
-                elif mode is RunMode.CONSTANT_VELOCITY:
-                    preds[j] = _cv_prediction(measured_arr[j], cfg.horizon, cfg.dt)
-                elif mode is RunMode.VAE:
-                    msg = inboxes[i].get(j)
-                    if msg is not None and msg.tick == tick:
-                        last_vae[(i, j)] = predictors[i].decode(msg)
-                    preds[j] = last_vae.get(
-                        (i, j), np.tile(measured_arr[j, :3], cfg.horizon))
-                tick_preds[(i, j)] = preds[j]
+                preds = {j: _cv_prediction(measured_arr[j], cfg.horizon, cfg.dt)
+                         for j in neighbor_sets[i]}
+            tick_preds.update(((i, j), pred) for j, pred in preds.items())
 
             state_i = AgentState(measured_arr[i, :3], measured_arr[i, 3:])
             result = plan(state_i, prev_plans[i], preds, scenario.obstacles,
@@ -361,14 +338,11 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
         trace.fallback_flags.append(tick_fallbacks)
 
         outbox = {}
-        sent = []
-        next_tick = tick + 1
-        if mode.uses_messages and next_tick % channel.period_ticks == 0:
-            for j in range(n):
-                outbox[j] = codec.encode(bundle.shifted @ prev_plans[j].flatten(),
-                                         tick=next_tick, sender=j, mode="sample",
-                                         rng=rng_codec)
-                sent.append(j)
-        trace.messages_sent.append(sent)
+        if mode.uses_messages and (tick + 1) % channel.period_ticks == 0:
+            outbox = {j: predictors[j].encode(bundle.shifted @ prev_plans[j].flatten(),
+                                              tick=tick + 1, sender=j, mode="sample",
+                                              rng=rng_codec)
+                      for j in range(n)}
+        trace.messages_sent.append(list(outbox))
 
     return trace

@@ -152,11 +152,11 @@ class TestTape:
         cfg = PredictorConfig(history=4, hidden=8, feature=4, latent=6)
         params = init_predictor_params(np.random.default_rng(23), cfg)
         rng = np.random.default_rng(25)
-        history = rng.normal(size=(cfg.history, 3, 3))
+        positions = rng.normal(size=(cfg.history, 3, 3))[-1]
         adjacency = np.ones((3, 3)) - np.eye(3)
         targets = [0, 2]
-        prev = np.tile(history[-1, targets], cfg.horizon)
-        args = (cfg, targets, history, adjacency, np.zeros((2, 3)), prev)
+        prev = np.tile(positions[targets], cfg.horizon)
+        args = (cfg, targets, positions, adjacency, np.zeros((2, 3)), prev)
         for out in prior_forward(TrajectoryPredictor(params, cfg).params, *args):
             self.assert_taped(out, False)
         for out in prior_forward(params, *args):

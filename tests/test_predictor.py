@@ -68,7 +68,7 @@ class TestPrior:
         rng = np.random.default_rng(1)
         pred = TrajectoryPredictor(params, cfg)
         history = make_history(rng, 5, cfg.history)
-        est = pred.predict_prior([2], history, ring_adjacency(5),
+        est = pred.predict_prior([2], history[-1], ring_adjacency(5),
                                  np.array([[10.0, 4, 0], [10.0, -4, 0]]))[0]
         assert np.all(np.isfinite(est.mean))
         assert np.all(est.stddev >= cfg.sigma_floor)
@@ -78,39 +78,27 @@ class TestPrior:
         rng = np.random.default_rng(2)
         pred = TrajectoryPredictor(params, cfg)
         n = 5
-        history = make_history(rng, n, cfg.history)
+        positions = make_history(rng, n, cfg.history)[-1]
         adj = ring_adjacency(n)
         obstacles = np.array([[8.0, 3, 0], [8.0, -3, 0]])
         target = 0
-        est = pred.predict_prior([target], history, adj, obstacles)[0]
+        est = pred.predict_prior([target], positions, adj, obstacles)[0]
         # swap agents 2 and 4 everywhere
         perm = np.arange(n)
         perm[[2, 4]] = [4, 2]
-        history_p = history[:, perm, :]
-        adj_p = adj[np.ix_(perm, perm)]
-        est_p = pred.predict_prior([target], history_p, adj_p, obstacles,
-                                   prev_predictions={target: np.tile(history[-1, target],
+        est_p = pred.predict_prior([target], positions[perm], adj[np.ix_(perm, perm)],
+                                   obstacles,
+                                   prev_predictions={target: np.tile(positions[target],
                                                                      cfg.horizon)})[0]
         assert np.allclose(est.mean, est_p.mean, atol=1e-10)
-
-    def test_adjacency_history_accepted(self, cfg, params):
-        rng = np.random.default_rng(3)
-        pred = TrajectoryPredictor(params, cfg)
-        n = 4
-        history = make_history(rng, n, cfg.history)
-        adj_hist = np.stack([ring_adjacency(n)] * cfg.history)
-        est = pred.predict_prior([1], history, adj_hist, np.zeros((2, 3)))[0]
-        est_flat = pred.predict_prior([1], history, ring_adjacency(n), np.zeros((2, 3)),
-                                      prev_predictions={1: np.tile(history[-1, 1],
-                                                                   cfg.horizon)})[0]
-        assert np.allclose(est.mean, est_flat.mean)
 
 
 def reference_prior_forward(params, cfg, target, history, adjacency,
                             obstacle_centers, prev_prediction):
     """The per-target EG prior: every history step through the GCN, on the tape.
 
-    Kept as the oracle the batched prior_forward is compared against.
+    Kept as the oracle the batched prior_forward is compared against: the
+    batched prior reads only the last history row and adjacency, and agrees.
     """
     history = np.asarray(history, dtype=float)
     hor, feat = cfg.horizon, cfg.feature
@@ -155,9 +143,8 @@ def reference_prior_forward(params, cfg, target, history, adjacency,
     mean_rel = concat(means, axis=1)
     logstd = concat(logstds, axis=1)
 
-    if cfg.residual:
-        mean_rel = mean_rel + Tensor(shift_trajectory(prev_rel, hor).reshape(1, -1))
-    mean = mean_rel + Tensor(np.tile(anchor, hor).reshape(1, -1))
+    mean = (mean_rel + Tensor(shift_trajectory(prev_rel, hor).reshape(1, -1))
+            + Tensor(np.tile(anchor, hor).reshape(1, -1)))
     sigma = logstd.exp() + cfg.sigma_floor
     return mean.data.reshape(-1), sigma.data.reshape(-1)
 
@@ -193,7 +180,7 @@ class TestBatchedPrior:
             # every other target has a previous prediction, the rest hold position
             prev = {t: np.tile(history[-1, t], cfg.horizon)
                     + rng.normal(scale=0.3, size=cfg.traj_dim) for t in targets[::2]}
-            estimates = pred.predict_prior(targets, history, adjacency, obstacles,
+            estimates = pred.predict_prior(targets, history[-1], last_adj, obstacles,
                                            prev_predictions=prev)
             assert len(estimates) == len(targets)
             for target, est in zip(targets, estimates):
@@ -215,7 +202,7 @@ class TestBatchedPrior:
         messages = {4: pred.encode(rng.normal(size=cfg.traj_dim), tick, 4, mode="mean"),
                     1: pred.encode(rng.normal(size=cfg.traj_dim), tick - 1, 1, mode="mean"),
                     5: pred.encode(rng.normal(size=cfg.traj_dim), tick, 5, mode="mean")}
-        out = pred.predict(targets, messages, history, adjacency, obstacles, tick)
+        out = pred.predict(targets, messages, history[-1], adjacency, obstacles, tick)
         assert list(out) == targets
         for target in targets:
             mean, sigma = reference_prior_forward(
@@ -230,23 +217,8 @@ class TestBatchedPrior:
                                    calibration)
                 assert np.max(np.abs(expected - mean)) > 1e-3
             assert_rel_close(out[target], expected)
-            assert np.array_equal(pred.prev_predictions[target], out[target])
-
-    def test_only_last_history_row_matters(self, cfg, params):
-        rng = np.random.default_rng(102)
-        n = 5
-        history = make_history(rng, n, cfg.history)
-        adjacency = random_adjacency(rng, n, cfg.history)
-        obstacles = np.array([[8.0, 3, 0], [8.0, -3, 0]])
-        pred = TrajectoryPredictor(params, cfg)
-        base = pred.predict_prior([0, 3, 2], history, adjacency, obstacles)
-        history_r, adjacency_r = history.copy(), adjacency.copy()
-        history_r[:-1] = rng.normal(scale=5.0, size=history_r[:-1].shape)
-        adjacency_r[:-1] = random_adjacency(rng, n, cfg.history - 1)
-        other = pred.predict_prior([0, 3, 2], history_r, adjacency_r, obstacles)
-        for a, b in zip(base, other):
-            assert np.array_equal(a.mean, b.mean)
-            assert np.array_equal(a.stddev, b.stddev)
+            assert pred.beliefs[target][0] is out[target]
+            assert pred.beliefs[target][1] == tick
 
     def test_evolved_weights_match_explicit_steps(self, cfg, params):
         weights = evolved_weights(params, cfg)
@@ -258,13 +230,6 @@ class TestBatchedPrior:
                 state = eg_step(state, cell)
             assert np.array_equal(w.data, state.weight.data)
             assert not np.array_equal(w.data, cell["W0"].data)
-
-    def test_history_length_must_match_config(self, cfg, params):
-        rng = np.random.default_rng(103)
-        history = make_history(rng, 4, cfg.history + 1)
-        with pytest.raises(PredictorError):
-            TrajectoryPredictor(params, cfg).predict_prior(
-                [1], history, ring_adjacency(4), np.zeros((2, 3)))
 
     def test_inference_records_no_tape(self, cfg, params):
         pred = TrajectoryPredictor(params, cfg)
@@ -291,8 +256,8 @@ class TestHookContract:
         rng = np.random.default_rng(106)
         targets = [1, 2, 3]
         pred = TrajectoryPredictor(init_predictor_params(rng, pcfg), pcfg)
-        pred.predict_prior(targets, make_history(rng, 4, pcfg.history), ring_adjacency(4),
-                           np.zeros((2, 3)))
+        pred.predict_prior(targets, make_history(rng, 4, pcfg.history)[-1],
+                           ring_adjacency(4), np.zeros((2, 3)))
         assert calls == {"lstm_step": 2 * pcfg.horizon,
                          "gcn_layer": pcfg.eg_layers * len(targets),
                          "eg_step": pcfg.eg_layers * (pcfg.history - 1)}
@@ -318,7 +283,7 @@ class TestPriorGradients:
         probe = rng.normal(size=(len(targets), cfg.traj_dim))
 
         def loss():
-            mean, sigma = prior_forward(live, cfg, targets, history, adjacency,
+            mean, sigma = prior_forward(live, cfg, targets, history[-1], adjacency[-1],
                                         obstacles, prev)
             return ({"mean": mean, "sigma": sigma}[output] * Tensor(probe)).sum()
 
@@ -461,21 +426,21 @@ class TestPredict:
         rng = np.random.default_rng(17)
         pred = TrajectoryPredictor(params, cfg,
                                    calibration=CodecCalibration(np.ones(cfg.traj_dim)))
-        history = make_history(rng, 4, cfg.history)
+        positions = make_history(rng, 4, cfg.history)[-1]
         adj = ring_adjacency(4)
         obstacles = np.zeros((2, 3))
-        out = pred.predict([1], {}, history, adj, obstacles, tick=0)[1]
+        out = pred.predict([1], {}, positions, adj, obstacles, tick=0)[1]
         pred2 = TrajectoryPredictor(params, cfg)
-        prior = pred2.predict_prior([1], history, adj, obstacles)[0]
+        prior = pred2.predict_prior([1], positions, adj, obstacles)[0]
         assert np.allclose(out, prior.mean)
 
     def test_tiny_codec_variance_tracks_message(self, cfg, params):
         rng = np.random.default_rng(18)
         pred = TrajectoryPredictor(
             params, cfg, calibration=CodecCalibration(np.full(cfg.traj_dim, 1e-12)))
-        history = make_history(rng, 4, cfg.history)
+        positions = make_history(rng, 4, cfg.history)[-1]
         msg = pred.encode(rng.normal(size=cfg.traj_dim), tick=5, sender=1, mode="mean")
-        out = pred.predict([1], {1: msg}, history, ring_adjacency(4), np.zeros((2, 3)),
+        out = pred.predict([1], {1: msg}, positions, ring_adjacency(4), np.zeros((2, 3)),
                            tick=5)[1]
         assert np.max(np.abs(out - pred.decode(msg))) < 1e-6
 
@@ -483,12 +448,12 @@ class TestPredict:
         rng = np.random.default_rng(19)
         pred = TrajectoryPredictor(
             params, cfg, calibration=CodecCalibration(np.full(cfg.traj_dim, 1e-12)))
-        history = make_history(rng, 4, cfg.history)
+        positions = make_history(rng, 4, cfg.history)[-1]
         msg = pred.encode(rng.normal(size=cfg.traj_dim), tick=2, sender=1, mode="mean")
-        out = pred.predict([1], {1: msg}, history, ring_adjacency(4), np.zeros((2, 3)),
+        out = pred.predict([1], {1: msg}, positions, ring_adjacency(4), np.zeros((2, 3)),
                            tick=7)[1]
         prior = TrajectoryPredictor(params, cfg).predict_prior(
-            [1], history, ring_adjacency(4), np.zeros((2, 3)))[0]
+            [1], positions, ring_adjacency(4), np.zeros((2, 3)))[0]
         assert np.allclose(out, prior.mean)
 
     def test_full_pipeline_deterministic(self, cfg, params):
@@ -498,10 +463,10 @@ class TestPredict:
                 params, cfg, calibration=CodecCalibration(np.ones(cfg.traj_dim)))
             outs = []
             for tick in range(3):
-                history = make_history(rng, 4, cfg.history)
+                positions = make_history(rng, 4, cfg.history)[-1]
                 msg = pred.encode(rng.normal(size=cfg.traj_dim), tick=tick,
                                   sender=1, mode="sample", rng=rng)
-                outs.append(pred.predict([1], {1: msg}, history, ring_adjacency(4),
+                outs.append(pred.predict([1], {1: msg}, positions, ring_adjacency(4),
                                          np.zeros((2, 3)), tick=tick)[1])
             return np.concatenate(outs)
 
@@ -512,7 +477,54 @@ class TestPredict:
         pred = TrajectoryPredictor(params, cfg,
                                    calibration=CodecCalibration(np.ones(cfg.traj_dim)))
         for tick in range(4):
-            history = make_history(rng, 5, cfg.history) * 10
-            out = pred.predict([2], {}, history, ring_adjacency(5),
+            positions = make_history(rng, 5, cfg.history)[-1] * 10
+            out = pred.predict([2], {}, positions, ring_adjacency(5),
                                np.zeros((2, 3)), tick=tick)[2]
             assert np.all(np.isfinite(out))
+
+    def test_returning_target_base_aged_by_its_gap(self, cfg, params, monkeypatch):
+        real_prior, bases = TrajectoryPredictor.predict_prior, {}
+
+        def recording(self, targets, *args):
+            bases[len(bases)] = dict(args[-1])
+            return real_prior(self, targets, *args)
+
+        monkeypatch.setattr(TrajectoryPredictor, "predict_prior", recording)
+        rng = np.random.default_rng(22)
+        pred = TrajectoryPredictor(params, cfg)
+        adj = ring_adjacency(4)
+        obstacles = np.zeros((2, 3))
+        # target 2 is predicted on every tick, target 1 only at ticks 0 and 3
+        outs = [pred.predict([1, 2] if tick in (0, 3) else [2],
+                             {}, make_history(rng, 4, cfg.history)[-1], adj, obstacles,
+                             tick)
+                for tick in range(4)]
+        assert bases[0] == {}
+        for tick in range(1, 4):
+            assert bases[tick][2] is outs[tick - 1][2]  # one tick old: no extra shift
+        want = shift_trajectory(shift_trajectory(outs[0][1], cfg.horizon), cfg.horizon)
+        assert np.array_equal(bases[3][1], want)
+
+
+class TestHold:
+    def test_fresh_held_and_before_first_message(self, cfg, params):
+        rng = np.random.default_rng(23)
+        pred = TrajectoryPredictor(params, cfg)
+        positions = rng.normal(size=(3, 3))
+        msg = pred.encode(rng.normal(size=cfg.traj_dim), tick=2, sender=1, mode="mean")
+        decoded = pred.decode(msg)
+        # before the first message: the current position, not stored
+        out = pred.hold([1, 2], {}, positions, tick=1)
+        for target in (1, 2):
+            assert np.array_equal(out[target], np.tile(positions[target], cfg.horizon))
+        assert pred.beliefs == {}
+        # a fresh message replaces the belief; a stale one is not read
+        stale = pred.encode(rng.normal(size=cfg.traj_dim), tick=1, sender=2, mode="mean")
+        out = pred.hold([1, 2], {1: msg, 2: stale}, positions, tick=2)
+        assert np.array_equal(out[1], decoded)
+        assert np.array_equal(out[2], np.tile(positions[2], cfg.horizon))
+        # a held message is shifted once per tick of its age
+        for tick in range(3, 6):
+            want = shift_trajectory(want if tick > 3 else decoded, cfg.horizon)
+            out = pred.hold([1], {1: msg}, positions, tick=tick)
+            assert np.array_equal(out[1], want)

@@ -45,6 +45,10 @@ from swarmcoord.swarmsim.metrics import R_COLL_DEFAULT
 DESK_SCENARIO = ScenarioConfig(n_min=4, n_max=5, p_mig=(18.0, 0.0, 0.0))
 
 
+def no_plan(*args, **kwargs):
+    raise AssertionError("planned before the config checks")
+
+
 class TestScenario:
     def test_deterministic_in_seed(self):
         a = sample_scenario(7)
@@ -285,15 +289,25 @@ class TestEpisode:
         sc = sample_scenario(0, DESK_SCENARIO)
         cfg = ControllerConfig()
         other = BasisBundle(ControllerConfig(limits=MotionLimits(v_max=1.0)))
-
-        def no_plan(*args, **kwargs):
-            raise AssertionError("planned before the config check")
-
         monkeypatch.setattr(episode, "plan", no_plan)
         with pytest.raises(ValueError, match="ControllerConfig"):
             run_episode(sc, controller=cfg, bundle=other, ticks=1)
         # a config equal in value is the same config
         run_episode(sc, controller=cfg, bundle=BasisBundle(ControllerConfig()), ticks=0)
+
+    def test_dynamics_of_other_tick_length_raises(self, monkeypatch):
+        monkeypatch.setattr(episode, "plan", no_plan)
+        with pytest.raises(ValueError, match="tick length"):
+            run_episode(sample_scenario(0, DESK_SCENARIO), dynamics=make_default_dynamics(0.1),
+                        ticks=1)
+
+    def test_predictor_of_other_horizon_raises(self, monkeypatch):
+        monkeypatch.setattr(episode, "plan", no_plan)
+        pcfg = PredictorConfig(horizon=12, history=6, hidden=12, feature=8, latent=6)
+        params = init_predictor_params(np.random.default_rng(0), pcfg)
+        with pytest.raises(ValueError, match="horizon"):
+            run_episode(sample_scenario(0, DESK_SCENARIO), mode="eg", ticks=1,
+                        predictor_factory=lambda: TrajectoryPredictor(params, pcfg))
 
     def test_mode_parse_aliases(self):
         assert RunMode.parse("vae+eg+kkt") is RunMode.EG_VAE
