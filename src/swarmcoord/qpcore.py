@@ -21,7 +21,7 @@ defined here once; the polish, the DMPC warm hint and qpdiff use them.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -54,12 +54,43 @@ POLISH_ROUNDS = 5       # refinement rounds of a polish the interior point start
 REG = 1e-10             # diagonal regularization of the Newton system
 
 
+def check_hessian(Q):
+    """Raise QpError unless Q is symmetric to 1e-10 and positive semidefinite.
+
+    The PSD probe tries Cholesky, then with the documented 1e-9 diagonal
+    shift: Cholesky on the columns with an off-diagonal entry, the sign
+    check a Cholesky of Q makes on the diagonal of the rest. scipy's LAPACK:
+    waking numpy's own OpenBLAS thread pool between the solver's calls costs
+    more.
+    """
+    if np.max(np.abs(Q - Q.T), initial=0.0) > 1e-10:
+        raise QpError("Q must be symmetric to 1e-10")
+    diag = np.diag(Q)
+    coupled = np.count_nonzero(Q, axis=0) > (diag != 0)
+    block, tail = Q[np.ix_(coupled, coupled)], diag[~coupled]
+    for shift in (0.0, 1e-9):
+        try:
+            if block.size:
+                scipy.linalg.cholesky(block + shift * np.eye(len(block)))
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(np.isfinite(tail) & (tail + shift > 0)):
+            return
+    raise QpError("Q is not positive semidefinite")
+
+
 @dataclass
 class QpInstance:
     """Dense QP data plus a named layout of the variable vector.
 
     layout maps a slice name (e.g. "w", "zeta", "eps", "delta") to a slice of
     the variable vector; it is bookkeeping for callers and the debug dump.
+
+    Construction checks shapes and runs check_hessian on Q. A caller that
+    already ran check_hessian on a read-only Q passes hessian_checked=True,
+    and the construction checks only that Q is that read-only (n, n) array.
+    A DMPC instance is built so: its Q is a BasisBundle frame, which
+    BasisBundle.frame checked once when it built the frame.
     """
 
     Q: np.ndarray
@@ -70,8 +101,10 @@ class QpInstance:
     b: np.ndarray
     layout: dict = field(default_factory=dict)
     objective_constant: float = 0.0
+    _: KW_ONLY
+    hessian_checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, hessian_checked):
         self.Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
         self.q = np.asarray(self.q, dtype=float).reshape(-1)
         n = self.q.size
@@ -81,27 +114,12 @@ class QpInstance:
         self.b = np.asarray(self.b, dtype=float).reshape(-1)
         if self.Q.shape != (n, n):
             raise QpError(f"Q is {self.Q.shape}, expected {(n, n)}")
-        if np.max(np.abs(self.Q - self.Q.T), initial=0.0) > 1e-10:
-            raise QpError("Q must be symmetric to 1e-10")
         if self.G.shape[0] != self.h.size or self.R.shape[0] != self.b.size:
             raise QpError("constraint rows and right-hand sides disagree")
-        # PSD probe, then with the documented 1e-9 diagonal shift: Cholesky on
-        # the columns with an off-diagonal entry, the sign check a Cholesky of
-        # Q makes on the diagonal of the rest. scipy's LAPACK: waking numpy's
-        # own OpenBLAS thread pool between the solver's calls costs more.
-        diag = np.diag(self.Q)
-        coupled = np.count_nonzero(self.Q, axis=0) > (diag != 0)
-        block, tail = self.Q[np.ix_(coupled, coupled)], diag[~coupled]
-        for shift in (0.0, 1e-9):
-            try:
-                if block.size:
-                    scipy.linalg.cholesky(block + shift * np.eye(len(block)))
-            except np.linalg.LinAlgError:
-                continue
-            if np.all(np.isfinite(tail) & (tail + shift > 0)):
-                break
-        else:
-            raise QpError("Q is not positive semidefinite")
+        if not hessian_checked:
+            check_hessian(self.Q)
+        elif self.Q.flags.writeable:
+            raise QpError("a Q passed as checked must be read-only")
 
     @property
     def num_vars(self):

@@ -1,8 +1,10 @@
+import dataclasses
 import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from swarmcoord import dmpc, geometry
 from swarmcoord.arrayio import read_container
@@ -26,6 +28,7 @@ from swarmcoord.geometry import (
     point_surface_distance,
 )
 from swarmcoord.qpcore import SolveStatus, _try_polish, active_set, kkt_residuals, solve
+from swarmcoord.swarmsim import ScenarioConfig, run_episode, sample_scenario
 
 from qp_testing import assert_same_polish, reference_polish
 
@@ -53,6 +56,10 @@ class TestDetectFirstCollision:
     def test_clear_plan_no_probe(self, cfg):
         traj = hold_position_trajectory([0.0, 0.0, 0.0], cfg.horizon)
         assert detect_first_collision(traj, two_obstacles(), cfg.r_min) == []
+
+    def test_no_obstacles_no_probe(self, cfg):
+        traj = hold_position_trajectory([0.0, 0.0, 0.0], cfg.horizon)
+        assert detect_first_collision(traj, [], cfg.r_min) == []
 
     def test_plan_at_center_probes_step_zero(self, cfg):
         obstacles = two_obstacles()
@@ -211,6 +218,75 @@ class TestBuildQp:
         # the probe pass projects every step once; the obstacle rows reuse it
         assert calls == [cfg.horizon] * len(obstacles)
 
+    @pytest.mark.parametrize("n_obstacles,n_neighbors", [(0, 0), (1, 1), (2, 3), (3, 2)])
+    def test_frame_parts_match_dense_reference(self, cfg, n_obstacles, n_neighbors):
+        local_bundle = BasisBundle(cfg)
+        state = AgentState([0.0, 0.0, 0.2], [0.3, 0.1, 0.0])
+        obstacles = [Ellipsoid.axis_aligned([0.8, 0.0, 0.2], [0.5, 0.5, 0.5]),
+                     Ellipsoid.axis_aligned([-0.9, 0.3, 0.0], [0.4, 0.6, 0.5]),
+                     Ellipsoid.axis_aligned([0.0, 0.9, 0.2], [0.4, 0.4, 0.4])][:n_obstacles]
+        preds = {j: hold_position_trajectory([0.5 * j, -0.4, 0.1], cfg.horizon)
+                 for j in range(n_neighbors)}
+        p_mig = np.array([6.0, -1.0, 0.5])
+        for _ in range(2):  # a fresh frame, then the kept one
+            qp, meta = build_qp(state, hold_position_plan(state.position, cfg), preds,
+                                obstacles, p_mig, local_bundle)
+            assert len(meta["probes"]) == n_obstacles
+            # the dense assembly of every plan before frames were kept
+            n_w, w = local_bundle.n_w, cfg.weights
+            counts = [n_obstacles, n_neighbors * cfg.horizon, n_neighbors * cfg.horizon]
+            n = n_w + sum(counts)
+            q_ref = np.zeros((n, n))
+            q_ref[:n_w, :n_w] = local_bundle.hessian
+            q_ref[np.arange(n_w, n), np.arange(n_w, n)] = np.repeat(
+                [2 * w.q_saf, 2 * w.q_saf, 2 * w.q_coh], counts)
+            lin_ref = np.concatenate([
+                -2 * w.q_mig * (local_bundle.basis.matrix.T @ np.tile(p_mig, cfg.horizon)),
+                np.repeat([w.l_saf, w.l_saf, w.l_coh], counts)])
+            r_ref = np.zeros((local_bundle.eq_rows.shape[0], n))
+            r_ref[:, :n_w] = local_bundle.eq_rows
+            assert np.array_equal(qp.Q, q_ref)
+            assert np.array_equal(qp.q, lin_ref)
+            assert np.array_equal(qp.R, r_ref)
+            assert qp.Q is local_bundle.frame(n_obstacles, n_neighbors).Q
+
+    def test_frame_is_read_only(self, cfg, bundle):
+        qp, meta, _ = crowded_instance(cfg, bundle)
+        frame = bundle.frame(len(meta["probes"]), len(meta["neighbors"]))
+        assert qp.Q is frame.Q and np.shares_memory(qp.R, frame.R)
+        for array in (frame.Q, frame.q_slack, frame.R, frame.nb_slack_cols, qp.Q, qp.R):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        with pytest.raises(TypeError):
+            frame.layout["w"] = slice(0, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            frame.Q = np.zeros_like(frame.Q)
+        # the instance's own layout is a copy the caller may edit
+        qp.layout["extra"] = slice(0, 0)
+        assert "extra" not in frame.layout
+
+    def test_hessian_probe_once_per_frame_over_an_episode(self, cfg, monkeypatch):
+        real_cholesky = scipy.linalg.cholesky
+        cholesky_calls, frames, solves = [], set(), []
+        real_solve = dmpc.solve
+
+        def counting_cholesky(*args, **kwargs):
+            cholesky_calls.append(1)
+            return real_cholesky(*args, **kwargs)
+
+        def recording_solve(qp, *args, **kwargs):
+            frames.add(id(qp.Q))
+            solves.append(qp.num_vars)
+            return real_solve(qp, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cholesky", counting_cholesky)
+        monkeypatch.setattr(dmpc, "solve", recording_solve)
+        desk = sample_scenario(0, ScenarioConfig(n_min=4, n_max=5, p_mig=(18.0, 0.0, 0.0)))
+        local_bundle = BasisBundle(cfg)
+        run_episode(desk, "oracle", controller=cfg, ticks=5, seed=0, bundle=local_bundle)
+        assert len(solves) == 5 * desk.n
+        assert 0 < len(cholesky_calls) <= len(frames) < len(solves)
+
     def test_agents_at_r_min_activate_safety(self, cfg, bundle):
         state = AgentState([0, 0, 0], [0, 0, 0])
         prev = hold_position_plan(state.position, cfg)
@@ -333,6 +409,48 @@ class TestPlan:
                                  np.linalg.norm(state.position - [6.0, 0, 0]))
         assert min_sd >= 0.07
         assert best_goal_dist < 0.5
+
+    def test_empty_hint_takes_the_hint_path(self, cfg, bundle, monkeypatch):
+        # an isolated agent at rest on its goal holds no row active, so its
+        # hint is the empty set; an empty hint is still a hint
+        iterations = []
+        real_solve = dmpc.solve
+
+        def recording_solve(qp, *args, **kwargs):
+            sol = real_solve(qp, *args, **kwargs)
+            iterations.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(dmpc, "solve", recording_solve)
+        p_mig = np.array([1.0, -2.0, 0.5])
+        state = AgentState(p_mig, [0.0, 0.0, 0.0])
+        prev, hint = hold_position_plan(p_mig, cfg), None
+        for _ in range(4):
+            result = plan(state, prev, {}, [], p_mig, bundle, hint_labels=hint)
+            assert result.status == SolveStatus.OPTIMAL
+            assert result.active_labels == frozenset()
+            prev, hint = result.plan, result.active_labels
+        assert iterations[0] > 0 and iterations[1:] == [0, 0, 0]
+
+    def test_one_plan_fires_every_benchmark_hook(self, cfg, bundle, monkeypatch):
+        # the benchmark's layer tracer times plan() through these module
+        # attributes, and fails a workload on which one of them never fires
+        calls = dict.fromkeys(["QpInstance", "point_surface_distance", "eval_bezier", "solve"], 0)
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(dmpc, name, counting(name, getattr(dmpc, name)))
+        state = AgentState([0.0, 0.0, 0.0], [0.2, 0.0, 0.0])
+        preds = {1: hold_position_trajectory([1.5, 0.5, 0.0], cfg.horizon)}
+        result = plan(state, hold_position_plan(state.position, cfg), preds, two_obstacles(),
+                      [10.0, 0.0, 0.0], bundle)
+        assert result.status == SolveStatus.OPTIMAL
+        assert all(count > 0 for count in calls.values()), calls
 
     def test_warm_start_and_hint_consistent(self, cfg, bundle):
         state = AgentState([0, 0, 0], [0, 0, 0])

@@ -11,6 +11,7 @@ from swarmcoord.qpcore import (
     SolveStatus,
     _try_polish,
     active_set,
+    check_hessian,
     dump_instance,
     kkt_residuals,
     objective_value,
@@ -143,6 +144,27 @@ def test_indefinite_q_rejected():
     with pytest.raises(QpError):
         QpInstance([[-1.0]], [0.0], np.zeros((0, 1)), np.zeros(0),
                    np.zeros((0, 1)), np.zeros(0))
+
+
+def test_read_only_q_is_still_checked_by_default():
+    for Q in ([[1.0, 0.5], [0.0, 1.0]], [[-1.0, 0.0], [0.0, 1.0]]):  # asymmetric, indefinite
+        frozen = np.array(Q)
+        frozen.flags.writeable = False
+        with pytest.raises(QpError):
+            QpInstance(frozen, [0.0, 0.0], np.zeros((0, 2)), np.zeros(0),
+                       np.zeros((0, 2)), np.zeros(0))
+
+
+def test_checked_hessian_must_be_read_only():
+    Q = np.eye(2)
+    with pytest.raises(QpError, match="read-only"):
+        QpInstance(Q, [0.0, 0.0], np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2)), np.zeros(0),
+                   hessian_checked=True)
+    check_hessian(Q)
+    Q.flags.writeable = False
+    qp = QpInstance(Q, [0.0, 0.0], np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2)),
+                    np.zeros(0), hessian_checked=True)
+    assert qp.Q is Q
 
 
 @pytest.mark.parametrize("Q", [
