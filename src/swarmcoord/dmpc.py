@@ -25,9 +25,9 @@ the (convex) obstacle, taken at every step of the time-shifted previous plan
 from the first one that comes within OBSTACLE_BAND of r_min: outside the
 obstacle the plane touches at the exact closest point in the agent norm,
 inside it at the radial surface point. The collision probe's pass supplies
-the planes: detect_first_collision projects every step onto every obstacle
-in one stacked point_surface_distance call, and each probe keeps the
-distances and plane gradients from its first step on. Each plane is a lower bound of the true signed distance everywhere,
+the planes: detect_first_collision projects every step onto each obstacle
+once, and each probe keeps the distances and plane gradients from its first
+step on. Each plane is a lower bound of the true signed distance everywhere,
 so a plan that satisfies a row keeps at least r_min from the obstacle at
 that step; all rows of one obstacle share its slack.
 
@@ -44,14 +44,13 @@ build_qp, plan, cost_decomposition and prediction_row_gradients read the
 ControllerConfig from their BasisBundle (bundle.cfg). The neighbor set is
 the key set of the predictions dict.
 
-QP frames: Q, the slack part of q and R depend only on the probe and
-neighbor counts. BasisBundle.frame(n_probes, n_neighbors) builds them once
-per pair of counts, read-only, and runs QpInstance's symmetry and PSD check
-on that Q once, when it builds it. An agent has at most one probe per
-obstacle and at most n - 1 neighbors in a swarm of n, so a swarm fills at
-most (obstacles + 1) x n frames. build_qp fills only what changes from tick
-to tick: G (its obstacle rows start at each probe's first step), h, b and
-the p_mig part of q, and passes the frame's Q to QpInstance as checked.
+QP frames: the dense Q and R depend only on the probe and neighbor counts.
+BasisBundle.frame(n_probes, n_neighbors) builds both once per pair of
+counts, read-only, and Q as a qpcore.CheckedHessian: QpInstance's symmetry
+and PSD probe runs on it once, when the bundle builds it, and not again in
+the QpInstance that build_qp makes from it. An agent has at most one probe
+per obstacle and at most n - 1 neighbors in a swarm of n, so a swarm fills
+at most (obstacles + 1) x n frames; BasisBundle states their memory.
 
 build_qp also returns a meta dict: "labels" (one per inequality row),
 "probes", "neighbors" (ids in ascending order), "prev_traj" (3P) and the
@@ -66,10 +65,8 @@ of neighbors:
 prediction_row_gradients reads these arrays.
 """
 
-import itertools
 import logging
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 import scipy.linalg
@@ -83,7 +80,7 @@ from .geometry import (
     point_surface_distance,
     sampling_matrix,
 )
-from .qpcore import (QpInstance, SolveStatus, active_set, check_hessian, kkt_residuals,
+from .qpcore import (CheckedHessian, QpInstance, SolveStatus, active_set, kkt_residuals,
                      solve)
 
 log = logging.getLogger(__name__)
@@ -198,23 +195,17 @@ class PlanResult:
 
 @dataclass(frozen=True)
 class QpFrame:
-    """The read-only parts of the QP of every plan with the same probe and
-    neighbor counts; build_qp fills in the rest each tick.
+    """The dense, read-only Q and R of every plan with the same probe and
+    neighbor counts, n = n_w + n_probes + 2 P n_neighbors variables.
 
-    - layout: the variable slices "w", "zeta", "eps", "delta";
     - Q (n, n): bundle.hessian on the w-block, 2 q_saf on the zeta and eps
-      diagonal, 2 q_coh on the delta diagonal; passed check_hessian;
-    - q_slack (n - n_w,): the slack part of q, l_saf then l_coh;
-    - R (n_eq, n): bundle.eq_rows on the w-block;
-    - nb_slack_cols (2 n_nb P,): the slack column of each safety and
-      cohesion row, in row order.
+      diagonal, 2 q_coh on the delta diagonal; probed once as a
+      CheckedHessian;
+    - R (n_eq, n): bundle.eq_rows on the w-block.
     """
 
-    layout: MappingProxyType
-    Q: np.ndarray
-    q_slack: np.ndarray
+    Q: CheckedHessian
     R: np.ndarray
-    nb_slack_cols: np.ndarray
 
 
 class BasisBundle:
@@ -234,12 +225,17 @@ class BasisBundle:
       initial-condition rows.
     - the factorized least-squares fitter behind fit_plan.
     - frame(n_probes, n_neighbors): the QpFrame of that pair of counts,
-      built and checked on its first use and kept: at most (obstacles + 1)
-      x n frames for a swarm of n (comm_graph's union of nearest-neighbor
-      picks can give an agent more than max_neighbors neighbors). A frame
-      holds (n_w + n_probes + 2 P n_neighbors)^2 doubles of Q: at most 12
-      frames of up to 152 x 152 on DESK (4 agents, 2 obstacles), 19 frames
-      and 13 MB over a 30-tick episode of the default 13-agent scenario.
+      built and probed on its first use and kept for the bundle's life.
+      Memory bound: with M obstacles and n agents, at most (M + 1) n frames
+      (n_neighbors runs to n - 1, since comm_graph's union of nearest-
+      neighbor picks can give an agent more than max_neighbors neighbors),
+      each of 8 (N + n_eq) N bytes for N = n_w + n_probes + 2 P n_neighbors:
+      O((M + 1) n^3) bytes in all. At the default ControllerConfig (n_w = 54,
+      P = 16, n_eq = 27) and M = 2 that is at most 12 frames and 1.4 MB for
+      4 agents (DESK), 39 frames and 26 MB for 13, 90 frames and 260 MB for
+      30; a 30-tick episode of the default 13-agent scenario fills 19
+      frames, 13 MB. A swarm much larger than 13 needs the slack diagonal
+      out of Q (variable bounds) before it keeps frames.
     """
 
     def __init__(self, cfg: ControllerConfig):
@@ -307,22 +303,15 @@ class BasisBundle:
     def _build_frame(self, n_z, n_nb):
         w, n_w, n_eps = self.cfg.weights, self.n_w, n_nb * self.cfg.horizon
         n = n_w + n_z + 2 * n_eps
-        layout = MappingProxyType({"w": slice(0, n_w), "zeta": slice(n_w, n_w + n_z),
-                                   "eps": slice(n_w + n_z, n - n_eps),
-                                   "delta": slice(n - n_eps, n)})
-        counts = [n_z, n_eps, n_eps]
         qmat = np.zeros((n, n))
         qmat[:n_w, :n_w] = self.hessian
         slacks = np.arange(n_w, n)
-        qmat[slacks, slacks] = np.repeat([2 * w.q_saf, 2 * w.q_saf, 2 * w.q_coh], counts)
-        check_hessian(qmat)
+        qmat[slacks, slacks] = np.repeat([2 * w.q_saf, 2 * w.q_saf, 2 * w.q_coh],
+                                         [n_z, n_eps, n_eps])
         r = np.zeros((self.eq_rows.shape[0], n))
         r[:, :n_w] = self.eq_rows
-        nb_cols = np.stack([np.arange(n_w + n_z, n - n_eps), np.arange(n - n_eps, n)], axis=1)
-        arrays = (qmat, np.repeat([w.l_saf, w.l_saf, w.l_coh], counts), r, nb_cols.reshape(-1))
-        for a in arrays:
-            a.flags.writeable = False
-        return QpFrame(layout, *arrays)
+        r.flags.writeable = False
+        return QpFrame(CheckedHessian(qmat), r)
 
     def fit_plan(self, trajectory) -> BezierPlan:
         """C0/C1/C2-continuous least-squares plan through a sampled trajectory."""
@@ -343,17 +332,19 @@ def detect_first_collision(prev_traj, obstacles, r_min,
 
     Distance is the signed distance from each trajectory point to the
     obstacle in the agent norm (Euclidean by default), as point_surface_distance
-    gives it: exact outside, a lower bound inside. One call on the stacked
-    obstacles covers every obstacle and step; each probe keeps that call's
-    distances and supporting planes from its step on, and build_qp makes the
-    obstacle rows from them.
+    gives it: exact outside, a lower bound inside. One call per obstacle
+    covers every step; each probe keeps that call's distances and supporting
+    planes from its step on, and build_qp makes the obstacle rows from them.
     """
     pts = np.asarray(prev_traj, dtype=float).reshape(-1, 3)
-    dist, eta = point_surface_distance(obstacles, pts, norm_matrix)
-    breach = dist < r_min
-    first = breach.argmax(axis=1).tolist()
-    return [CollisionProbe(first[m], m, dist[m, first[m]:], eta[m, first[m]:])
-            for m in np.flatnonzero(breach.any(axis=1)).tolist()]
+    probes = []
+    for m, obs in enumerate(obstacles):
+        dist, eta = point_surface_distance(obs, pts, norm_matrix)
+        breach = np.flatnonzero(dist < r_min)
+        if breach.size:
+            k = int(breach[0])
+            probes.append(CollisionProbe(k, m, dist[k:], eta[k:]))
+    return probes
 
 
 def _scaled_norm_gradient(u, shape_matrix):
@@ -390,13 +381,21 @@ def build_qp(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dic
     probes = detect_first_collision(prev_traj, obstacles, cfg.r_min + OBSTACLE_BAND,
                                     norm_matrix=cfg.agent_shape)
 
-    frame = bundle.frame(len(probes), n_nb)
-    layout, n = frame.layout, frame.Q.shape[0]
+    n_z, n_eps, n_delta = len(probes), n_nb * horizon, n_nb * horizon
+    n = n_w + n_z + n_eps + n_delta
+    layout = {
+        "w": slice(0, n_w),
+        "zeta": slice(n_w, n_w + n_z),
+        "eps": slice(n_w + n_z, n_w + n_z + n_eps),
+        "delta": slice(n_w + n_z + n_eps, n),
+    }
 
     f = bundle.basis.matrix
     p_mig = np.asarray(p_mig, dtype=float).reshape(3)
     p_bar = np.tile(p_mig, horizon)
-    qvec = np.concatenate([-2 * w.q_mig * (f.T @ p_bar), frame.q_slack])
+    counts = [n_z, n_eps, n_delta]
+    qvec = np.concatenate([-2 * w.q_mig * (f.T @ p_bar),
+                           np.repeat([w.l_saf, w.l_saf, w.l_coh], counts)])
     const = w.q_mig * horizon * float(p_mig @ p_mig)
 
     # safety eta'(p - p_tilde) >= r_min - eps and cohesion eta'(p - p_tilde)
@@ -410,10 +409,11 @@ def build_qp(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dic
     reach = np.einsum("jki,jki->jk", eta, preds)
     w_rows = [np.stack([-grad, grad], axis=2).reshape(-1, n_w)]
     h_vals = [np.stack([-cfg.r_min - reach, cfg.r_coh + reach], axis=2).reshape(-1)]
-    slack_cols = [frame.nb_slack_cols]
+    slack_cols = [np.stack([layout["eps"].start + np.arange(n_eps),
+                            layout["delta"].start + np.arange(n_delta)], axis=1).reshape(-1)]
     nb_steps = [(j, k) for j in ordered for k in range(horizon)]
     n_box = len(bundle.box_labels)
-    nb_rows = n_box + np.arange(2 * n_nb * horizon).reshape(n_nb, horizon, 2)
+    nb_rows = n_box + np.arange(2 * n_eps).reshape(n_nb, horizon, 2)
     labels = bundle.box_labels + [(name, j, k) for j, k in nb_steps
                                   for name in ("saf", "coh")]
 
@@ -455,8 +455,8 @@ def build_qp(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dic
     b = np.concatenate([np.zeros(bundle.continuity.shape[0]),
                         state.position, v0, a0])
 
-    qp = QpInstance(frame.Q, qvec, g, h, frame.R, b, layout=dict(layout),
-                    objective_constant=const, hessian_checked=True)
+    frame = bundle.frame(n_z, n_nb)
+    qp = QpInstance(frame.Q, qvec, g, h, frame.R, b, layout=layout, objective_constant=const)
     return qp, {"probes": probes, "neighbors": ordered, "prev_traj": prev_traj,
                 "labels": labels, "preds": preds, "eta": eta, "scale": scale,
                 "degenerate": degen, "nb_rows": nb_rows}
@@ -496,10 +496,8 @@ def plan(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dict,
     from one tick to the next.
     """
     qp, meta = build_qp(state, prev_plan, neighbor_predictions, obstacles, p_mig, bundle)
-    hint = None
-    if hint_labels is not None:
-        hint = np.fromiter(map(hint_labels.__contains__, meta["labels"]), bool,
-                           len(meta["labels"]))
+    hint = (np.array([lab in hint_labels for lab in meta["labels"]])
+            if hint_labels is not None else None)
     sol = solve(qp, active_set_hint=hint)
 
     if sol.status != SolveStatus.OPTIMAL:
@@ -521,7 +519,7 @@ def plan(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dict,
     delta = sol.x[qp.layout["delta"]]
     costs = cost_decomposition(traj, zeta, eps, delta, p_mig, bundle, w_vec=w_vec)
     bez = BezierPlan.from_flat(w_vec, bundle.cfg.segments, bundle.cfg.degree, bundle.seg_dur)
-    active_labels = frozenset(itertools.compress(meta["labels"], active_set(qp, sol)))
+    active_labels = frozenset(lab for lab, a in zip(meta["labels"], active_set(qp, sol)) if a)
     return PlanResult(bez, traj, zeta, eps, delta, costs, sol.status,
                       active_labels=active_labels)
 

@@ -114,17 +114,6 @@ class Ellipsoid:
             raise GeometryError("semi-axes must be positive")
         return cls(np.asarray(center, dtype=float), np.diag(1.0 / semi))
 
-    def in_norm(self, norm_matrix):
-        """This ellipsoid in the coordinates z = M x, in which the norm
-        ||M x|| is Euclidean. Built once per obstacle and M, with its
-        principal axes."""
-        frames = self.__dict__.setdefault("_in_norm", {})
-        key = norm_matrix.tobytes()
-        if key not in frames:
-            frames[key] = Ellipsoid(norm_matrix @ self.center,
-                                    self.shape_matrix @ np.linalg.inv(norm_matrix))
-        return frames[key]
-
     @cached_property
     def principal_axes(self):
         """(a, V): ascending eigenvalues and orthonormal eigenvectors of EᵀE.
@@ -210,7 +199,7 @@ def surface_distance(obs: Ellipsoid, p) -> float:
     return float(np.linalg.norm(obs.shape_matrix @ (np.asarray(p, float) - obs.center)) - 1.0)
 
 
-def point_surface_distance(obs, p, norm_matrix=None):
+def point_surface_distance(obs: Ellipsoid, p, norm_matrix=None):
     """Signed distance from p to the ellipsoid in the norm ||M x|| (Euclidean
     when norm_matrix M is None), negative inside, and a supporting-plane
     gradient.
@@ -224,33 +213,19 @@ def point_surface_distance(obs, p, norm_matrix=None):
     and eta is the gradient of the distance. Inside, the plane touches at the
     radial surface point and d is a lower bound: it overstates the
     penetration depth, which is the safe direction.
-
-    obs may also be a sequence of ellipsoids, stacked: one call then covers
-    every obstacle, and d and eta gain a leading obstacle axis, (m,) and
-    (m, 3) for one point, (m, n) and (m, n, 3) for n points; an empty
-    sequence gives m = 0. Each obstacle's values equal those of a call on
-    that obstacle alone, bit for bit, since each is projected on its own.
     """
     pts = np.asarray(p, dtype=float)
     single = pts.ndim == 1
     pts = pts.reshape(-1, 3)
-    stacked = not isinstance(obs, Ellipsoid)
-    bodies = list(obs) if stacked else [obs]
     m = np.eye(3) if norm_matrix is None else np.asarray(norm_matrix, dtype=float).reshape(3, 3)
-    identity = np.array_equal(m, np.eye(3))
-    if not identity:
+    if not np.array_equal(m, np.eye(3)):
+        # the norm ||M x|| is Euclidean in the coordinates z = M x
+        obs = Ellipsoid(m @ obs.center, obs.shape_matrix @ np.linalg.inv(m))
         pts = pts @ m.T
-    d = np.empty((len(bodies), len(pts)))
-    eta = np.empty((len(bodies), len(pts), 3))
-    for i, body in enumerate(bodies):
-        surface, normal = _supporting_planes(body if identity else body.in_norm(m), pts)
-        d[i] = np.sum(normal * (pts - surface), axis=1)
-        eta[i] = normal @ m
-    if single:
-        d, eta = d[:, 0], eta[:, 0]
-    if stacked:
-        return d, eta
-    return (float(d[0]) if single else d[0]), eta[0]
+    surface, normal = _supporting_planes(obs, pts)
+    d = np.sum(normal * (pts - surface), axis=1)
+    eta = normal @ m
+    return (float(d[0]), eta[0]) if single else (d, eta)
 
 
 def _supporting_planes(obs: Ellipsoid, pts):

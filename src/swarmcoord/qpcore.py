@@ -21,7 +21,7 @@ defined here once; the polish, the DMPC warm hint and qpdiff use them.
 """
 
 import json
-from dataclasses import KW_ONLY, InitVar, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -54,7 +54,7 @@ POLISH_ROUNDS = 5       # refinement rounds of a polish the interior point start
 REG = 1e-10             # diagonal regularization of the Newton system
 
 
-def check_hessian(Q):
+def _probe_hessian(Q):
     """Raise QpError unless Q is symmetric to 1e-10 and positive semidefinite.
 
     The PSD probe tries Cholesky, then with the documented 1e-9 diagonal
@@ -79,6 +79,28 @@ def check_hessian(Q):
     raise QpError("Q is not positive semidefinite")
 
 
+class CheckedHessian:
+    """A Hessian that passed QpInstance's symmetry and PSD probe.
+
+    Constructing one runs the probe (QpError as QpInstance raises it) and
+    copies Q into memory that no view can make writable again, so .matrix
+    stays the matrix that was probed. QpInstance takes a CheckedHessian's
+    matrix without probing it again; any other Q, read-only or not, is
+    probed on every construction.
+    """
+
+    __slots__ = ("_matrix",)
+
+    def __init__(self, Q):
+        Q = np.atleast_2d(np.asarray(Q, dtype=float))
+        _probe_hessian(Q)
+        self._matrix = np.frombuffer(Q.tobytes(), dtype=float).reshape(Q.shape)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._matrix
+
+
 @dataclass
 class QpInstance:
     """Dense QP data plus a named layout of the variable vector.
@@ -86,14 +108,13 @@ class QpInstance:
     layout maps a slice name (e.g. "w", "zeta", "eps", "delta") to a slice of
     the variable vector; it is bookkeeping for callers and the debug dump.
 
-    Construction checks shapes and runs check_hessian on Q. A caller that
-    already ran check_hessian on a read-only Q passes hessian_checked=True,
-    and the construction checks only that Q is that read-only (n, n) array.
-    A DMPC instance is built so: its Q is a BasisBundle frame, which
-    BasisBundle.frame checked once when it built the frame.
+    Construction checks shapes and probes Q for symmetry and PSD. Q may be a
+    CheckedHessian, whose probe ran when it was made; the instance then
+    holds its read-only matrix. A DMPC instance is built so: its Q is a
+    BasisBundle frame's, probed once when the bundle built the frame.
     """
 
-    Q: np.ndarray
+    Q: np.ndarray | CheckedHessian
     q: np.ndarray
     G: np.ndarray
     h: np.ndarray
@@ -101,11 +122,10 @@ class QpInstance:
     b: np.ndarray
     layout: dict = field(default_factory=dict)
     objective_constant: float = 0.0
-    _: KW_ONLY
-    hessian_checked: InitVar[bool] = False
 
-    def __post_init__(self, hessian_checked):
-        self.Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
+    def __post_init__(self):
+        checked = isinstance(self.Q, CheckedHessian)
+        self.Q = self.Q.matrix if checked else np.atleast_2d(np.asarray(self.Q, dtype=float))
         self.q = np.asarray(self.q, dtype=float).reshape(-1)
         n = self.q.size
         self.G = np.asarray(self.G, dtype=float).reshape(-1, n)
@@ -116,10 +136,8 @@ class QpInstance:
             raise QpError(f"Q is {self.Q.shape}, expected {(n, n)}")
         if self.G.shape[0] != self.h.size or self.R.shape[0] != self.b.size:
             raise QpError("constraint rows and right-hand sides disagree")
-        if not hessian_checked:
-            check_hessian(self.Q)
-        elif self.Q.flags.writeable:
-            raise QpError("a Q passed as checked must be read-only")
+        if not checked:
+            _probe_hessian(self.Q)
 
     @property
     def num_vars(self):

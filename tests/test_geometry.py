@@ -284,67 +284,6 @@ class TestPointSurfaceDistance:
         assert np.allclose(np.linalg.norm(eta[outside], axis=1), 1.0)
 
 
-class TestStackedPointSurfaceDistance:
-    OBSTACLES = [
-        TestPointSurfaceDistance.ELONGATED,
-        Ellipsoid.axis_aligned([-3.0, 1.0, 0.0], [1.0, 2.0, 0.5]),
-        Ellipsoid(np.array([2.0, 2.0, -1.0]),
-                  np.diag([1.0, 0.5, 2.0]) @ np.linalg.qr(
-                      np.random.default_rng(22).normal(size=(3, 3)))[0]),
-    ]
-
-    def points(self):
-        """Every obstacle's centre, points inside it and points outside all."""
-        rng = np.random.default_rng(23)
-        pts = [obs.center for obs in self.OBSTACLES]
-        for obs in self.OBSTACLES:
-            dirs = rng.normal(size=(5, 3))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            pts += list(obs.center + 0.6 * np.linalg.solve(obs.shape_matrix, dirs.T).T)
-        pts += list(rng.normal(size=(8, 3)) * 12.0)
-        return np.array(pts)
-
-    @pytest.mark.parametrize("norm", [None, np.diag([1.0, 2.0, 0.5])])
-    def test_equals_one_call_per_obstacle_bitwise(self, norm):
-        pts = self.points()
-        d, eta = point_surface_distance(self.OBSTACLES, pts, norm)
-        assert d.shape == (3, len(pts)) and eta.shape == (3, len(pts), 3)
-        for m, obs in enumerate(self.OBSTACLES):
-            d_m, eta_m = point_surface_distance(obs, pts, norm)
-            assert np.array_equal(d[m], d_m) and np.array_equal(eta[m], eta_m)
-            # the centre, points inside and points outside this obstacle
-            assert d_m[m] < 0 and np.sum(d_m < 0) >= 6 and np.sum(d_m > 0) >= 8
-        for k in (0, 4, len(pts) - 1):  # one point
-            d_k, eta_k = point_surface_distance(self.OBSTACLES, pts[k], norm)
-            assert d_k.shape == (3,) and eta_k.shape == (3, 3)
-            for m, obs in enumerate(self.OBSTACLES):
-                d_mk, eta_mk = point_surface_distance(obs, pts[k], norm)
-                assert d_mk == d_k[m] and np.array_equal(eta_mk, eta_k[m])
-
-    def test_centre_maps_to_the_plus_x_point(self):
-        obs = self.OBSTACLES[1]
-        d, eta = point_surface_distance([obs], obs.center[None, :])
-        # semi-axis 1 along +x: the plane through (c + e_x) with normal e_x
-        assert d[0, 0] == pytest.approx(-1.0) and np.allclose(eta[0, 0], [1.0, 0.0, 0.0])
-
-    def test_empty_obstacle_list_gives_no_probes(self):
-        pts = self.points()
-        d, eta = point_surface_distance([], pts)
-        assert d.shape == (0, len(pts)) and eta.shape == (0, len(pts), 3)
-        d, eta = point_surface_distance([], pts[0], np.diag([1.0, 2.0, 0.5]))
-        assert d.shape == (0,) and eta.shape == (0, 3)
-
-    def test_agent_norm_frame_built_once(self):
-        obs = Ellipsoid.axis_aligned([1.0, 0.0, 0.0], [2.0, 1.0, 1.0])
-        norm = np.diag([1.0, 2.0, 0.5])
-        frame = obs.in_norm(norm)
-        assert obs.in_norm(norm.copy()) is frame
-        assert np.array_equal(frame.center, norm @ obs.center)
-        assert np.array_equal(frame.shape_matrix, obs.shape_matrix @ np.linalg.inv(norm))
-        point_surface_distance([obs], np.zeros((2, 3)), norm)
-        assert obs.in_norm(norm) is frame and "principal_axes" in vars(frame)
-
-
 class TestEllipsoidGap:
     def test_disjoint_spheres(self):
         a = Ellipsoid.axis_aligned([0, 0, 0], [1, 1, 1])

@@ -5,13 +5,13 @@ import pytest
 import scipy.linalg
 
 from swarmcoord.qpcore import (
+    CheckedHessian,
     KktFactor,
     QpError,
     QpInstance,
     SolveStatus,
     _try_polish,
     active_set,
-    check_hessian,
     dump_instance,
     kkt_residuals,
     objective_value,
@@ -150,21 +150,35 @@ def test_read_only_q_is_still_checked_by_default():
     for Q in ([[1.0, 0.5], [0.0, 1.0]], [[-1.0, 0.0], [0.0, 1.0]]):  # asymmetric, indefinite
         frozen = np.array(Q)
         frozen.flags.writeable = False
-        with pytest.raises(QpError):
-            QpInstance(frozen, [0.0, 0.0], np.zeros((0, 2)), np.zeros(0),
-                       np.zeros((0, 2)), np.zeros(0))
+        for q_mat in (frozen, np.broadcast_to(frozen, (2, 2))):
+            with pytest.raises(QpError):
+                QpInstance(q_mat, [0.0, 0.0], np.zeros((0, 2)), np.zeros(0),
+                           np.zeros((0, 2)), np.zeros(0))
+            with pytest.raises(QpError):
+                CheckedHessian(q_mat)
 
 
-def test_checked_hessian_must_be_read_only():
-    Q = np.eye(2)
-    with pytest.raises(QpError, match="read-only"):
-        QpInstance(Q, [0.0, 0.0], np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2)), np.zeros(0),
-                   hessian_checked=True)
-    check_hessian(Q)
-    Q.flags.writeable = False
-    qp = QpInstance(Q, [0.0, 0.0], np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2)),
-                    np.zeros(0), hessian_checked=True)
-    assert qp.Q is Q
+def test_checked_hessian_probed_once_and_frozen(monkeypatch):
+    cholesky_calls = []
+    real_cholesky = scipy.linalg.cholesky
+    monkeypatch.setattr(scipy.linalg, "cholesky",
+                        lambda *a, **k: cholesky_calls.append(1) or real_cholesky(*a, **k))
+    source = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]])
+    hess = CheckedHessian(source)
+    assert len(cholesky_calls) == 1
+    source[0, 0] = -5.0  # the checked matrix is a copy
+    args = ([0.0, 0.0, 0.0], np.zeros((0, 3)), np.zeros(0), np.zeros((0, 3)), np.zeros(0))
+    qp = QpInstance(hess, *args)
+    assert len(cholesky_calls) == 1 and qp.Q is hess.matrix
+    assert np.array_equal(qp.Q, [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]])
+    for view in (hess.matrix, hess.matrix[:2], hess.matrix.T):
+        with pytest.raises(ValueError):
+            view.flags.writeable = True
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0] = -5.0
+    # the same matrix as a plain array is probed again
+    QpInstance(hess.matrix, *args)
+    assert len(cholesky_calls) == 2
 
 
 @pytest.mark.parametrize("Q", [
