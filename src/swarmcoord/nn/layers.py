@@ -46,22 +46,45 @@ def lstm_step(xw, state, params):
     xw is the projected input x @ params["Wx"], (batch, 4 hidden): the input
     projection does not depend on the state, so a caller projects all its
     steps, or a constant input, once outside the recurrence.
+
+    The cell is one tape node. Its forward runs the gate arithmetic in numpy,
+    in the same expressions and operand order as the composed Tensor ops, so
+    its values are bitwise those of the composition; its backward is the
+    analytic gate gradient into xw, h_prev, c_prev, Wh and b. h and c are the
+    two halves of the node's (batch, 2 hidden) output.
     """
     h_prev, c_prev = state
-    n_hidden = params["Wh"].shape[0]
+    wh, b = params["Wh"], params["b"]
+    n_hidden = wh.shape[0]
     if h_prev.shape[-1] != n_hidden or c_prev.shape[-1] != n_hidden:
         raise ShapeMismatch("lstm state width does not match parameters")
     if xw.shape[-1] != 4 * n_hidden:
         raise ShapeMismatch(f"lstm projected input {xw.shape} vs {4 * n_hidden} gates")
-    gates = xw + h_prev @ params["Wh"] + params["b"]
-    ifo = gates[:, :3 * n_hidden].sigmoid()
+    if len(xw.shape) != 2 or not xw.shape[0] == h_prev.shape[0] == c_prev.shape[0]:
+        raise ShapeMismatch(f"lstm batch: input {xw.shape}, state {h_prev.shape} "
+                            f"and {c_prev.shape}")
+    c_prev_data = c_prev.data
+    gates = (xw.data + h_prev.data @ wh.data) + b.data
+    ifo = 1.0 / (1.0 + np.exp(-gates[:, :3 * n_hidden]))
     i = ifo[:, :n_hidden]
     f = ifo[:, n_hidden:2 * n_hidden]
     o = ifo[:, 2 * n_hidden:]
-    g = gates[:, 3 * n_hidden:].tanh()
-    c = f * c_prev + i * g
-    h = o * c.tanh()
-    return h, (h, c)
+    g = np.tanh(gates[:, 3 * n_hidden:])
+    c = f * c_prev_data + i * g
+    tanh_c = np.tanh(c)
+    h = o * tanh_c
+
+    def backward(grad):
+        dh, dc = grad[:, :n_hidden], grad[:, n_hidden:]
+        dc = dc + dh * o * (1.0 - tanh_c**2)
+        d_ifo = np.concatenate([dc * g, dc * c_prev_data, dh * tanh_c], axis=1)
+        d_gates = np.concatenate([d_ifo * ifo * (1.0 - ifo), dc * i * (1.0 - g**2)], axis=1)
+        return (d_gates, d_gates @ wh.data.T, dc * f, h_prev.data.T @ d_gates,
+                d_gates.sum(axis=0).reshape(b.shape))
+
+    cell = Tensor._make(np.concatenate([h, c], axis=1), (xw, h_prev, c_prev, wh, b), backward)
+    h = cell[:, :n_hidden]
+    return h, (h, cell[:, n_hidden:])
 
 
 def lstm_zero_state(n_hidden, batch=1):

@@ -27,6 +27,10 @@ def _unbroadcast(grad, shape):
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
+    # numpy defers every binary operator to Tensor, so an ndarray on the left
+    # reaches the reflected method and the result joins the tape
+    __array_ufunc__ = None
+
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
@@ -114,10 +118,14 @@ class Tensor:
 
         return self._make(self.data @ other.data, (self, other), backward)
 
+    def __rmatmul__(self, other):
+        return self._lift(other) @ self
+
     def __getitem__(self, key):
         def backward(grad):
+            # add.at sums the entries an index array repeats
             full = np.zeros_like(self.data)
-            full[key] = grad
+            np.add.at(full, key, grad)
             return (full,)
 
         return self._make(self.data[key], (self,), backward)

@@ -20,7 +20,9 @@ decoder projects its constant input once, and each decoder head runs once
 over the stacked hidden states. The adjacency is normalised once, and the
 last GCN layer computes only the target's row. lstm_step, gcn_layer and
 eg_step are called through this module's attributes, where a tracer can
-wrap them.
+wrap them. The LSTM cell is one tape node (nn.lstm_step): each recurrent step
+records a single node whose backward is the analytic gate gradient, in the
+query and decoder LSTMs, in the EG weight evolution and on the training tape.
 
 The VAE codec normalizes trajectories with dataset statistics stored next to
 the parameters.
@@ -346,14 +348,23 @@ class TrajectoryPredictor:
         """Full pipeline: {target: trajectory}. Each target's prior is shifted
         from its belief, aged onto the previous tick's horizon, and fused with
         its sender's decoded message when messages holds a fresh one. The
-        result becomes the target's belief."""
+        result becomes the target's belief.
+
+        Raises PredictorError, before any belief changes, when a fresh message
+        arrives at a predictor without a codec calibration to fuse it with.
+        """
         targets = list(targets)
+        fresh = {t: messages[t] for t in targets if t in messages and messages[t].tick == tick}
+        if fresh and self.calibration is None:
+            sender = next(iter(fresh.values())).sender
+            raise PredictorError(f"fresh message from sender {sender!r}, but the predictor "
+                                 "has no codec calibration to fuse it with")
         bases = {t: self._aged(t, tick - 1) for t in targets if t in self.beliefs}
         priors = self.predict_prior(targets, positions, adjacency, obstacle_centers, bases)
         out = {}
         for target, prior in zip(targets, priors):
-            msg = messages.get(target)
-            if msg is not None and msg.tick == tick and self.calibration is not None:
+            msg = fresh.get(target)
+            if msg is not None:
                 result, _ = fuse(prior, self.decode(msg), self.calibration)
             else:
                 result = prior.mean

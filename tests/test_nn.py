@@ -103,6 +103,26 @@ class TestTensor:
         expected[:, 1:3] = 1.0
         assert np.allclose(a.grad, expected)
 
+    def test_repeated_index_backward_accumulates(self):
+        a = Tensor(np.arange(3.0), requires_grad=True)
+        a[np.array([0, 0, 2])].sum().backward()
+        assert np.array_equal(a.grad, [2.0, 0.0, 1.0])
+        b = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        (b[[2, 0, 2], 1] * Tensor([1.0, 2.0, 3.0])).sum().backward()
+        assert np.array_equal(b.grad, [[0.0, 2.0], [0.0, 0.0], [0.0, 4.0]])
+
+    def test_ndarray_on_the_left_joins_the_tape(self):
+        rng = np.random.default_rng(26)
+        params = {"t": Tensor(rng.normal(size=(2, 3)), requires_grad=True)}
+        left = rng.normal(size=(2, 3))
+        ops = {"+": lambda t: left + t, "-": lambda t: left - t,
+               "*": lambda t: left * t, "@": lambda t: left.T @ t}
+        for name, op in ops.items():
+            out = op(params["t"])
+            assert isinstance(out, Tensor) and out.requires_grad, name
+            probe = Tensor(rng.normal(size=out.shape))
+            check_grads(lambda: (op(params["t"]) * probe).sum(), params)
+
     def test_stacked_matmul_and_transpose_backward(self):
         rng = np.random.default_rng(24)
         params = {"x": Tensor(rng.normal(size=(4, 2, 3)), requires_grad=True),
@@ -192,6 +212,22 @@ class TestFc:
             fc(Tensor(np.zeros((1, 5))), init_fc(rng, 4, 3))
 
 
+def composed_lstm_step(xw, state, params):
+    """The LSTM cell as composed Tensor ops, about 15 tape nodes a step: the
+    reference the fused lstm_step node is compared against."""
+    h_prev, c_prev = state
+    n_hidden = params["Wh"].shape[0]
+    gates = xw + h_prev @ params["Wh"] + params["b"]
+    ifo = gates[:, :3 * n_hidden].sigmoid()
+    i = ifo[:, :n_hidden]
+    f = ifo[:, n_hidden:2 * n_hidden]
+    o = ifo[:, 2 * n_hidden:]
+    g = gates[:, 3 * n_hidden:].tanh()
+    c = f * c_prev + i * g
+    h = o * c.tanh()
+    return h, (h, c)
+
+
 class TestLstm:
     def test_zero_params_zero_output(self):
         rng = np.random.default_rng(3)
@@ -229,6 +265,91 @@ class TestLstm:
             return (out - target).square().sum()
 
         check_grads(loss, params, rel_tol=1e-4)
+
+    def test_batched_gradients_into_state_and_input(self):
+        # batch 3 sums b's gradient over rows; a nonzero initial (h, c) that
+        # requires grad checks the gradients the cell passes back to its state
+        rng = np.random.default_rng(27)
+        lstm = init_lstm(rng, 2, 3)
+        params = {"xw": Tensor(rng.normal(size=(4, 3, 12)), requires_grad=True),
+                  "h0": Tensor(rng.normal(size=(3, 3)), requires_grad=True),
+                  "c0": Tensor(rng.normal(size=(3, 3)), requires_grad=True),
+                  "Wh": lstm["Wh"], "b": lstm["b"]}
+        params["b"].data[:] = rng.normal(size=(1, 12))
+        target = rng.normal(size=(3, 3))
+
+        def loss():
+            state = (params["h0"], params["c0"])
+            for step in range(4):
+                out, state = lstm_step(params["xw"][step], state, params)
+            return (out - target).square().sum() + (state[1] * Tensor(target)).sum()
+
+        check_grads(loss, params, rel_tol=1e-6)
+
+    # (batch, n_in, hidden) of the default PredictorConfig's LSTMs at three
+    # targets; an EG cell's batch is its weight's columns, its hidden size the
+    # weight's rows, and its state the transposed weight and carry
+    @pytest.mark.parametrize("batch, n_in, n_hidden, eg", [
+        (3, 3, 128, False), (3, 48, 128, False), (16, 3, 3, True), (16, 16, 16, True),
+    ], ids=["query", "decoder", "eg-layer0", "eg-layer1"])
+    def test_fused_node_matches_composed_reference(self, batch, n_in, n_hidden, eg):
+        rng = np.random.default_rng(28)
+        params = init_lstm(rng, n_in, n_hidden)
+        params["b"].data[:] = rng.normal(scale=0.5, size=params["b"].shape)
+        if eg:
+            leaves = {"W": Tensor(rng.normal(size=(n_hidden, batch)), requires_grad=True),
+                      "carry": Tensor(rng.normal(size=(n_hidden, batch)), requires_grad=True)}
+        else:
+            leaves = {"x": Tensor(rng.normal(size=(3, batch, n_in)), requires_grad=True),
+                      "h0": Tensor(rng.normal(size=(batch, n_hidden)), requires_grad=True),
+                      "c0": Tensor(rng.normal(size=(batch, n_hidden)), requires_grad=True)}
+        probes = [Tensor(rng.normal(size=(batch, n_hidden))) for _ in range(2)]
+
+        def unrolled(step_fn):
+            """Three steps; an EG cell's as in eg_step, the weight evolving."""
+            if eg:
+                weight, carry = leaves["W"], leaves["carry"]
+            else:
+                h, c = leaves["h0"], leaves["c0"]
+            outs = []
+            for k in range(3):
+                if eg:
+                    w_cols = weight.T
+                    h, (_, c) = step_fn(w_cols @ params["Wx"], (w_cols, carry.T), params)
+                    weight, carry = h.T, c.T
+                else:
+                    h, (_, c) = step_fn(leaves["x"][k] @ params["Wx"], (h, c), params)
+                outs.append((h.data, c.data))
+            loss = (h * probes[0]).sum() + (c * probes[1]).sum()
+            zero_grads({**params, **leaves})
+            loss.backward()
+            grads = {name: t.grad.copy() for name, t in {**params, **leaves}.items()}
+            return outs, grads
+
+        fused_outs, fused_grads = unrolled(lstm_step)
+        ref_outs, ref_grads = unrolled(composed_lstm_step)
+        for (h, c), (h_ref, c_ref) in zip(fused_outs, ref_outs):
+            assert np.array_equal(h, h_ref) and np.array_equal(c, c_ref)
+        for name, ref in ref_grads.items():
+            scale = np.max(np.abs(ref))
+            assert scale > 0, name
+            assert np.max(np.abs(fused_grads[name] - ref)) <= 1e-12 * scale, name
+
+    def test_one_tape_node_per_step(self):
+        rng = np.random.default_rng(29)
+        params = init_lstm(rng, 3, 4)
+        h, (_, c) = lstm_step(Tensor(rng.normal(size=(2, 3))) @ params["Wx"],
+                              lstm_zero_state(4, 2), params)
+        cell = h._parents[0]
+        assert c._parents[0] is cell
+        assert cell.shape == (2, 8)
+        assert cell._parents[3] is params["Wh"] and cell._parents[4] is params["b"]
+
+    def test_batch_mismatch_rejected(self):
+        rng = np.random.default_rng(30)
+        params = init_lstm(rng, 3, 4)
+        with pytest.raises(ShapeMismatch):
+            lstm_step(Tensor(rng.normal(size=(2, 16))), lstm_zero_state(4, 3), params)
 
 
 class TestGcn:

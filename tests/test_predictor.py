@@ -264,6 +264,29 @@ class TestHookContract:
         if config == "default":
             assert tuple(calls.values()) == (32, 6, 38)
 
+    def test_one_predict_fires_every_benchmark_hook(self, cfg, params, monkeypatch):
+        # the benchmark also counts Tensor constructions, and fails a learned
+        # workload on which any of its predictor hooks never fires
+        calls = dict.fromkeys(("lstm_step", "gcn_layer", "eg_step", "Tensor"), 0)
+        for name in ("lstm_step", "gcn_layer", "eg_step"):
+            def counting(*args, _name=name, _real=getattr(predictor, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(predictor, name, counting)
+        real_init = Tensor.__init__
+
+        def tensor_init(tensor, *args, **kwargs):
+            calls["Tensor"] += 1
+            real_init(tensor, *args, **kwargs)
+
+        rng = np.random.default_rng(107)
+        pred = TrajectoryPredictor(params, cfg)
+        monkeypatch.setattr(Tensor, "__init__", tensor_init)
+        out = pred.predict([1, 3], {}, make_history(rng, 4, cfg.history)[-1],
+                           ring_adjacency(4), np.zeros((2, 3)), tick=0)
+        assert list(out) == [1, 3]
+        assert all(count > 0 for count in calls.values()), calls
+
 
 class TestPriorGradients:
     @pytest.mark.parametrize("output, checked", [
@@ -443,6 +466,20 @@ class TestPredict:
         out = pred.predict([1], {1: msg}, positions, ring_adjacency(4), np.zeros((2, 3)),
                            tick=5)[1]
         assert np.max(np.abs(out - pred.decode(msg))) < 1e-6
+
+    def test_fresh_message_without_calibration_raises(self, cfg, params):
+        rng = np.random.default_rng(23)
+        pred = TrajectoryPredictor(params, cfg)
+        positions = make_history(rng, 4, cfg.history)[-1]
+        msg = pred.encode(rng.normal(size=cfg.traj_dim), tick=5, sender=1, mode="mean")
+        with pytest.raises(PredictorError, match="sender 1"):
+            pred.predict([2, 1], {1: msg}, positions, ring_adjacency(4), np.zeros((2, 3)),
+                         tick=5)
+        assert pred.beliefs == {}
+        # a stale message is not fused, so it needs no calibration
+        out = pred.predict([1], {1: msg}, positions, ring_adjacency(4), np.zeros((2, 3)),
+                           tick=6)
+        assert pred.beliefs[1][0] is out[1]
 
     def test_stale_message_discarded_by_default(self, cfg, params):
         rng = np.random.default_rng(19)
