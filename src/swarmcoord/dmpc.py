@@ -4,17 +4,19 @@ Variable layout of every instance is [w | zeta | eps | delta]:
 control points, obstacle slacks (one per probed obstacle), inter-agent safety
 slacks (neighbor-major, then horizon step), cohesion slacks (same order).
 
-Inequality rows, in this order, each with a label (warm hints match rows by
-label from one tick to the next):
+Inequality rows, in this order, each with a label (warm hints match rows and
+bounds by label from one tick to the next):
   box:   ("vel" | "acc", i, "hi" | "lo"), the bounds on the velocity and
          acceleration control points that no equality pins, hi before lo;
          constant per config, built once in BasisBundle;
   saf/coh: ("saf", j, k) then ("coh", j, k) per neighbor j (ascending id)
          and step k;
   obs:   ("obs", m, k) per probed obstacle m, one row per step k from its
-         probe on;
-  slack bounds: ("nnz", m), then ("nne", j, k), then ("nnd", j, k): -s <= 0
-         for every slack, in variable order.
+         probe on.
+Variable bounds: every slack is >= 0 through the QP's lb (w has none), not a
+row of G. Each bound has a label: ("nnz", m) on zeta of obstacle m, then
+("nne", j, k) on eps and ("nnd", j, k) on delta; meta["bound_labels"] holds
+one per variable, None on w.
 Equality rows: junction continuity, then the initial position, velocity and
 acceleration.
 
@@ -25,11 +27,12 @@ the (convex) obstacle, taken at every step of the time-shifted previous plan
 from the first one that comes within OBSTACLE_BAND of r_min: outside the
 obstacle the plane touches at the exact closest point in the agent norm,
 inside it at the radial surface point. The collision probe's pass supplies
-the planes: detect_first_collision projects every step onto each obstacle
-once, and each probe keeps the distances and plane gradients from its first
-step on. Each plane is a lower bound of the true signed distance everywhere,
-so a plan that satisfies a row keeps at least r_min from the obstacle at
-that step; all rows of one obstacle share its slack.
+the planes: detect_first_collision projects every step onto every obstacle
+in one point_surface_distance call, and each probe keeps the distances and
+plane gradients from its first step on. Each plane is a lower bound of the
+true signed distance everywhere, so a plan that satisfies a row keeps at
+least r_min from the obstacle at that step; all rows of one obstacle share
+its slack.
 
 Initial condition: the plan starts from the measured position and velocity;
 its acceleration carries over from the previous plan at +dt, the point the
@@ -53,9 +56,9 @@ per obstacle and at most n - 1 neighbors in a swarm of n, so a swarm fills
 at most (obstacles + 1) x n frames; BasisBundle states their memory.
 
 build_qp also returns a meta dict: "labels" (one per inequality row),
-"probes", "neighbors" (ids in ascending order), "prev_traj" (3P) and the
-neighbor linearization as arrays over (neighbor, step), with n_nb = number
-of neighbors:
+"bound_labels" (one per variable), "probes", "neighbors" (ids in ascending
+order), "prev_traj" (3P) and the neighbor linearization as arrays over
+(neighbor, step), with n_nb = number of neighbors:
   preds (n_nb, P, 3): the predicted neighbor positions p_tilde;
   eta (n_nb, P, 3): the row direction, the gradient of ||E u|| at
       u = p_hat - p_tilde (+x fallback where u = 0);
@@ -234,8 +237,8 @@ class BasisBundle:
       P = 16, n_eq = 27) and M = 2 that is at most 12 frames and 1.4 MB for
       4 agents (DESK), 39 frames and 26 MB for 13, 90 frames and 260 MB for
       30; a 30-tick episode of the default 13-agent scenario fills 19
-      frames, 13 MB. A swarm much larger than 13 needs the slack diagonal
-      out of Q (variable bounds) before it keeps frames.
+      frames, 13 MB. A swarm much larger than 13 needs frames that keep
+      only the w-blocks and the slack diagonal.
     """
 
     def __init__(self, cfg: ControllerConfig):
@@ -332,18 +335,18 @@ def detect_first_collision(prev_traj, obstacles, r_min,
 
     Distance is the signed distance from each trajectory point to the
     obstacle in the agent norm (Euclidean by default), as point_surface_distance
-    gives it: exact outside, a lower bound inside. One call per obstacle
-    covers every step; each probe keeps that call's distances and supporting
-    planes from its step on, and build_qp makes the obstacle rows from them.
+    gives it: exact outside, a lower bound inside. One call covers every
+    obstacle and step; each probe keeps its obstacle's distances and
+    supporting planes from its step on, and build_qp makes the obstacle
+    rows from them.
     """
     pts = np.asarray(prev_traj, dtype=float).reshape(-1, 3)
+    dist, eta = point_surface_distance(obstacles, pts, norm_matrix)
     probes = []
-    for m, obs in enumerate(obstacles):
-        dist, eta = point_surface_distance(obs, pts, norm_matrix)
-        breach = np.flatnonzero(dist < r_min)
-        if breach.size:
-            k = int(breach[0])
-            probes.append(CollisionProbe(k, m, dist[k:], eta[k:]))
+    for m, breach in enumerate(dist < r_min):
+        if breach.any():
+            k = int(np.argmax(breach))
+            probes.append(CollisionProbe(k, m, dist[m, k:], eta[m, k:]))
     return probes
 
 
@@ -427,15 +430,14 @@ def build_qp(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dic
         slack_cols.append(np.full(steps.size, layout["zeta"].start + z_idx))
         labels += [("obs", probe.obstacle, int(k)) for k in steps]
 
-    labels += [("nnz", probe.obstacle) for probe in probes]
-    labels += [(name, j, k) for name in ("nne", "nnd") for j, k in nb_steps]
-    slack_cols.append(np.arange(n_w, n))
+    bound_labels = ([None] * n_w + [("nnz", probe.obstacle) for probe in probes]
+                    + [(name, j, k) for name in ("nne", "nnd") for j, k in nb_steps])
     g = np.zeros((len(labels), n))
     g[:n_box, :n_w] = bundle.box_rows
-    w_block = np.vstack(w_rows)
-    g[n_box:n_box + len(w_block), :n_w] = w_block
+    g[n_box:, :n_w] = np.vstack(w_rows)
     g[np.arange(n_box, len(labels)), np.concatenate(slack_cols)] = -1.0
-    h = np.concatenate([bundle.box_h, *h_vals, np.zeros(n - n_w)])
+    h = np.concatenate([bundle.box_h, *h_vals])
+    lb = np.concatenate([np.full(n_w, -np.inf), np.zeros(n - n_w)])
 
     # equalities: junction continuity plus pinned initial conditions. Position
     # and velocity are the measured state. The plant tracks the committed plan
@@ -456,10 +458,11 @@ def build_qp(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dic
                         state.position, v0, a0])
 
     frame = bundle.frame(n_z, n_nb)
-    qp = QpInstance(frame.Q, qvec, g, h, frame.R, b, layout=layout, objective_constant=const)
+    qp = QpInstance(frame.Q, qvec, g, h, frame.R, b, lb, layout=layout,
+                    objective_constant=const)
     return qp, {"probes": probes, "neighbors": ordered, "prev_traj": prev_traj,
-                "labels": labels, "preds": preds, "eta": eta, "scale": scale,
-                "degenerate": degen, "nb_rows": nb_rows}
+                "labels": labels, "bound_labels": bound_labels, "preds": preds,
+                "eta": eta, "scale": scale, "degenerate": degen, "nb_rows": nb_rows}
 
 
 def cost_decomposition(trajectory, slack_obstacle, slack_safety, slack_cohesion,
@@ -491,14 +494,16 @@ def plan(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dict,
     fit of the time-shifted previous plan, meta["prev_traj"]: the previous
     plan on this tick's horizon, so the agent keeps following it on time.
 
-    hint_labels is the previous tick's PlanResult.active_labels: row labels
-    survive changes in neighbor sets and probes, so the hint stays usable
-    from one tick to the next.
+    hint_labels is the previous tick's PlanResult.active_labels: row and
+    bound labels survive changes in neighbor sets and probes, so the hint
+    stays usable from one tick to the next.
     """
     qp, meta = build_qp(state, prev_plan, neighbor_predictions, obstacles, p_mig, bundle)
-    hint = (np.array([lab in hint_labels for lab in meta["labels"]])
-            if hint_labels is not None else None)
-    sol = solve(qp, active_set_hint=hint)
+    hint = bound_hint = None
+    if hint_labels is not None:
+        hint = np.array([lab in hint_labels for lab in meta["labels"]])
+        bound_hint = np.array([lab in hint_labels for lab in meta["bound_labels"]])
+    sol = solve(qp, active_set_hint=hint, bound_hint=bound_hint)
 
     if sol.status != SolveStatus.OPTIMAL:
         res = kkt_residuals(qp, sol)
@@ -519,7 +524,9 @@ def plan(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dict,
     delta = sol.x[qp.layout["delta"]]
     costs = cost_decomposition(traj, zeta, eps, delta, p_mig, bundle, w_vec=w_vec)
     bez = BezierPlan.from_flat(w_vec, bundle.cfg.segments, bundle.cfg.degree, bundle.seg_dur)
-    active_labels = frozenset(lab for lab, a in zip(meta["labels"], active_set(qp, sol)) if a)
+    rows, bounds = active_set(qp, sol)
+    active_labels = frozenset([lab for lab, a in zip(meta["labels"], rows) if a]
+                              + [lab for lab, a in zip(meta["bound_labels"], bounds) if a])
     return PlanResult(bez, traj, zeta, eps, delta, costs, sol.status,
                       active_labels=active_labels)
 

@@ -11,9 +11,10 @@ Distances, and who uses them:
   surface_distance: the scaled ||E (p - C)|| - 1 to an obstacle, for
       scenario starts (a scaled clearance bounds the Euclidean one from
       below);
-  point_surface_distance: the exact signed distance to an obstacle in the
-      agent norm, with a supporting plane per point, for collision probes,
-      obstacle rows, the scenario goal check and the obstacle metrics;
+  point_surface_distance: the exact signed distance to each obstacle in
+      the agent norm, with a supporting plane per point, all obstacles in
+      one call, for collision probes, obstacle rows, the scenario goal
+      check and the obstacle metrics;
   euclidean_project_ellipsoid and ellipsoid_gap: the Euclidean projection
       onto a solid obstacle and the gap between two, for the scenario gap
       check and the benchmark's clearances.
@@ -199,13 +200,14 @@ def surface_distance(obs: Ellipsoid, p) -> float:
     return float(np.linalg.norm(obs.shape_matrix @ (np.asarray(p, float) - obs.center)) - 1.0)
 
 
-def point_surface_distance(obs: Ellipsoid, p, norm_matrix=None):
-    """Signed distance from p to the ellipsoid in the norm ||M x|| (Euclidean
-    when norm_matrix M is None), negative inside, and a supporting-plane
-    gradient.
+def point_surface_distance(obstacles, p, norm_matrix=None):
+    """Signed distance from p to each ellipsoid of obstacles in the norm
+    ||M x|| (Euclidean when norm_matrix M is None), negative inside, and a
+    supporting-plane gradient.
 
-    Returns (d, eta). p is one point (d is a float, eta a 3-vector) or an
-    (n, 3) array of points (d is (n,), eta (n, 3)). eta is such that
+    Returns (d, eta), obstacle-major. p is one point (d is (num obstacles,),
+    eta (num obstacles, 3)) or an (n, 3) array of points (d is (num
+    obstacles, n), eta (num obstacles, n, 3)). eta is such that
     d(x) >= d + eta @ (x - p) for every x, where d(x) is the true signed
     distance: the obstacle is convex, so the plane through a surface point
     with its outward normal keeps the whole obstacle on one side. Outside the
@@ -220,59 +222,69 @@ def point_surface_distance(obs: Ellipsoid, p, norm_matrix=None):
     m = np.eye(3) if norm_matrix is None else np.asarray(norm_matrix, dtype=float).reshape(3, 3)
     if not np.array_equal(m, np.eye(3)):
         # the norm ||M x|| is Euclidean in the coordinates z = M x
-        obs = Ellipsoid(m @ obs.center, obs.shape_matrix @ np.linalg.inv(m))
+        m_inv = np.linalg.inv(m)
+        obstacles = [Ellipsoid(m @ obs.center, obs.shape_matrix @ m_inv) for obs in obstacles]
         pts = pts @ m.T
-    surface, normal = _supporting_planes(obs, pts)
-    d = np.sum(normal * (pts - surface), axis=1)
+    surface, normal = _supporting_planes(obstacles, pts)
+    d = np.sum(normal * (pts - surface), axis=2)
     eta = normal @ m
-    return (float(d[0]), eta[0]) if single else (d, eta)
+    return (d[:, 0], eta[:, 0]) if single else (d, eta)
 
 
-def _supporting_planes(obs: Ellipsoid, pts):
-    """Surface point and outward unit normal of a supporting plane per row of pts.
+def _supporting_planes(obstacles, pts):
+    """Surface points and outward unit normals, (num obstacles, n, 3) each,
+    of a supporting plane per obstacle and row of pts.
 
-    Outside: the exact Euclidean projection, whose normal points at p.
+    Outside: the exact Euclidean projection, whose normal points at p; one
+    Newton iteration projects the outside rows of every obstacle.
     Inside: the radial point, where the ray from the center through p meets
     the surface (the +x-axis point of the sphere frame for the center).
     """
-    a, v = obs.principal_axes
-    y = (pts - obs.center) @ v           # principal-axis frame
-    r2 = np.sum(a * y**2, axis=1)
+    a = np.array([obs.principal_axes[0] for obs in obstacles]).reshape(-1, 1, 3)
+    v = np.array([obs.principal_axes[1] for obs in obstacles]).reshape(-1, 3, 3)
+    center = np.array([obs.center for obs in obstacles]).reshape(-1, 1, 3)
+    y = (pts - center) @ v              # principal-axis frames
+    r2 = np.sum(a * y**2, axis=2)
+    r = np.sqrt(r2)
+    x = y / np.maximum(r, 1e-12)[..., None]     # the radial points
+    # the center itself maps to the +x-axis point of the sphere frame
+    for k, i in zip(*np.nonzero(r <= 1e-12)):
+        x[k, i] = np.linalg.solve(obstacles[k].shape_matrix, [1.0, 0.0, 0.0]) @ v[k]
     outside = r2 > 1.0
-    x = np.empty_like(y)
-    if outside.any():
-        x[outside] = _project_outside(a, y[outside])
-    inside = np.flatnonzero(~outside)
-    if inside.size:
-        r = np.sqrt(r2[inside])
-        x[inside] = y[inside] / np.maximum(r, 1e-12)[:, None]
-        # the center itself maps to the +x-axis point of the sphere frame
-        x[inside[r <= 1e-12]] = np.linalg.solve(obs.shape_matrix, [1.0, 0.0, 0.0]) @ v
+    group = np.nonzero(outside)[0]      # the obstacle of each outside row
+    if group.size:
+        x[outside] = _project_outside(a[group, 0], y[outside], group)
     normal = a * x
-    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
-    return obs.center + x @ v.T, normal @ v.T
+    normal /= np.linalg.norm(normal, axis=2, keepdims=True)
+    v_t = v.transpose(0, 2, 1)
+    return center + x @ v_t, normal @ v_t
 
 
-def _project_outside(a, y):
-    """Euclidean projection y / (1 + t a) of each row of y onto the ellipsoid.
+def _project_outside(a, y, group=None):
+    """Euclidean projection y / (1 + t a) of each row of y onto its ellipsoid.
 
-    Rows are points outside the ellipsoid sum_i a_i y_i^2 <= 1 in its
-    principal-axis frame. The Lagrange parameter t solves the secular
-    equation g(t) = sum_i a_i y_i^2 / (1 + t a_i)^2 - 1 = 0. g is convex and
-    decreasing on t >= 0 and g((r - 1) / max(a)) >= 0 at the scaled radius r,
-    so Newton from there rises monotonically to the root. It stops once
-    |g| < 1e-12 on every row, or after 128 steps.
+    Row i is a point outside the ellipsoid sum_j a_ij y_ij^2 <= 1 in its
+    principal-axis frame, a (rows, 3). The Lagrange parameter t solves the
+    secular equation g(t) = sum_j a_j y_j^2 / (1 + t a_j)^2 - 1 = 0. g is
+    convex and decreasing on t >= 0 and g((r - 1) / max(a)) >= 0 at the
+    scaled radius r, so Newton from there rises monotonically to the root.
+    The rows of one group (group[i] is row i's obstacle; all rows when
+    group is None) stop together, once |g| < 1e-12 on each of them, or after
+    128 steps; np.where holds a stopped group's t while the others go on,
+    so every group takes the steps it would take alone.
     """
     ay2 = a * y**2
     a2y2 = a * ay2
-    t = (np.sqrt(ay2.sum(axis=1)) - 1.0) / a.max()
+    t = (np.sqrt(ay2.sum(axis=1)) - 1.0) / a.max(axis=1)
     for _ in range(128):
         inv = 1.0 / (1.0 + t[:, None] * a)
         inv2 = inv * inv
         g = (ay2 * inv2).sum(axis=1) - 1.0
-        if np.abs(g).max() < 1e-12:
+        settled = np.abs(g) < 1e-12
+        if settled.all():
             break
-        t = t + g / (2.0 * (a2y2 * inv2 * inv).sum(axis=1))
+        step = t + g / (2.0 * (a2y2 * inv2 * inv).sum(axis=1))
+        t = step if group is None else np.where(np.bincount(group, ~settled)[group] > 0, step, t)
     return y / (1.0 + t[:, None] * a)
 
 
@@ -290,7 +302,7 @@ def euclidean_project_ellipsoid(obs: Ellipsoid, p) -> np.ndarray:
         return p.copy()
     # the outside branch of _supporting_planes, without its per-call
     # overhead: the scenario gap check projects several hundred times
-    return obs.center + v @ _project_outside(a, y[None, :])[0]
+    return obs.center + v @ _project_outside(a[None], y[None])[0]
 
 
 def ellipsoid_gap(a: Ellipsoid, b: Ellipsoid) -> float:

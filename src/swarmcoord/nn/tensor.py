@@ -122,13 +122,20 @@ class Tensor:
         return self._lift(other) @ self
 
     def __getitem__(self, key):
+        out = self.data[key]
+        # basic indexing returns a view and picks no entry twice; an index
+        # array copies, and add.at sums the entries it repeats
+        view = np.may_share_memory(out, self.data)
+
         def backward(grad):
-            # add.at sums the entries an index array repeats
             full = np.zeros_like(self.data)
-            np.add.at(full, key, grad)
+            if view:
+                full[key] = grad
+            else:
+                np.add.at(full, key, grad)
             return (full,)
 
-        return self._make(self.data[key], (self,), backward)
+        return self._make(out, (self,), backward)
 
     @property
     def T(self):

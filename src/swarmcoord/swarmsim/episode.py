@@ -229,8 +229,8 @@ class EpisodeTrace:
         out = np.full((self.ticks, self.n), np.inf)
         e = self.controller.agent_shape
         for t, states in enumerate(self.true_states):
-            for obs in self.scenario.obstacles:
-                out[t] = np.minimum(out[t], point_surface_distance(obs, states[:, :3], e)[0])
+            d = point_surface_distance(self.scenario.obstacles, states[:, :3], e)[0]
+            out[t] = d.min(axis=0, initial=np.inf)
         return out
 
 

@@ -77,7 +77,7 @@ def _starts_clear(point, obstacles, clearance):
 
 
 def _goal_clear(point, obstacles, clearance):
-    return all(point_surface_distance(obs, point)[0] >= clearance for obs in obstacles)
+    return bool(np.all(point_surface_distance(obstacles, point)[0] >= clearance))
 
 
 def poisson_disk_box(rng, box, radius, count, accept=None, k=30, cap=10_000):

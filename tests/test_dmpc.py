@@ -30,7 +30,8 @@ from swarmcoord.geometry import (
 from swarmcoord.qpcore import SolveStatus, _try_polish, active_set, kkt_residuals, solve
 from swarmcoord.swarmsim import ScenarioConfig, run_episode, sample_scenario
 
-from qp_testing import assert_same_polish, reference_polish
+from qp_testing import (assert_bound_form_matches_row_form, assert_same_polish, dlb_check,
+                        reference_polish)
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +180,8 @@ class TestBuildQp:
         for row, label in enumerate(meta["labels"]):
             if label[0] == "obs":
                 _, ob, k = label
-                dist, eta = point_surface_distance(obstacles[ob], prev_pts[k], cfg.agent_shape)
+                (dist,), (eta,) = point_surface_distance([obstacles[ob]], prev_pts[k],
+                                                          cfg.agent_shape)
                 clearance = cfg.r_min + (OBSTACLE_RESERVE if k > 0 else 0.0)
                 expected[row] = (-f[3 * k:3 * k + 3].T @ eta,
                                  dist - eta @ prev_pts[k] - clearance)
@@ -188,31 +190,42 @@ class TestBuildQp:
         for row, (g_w, rhs) in expected.items():
             assert np.max(np.abs(qp.G[row, :n_w] - g_w)) < 1e-12
             assert abs(qp.h[row] - rhs) < 1e-12
-        # box rows have no slack entry, every other row -1 at its own slack
+        # box rows have no slack entry, every other row -1 at its own slack,
+        # whose bound (lb = 0) carries the matching label
         nb = {j: i for i, j in enumerate(meta["neighbors"])}
         zeta_of = {p.obstacle: z for z, p in enumerate(meta["probes"])}
+
+        def slack_column(label):
+            if label[0] in ("obs", "nnz"):
+                return qp.layout["zeta"].start + zeta_of[label[1]]
+            block = qp.layout["eps" if label[0] in ("saf", "nne") else "delta"]
+            return block.start + nb[label[1]] * cfg.horizon + label[2]
+
         for row, label in enumerate(meta["labels"]):
             slack_row = np.zeros(qp.num_vars - n_w)
-            if label[0] in ("obs", "nnz"):
-                slack_row[qp.layout["zeta"].start - n_w + zeta_of[label[1]]] = -1.0
-            elif label[0] in ("saf", "nne", "coh", "nnd"):
-                block = qp.layout["eps" if label[0] in ("saf", "nne") else "delta"]
-                slack_row[block.start - n_w + nb[label[1]] * cfg.horizon + label[2]] = -1.0
+            if label[0] not in ("vel", "acc"):
+                slack_row[slack_column(label) - n_w] = -1.0
             assert np.array_equal(qp.G[row, n_w:], slack_row), label
+        assert meta["bound_labels"][:n_w] == [None] * n_w
+        assert np.all(qp.lb[:n_w] == -np.inf) and np.all(qp.lb[n_w:] == 0.0)
+        for col, label in enumerate(meta["bound_labels"][n_w:], start=n_w):
+            assert label[0] in ("nnz", "nne", "nnd") and slack_column(label) == col, label
 
     def test_projects_each_obstacle_once(self, cfg, bundle, monkeypatch):
         real = geometry._supporting_planes
-        calls = []
+        projected = []
 
-        def counting(obs, pts):
-            calls.append(len(pts))
-            return real(obs, pts)
+        def counting(obstacles, pts):
+            projected.extend((tuple(obs.center), k) for obs in obstacles for k in range(len(pts)))
+            return real(obstacles, pts)
 
         monkeypatch.setattr(geometry, "_supporting_planes", counting)
         _, meta, obstacles = crowded_instance(cfg, bundle)
         assert len(obstacles) == 3 and len(meta["probes"]) == 2
-        # the probe pass projects every step once; the obstacle rows reuse it
-        assert calls == [cfg.horizon] * len(obstacles)
+        # the probe pass projects each (obstacle, step) pair once; the
+        # obstacle rows reuse it
+        assert sorted(projected) == sorted((tuple(obs.center), k) for obs in obstacles
+                                           for k in range(cfg.horizon))
 
     @pytest.mark.parametrize("n_obstacles,n_neighbors", [(0, 0), (1, 1), (2, 3), (3, 2)])
     def test_frame_parts_match_dense_reference(self, cfg, n_obstacles, n_neighbors):
@@ -499,15 +512,15 @@ class TestCrowdedQps:
     def test_polish_matches_full_system_reference(self, cfg, bundle):
         # The polish factors only the variables no active slack bound pins;
         # the full-system polish in qp_testing is the reference. Candidates:
-        # the solution's active set, and the same without its bound rows.
+        # the solution's active rows and bounds, and the same rows alone.
         qp, _, _ = crowded_instance(cfg, bundle)
         sol = solve(qp)
         assert sol.status == SolveStatus.OPTIMAL
-        act = active_set(qp, sol)
-        bound = np.count_nonzero(qp.G, axis=1) == 1
-        assert np.count_nonzero(act & bound) > 0
-        for start in (act, act & ~bound):
-            assert_same_polish(qp, _try_polish(qp, start, 0), reference_polish(qp, start)[0])
+        act, bounds = active_set(qp, sol)
+        assert np.count_nonzero(bounds) > 0
+        for pinned in (bounds, np.zeros_like(bounds)):
+            assert_same_polish(qp, _try_polish(qp, act, pinned, 0),
+                               reference_polish(qp, act, pinned)[0])
 
     def test_every_fixture_within_step_budget(self, cfg, bundle):
         # The tick-0 QPs ran out 20000 iterations of the equilibrated ADMM,
@@ -519,6 +532,16 @@ class TestCrowdedQps:
             assert sol.status == SolveStatus.OPTIMAL
             assert all(v <= 1e-6 for v in kkt_residuals(qp, sol).values())
             assert 1 <= sol.iterations <= 50
+
+    def test_bound_form_matches_row_form(self, cfg, bundle):
+        # The slack bounds in lb against the same bounds as -I rows of G:
+        # the same solution, and dlb against central differences over the
+        # bounds whose moves keep the active set.
+        rng = np.random.default_rng(11)
+        for qp in [*crowded_qps(cfg, bundle), *tick0_qps(bundle)]:
+            sol = assert_bound_form_matches_row_form(qp)
+            err, compared, finite = dlb_check(qp, sol, rng.normal(size=qp.num_vars))
+            assert err <= 1e-9 and compared >= 0.95 * finite
 
     def test_tick0_fixtures_within_twelve_steps(self, bundle):
         # The multipliers start at the scale of the slack penalties, so the
@@ -709,13 +732,13 @@ class TestPredictionGradients:
         qp, meta, _ = crowded_instance(cfg, bundle, p_mig)
         sol = solve(qp)
         assert sol.status == SolveStatus.OPTIMAL
-        hint = active_set(qp, sol)
+        hint, bound_hint = active_set(qp, sol)
         f = bundle.basis.matrix
         target = np.random.default_rng(3).normal(size=3 * cfg.horizon)
 
         def loss(nudge):
             qp_n, _, _ = crowded_instance(cfg, bundle, p_mig, nudge)
-            sol_n = solve(qp_n, active_set_hint=hint)
+            sol_n = solve(qp_n, active_set_hint=hint, bound_hint=bound_hint)
             assert sol_n.status == SolveStatus.OPTIMAL
             return float(np.sum((f @ sol_n.x[qp_n.layout["w"]] - target) ** 2))
 

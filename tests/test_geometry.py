@@ -215,7 +215,7 @@ class TestEuclideanProjection:
             obs = Ellipsoid(rng.normal(size=3), np.diag(1.0 / rng.uniform(0.3, 5.0, 3)) @ rot)
             p = obs.center + rng.normal(size=3) * 4.0
             proj = euclidean_project_ellipsoid(obs, p)
-            d, eta = point_surface_distance(obs, p)
+            (d,), (eta,) = point_surface_distance([obs], p)
             if surface_distance(obs, p) <= 0:
                 assert np.array_equal(proj, p)
                 continue
@@ -241,13 +241,13 @@ class TestPointSurfaceDistance:
         m = np.eye(3) if norm is None else norm
         pts = obs.center + rng.normal(size=(30, 3)) * [8.0, 2.0, 4.0]
         pts = pts[[surface_distance(obs, p) > 0.05 for p in pts]]
-        d = point_surface_distance(obs, pts, norm)[0]
+        d = point_surface_distance([obs], pts, norm)[0][0]
         samples = surface_samples(obs, 200_000, rng)
         for p, d_k in zip(pts, d):
             sampled = np.linalg.norm((samples - p) @ m.T, axis=1).min()
             assert d_k <= sampled + 1e-9
             assert d_k >= sampled - 0.01
-            assert point_surface_distance(obs, p, norm)[0] == pytest.approx(d_k, abs=1e-9)
+            assert point_surface_distance([obs], p, norm)[0][0] == pytest.approx(d_k, abs=1e-9)
         # the radial closest point overstates the distance on this ellipsoid
         e, c = obs.shape_matrix, obs.center
         ys = (pts - c) @ e.T
@@ -263,7 +263,7 @@ class TestPointSurfaceDistance:
         ellipse = np.stack([4.0 * np.cos(theta), np.zeros_like(theta), np.sin(theta)], axis=1)
         xs = np.linspace(-3.9, 3.9, 27)
         pts = np.stack([xs, np.zeros_like(xs), np.zeros_like(xs)], axis=1)
-        d = point_surface_distance(obs, pts)[0]
+        d = point_surface_distance([obs], pts)[0][0]
         for p, d_k in zip(pts, d):
             true_signed = -np.linalg.norm(ellipse - p, axis=1).min()
             assert d_k <= true_signed + 1e-9
@@ -273,15 +273,34 @@ class TestPointSurfaceDistance:
         obs = Ellipsoid(np.array([0.5, 0.0, -1.0]),
                         np.diag([1 / 3.0, 1.0, 1 / 1.5]) @ np.linalg.qr(rng.normal(size=(3, 3)))[0])
         pts = obs.center + rng.normal(size=(40, 3)) * 3.0   # inside and outside
-        d, eta = point_surface_distance(obs, pts)
+        (d,), (eta,) = point_surface_distance([obs], pts)
         queries = obs.center + rng.normal(size=(300, 3)) * 4.0
         queries = queries[[surface_distance(obs, q) > 0 for q in queries]]
-        d_q = point_surface_distance(obs, queries)[0]   # exact there
+        d_q = point_surface_distance([obs], queries)[0][0]   # exact there
         # the plane of each point stays below the distance of every query
         assert np.all(d_q[:, None] >= d[None, :] + np.einsum(
             "qpj,pj->qp", queries[:, None, :] - pts[None, :, :], eta) - 1e-9)
         outside = d > 0
         assert np.allclose(np.linalg.norm(eta[outside], axis=1), 1.0)
+
+    @pytest.mark.parametrize("norm", [None, np.diag([1.0, 0.7, 1.6])])
+    def test_one_call_matches_a_call_per_obstacle(self, norm):
+        # The stacked Newton iteration holds each obstacle's steps once its
+        # own rows converge, so every obstacle gets the bits of a call alone.
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            obstacles = [Ellipsoid(rng.normal(size=3) * 2.0,
+                                   np.diag(1.0 / rng.uniform(0.2, 3.0, 3))
+                                   @ np.linalg.qr(rng.normal(size=(3, 3)))[0])
+                         for _ in range(int(rng.integers(2, 5)))]
+            pts = rng.normal(size=(16, 3)) * 3.0
+            pts[0] = obstacles[0].center
+            d, eta = point_surface_distance(obstacles, pts, norm)
+            for k, obs in enumerate(obstacles):
+                (d_k,), (eta_k,) = point_surface_distance([obs], pts, norm)
+                assert np.array_equal(d[k], d_k) and np.array_equal(eta[k], eta_k)
+        d, eta = point_surface_distance([], pts)
+        assert d.shape == (0, 16) and eta.shape == (0, 16, 3)
 
 
 class TestEllipsoidGap:

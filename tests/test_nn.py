@@ -111,6 +111,21 @@ class TestTensor:
         (b[[2, 0, 2], 1] * Tensor([1.0, 2.0, 3.0])).sum().backward()
         assert np.array_equal(b.grad, [[0.0, 2.0], [0.0, 0.0], [0.0, 4.0]])
 
+    def test_basic_key_backward_scatters_the_gradient(self):
+        # keys with no index array: each entry of the result comes from one
+        # entry of the source, so the gradient is the upstream one put back
+        rng = np.random.default_rng(27)
+        data = rng.normal(size=(3, 4, 2))
+        keys = [1, -1, slice(None, None, -2), (0, slice(1, 3)), (Ellipsis, 1),
+                (None, slice(1, None), 2), (np.int64(2), Ellipsis, slice(None, 1)), ()]
+        for key in keys:
+            a = Tensor(data, requires_grad=True)
+            upstream = rng.normal(size=data[key].shape)
+            (a[key] * Tensor(upstream)).sum().backward()
+            want = np.zeros_like(data)
+            want[key] = upstream
+            assert np.array_equal(a.grad, want), key
+
     def test_ndarray_on_the_left_joins_the_tape(self):
         rng = np.random.default_rng(26)
         params = {"t": Tensor(rng.normal(size=(2, 3)), requires_grad=True)}

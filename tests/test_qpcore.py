@@ -9,6 +9,7 @@ from swarmcoord.qpcore import (
     KktFactor,
     QpError,
     QpInstance,
+    QpSolution,
     SolveStatus,
     _try_polish,
     active_set,
@@ -19,7 +20,9 @@ from swarmcoord.qpcore import (
 )
 
 from qp_testing import (
+    assert_bound_form_matches_row_form,
     assert_same_polish,
+    dlb_check,
     full_kkt,
     grid_search_objective,
     random_box_qp,
@@ -73,6 +76,23 @@ def test_kkt_residuals_exact_solution():
                      SolveStatus.OPTIMAL, 0.5, 0)
     res = kkt_residuals(qp, sol)
     assert all(v < 1e-14 for v in res.values())
+
+
+def test_kkt_residuals_cover_bounds():
+    # min 1/2 x^2 s.t. x >= 1 as a bound: x* = 1 and z* = 1
+    qp = QpInstance([[1.0]], [0.0], np.zeros((0, 1)), np.zeros(0), np.zeros((0, 1)),
+                    np.zeros(0), [1.0])
+
+    def residuals(x, z):
+        return kkt_residuals(qp, QpSolution(np.array([x]), np.zeros(0), np.zeros(0),
+                                            SolveStatus.OPTIMAL, 0.5 * x * x, 0,
+                                            bound_duals=np.array([z])))
+
+    assert all(v == 0.0 for v in residuals(1.0, 1.0).values())
+    assert residuals(0.5, 0.5) == {"stationarity": 0.0, "primal_eq": 0.0,
+                                   "primal_ineq": 0.5, "complementarity": 0.25}
+    assert residuals(2.0, 2.0)["complementarity"] == 2.0
+    assert residuals(1.0, 0.0)["stationarity"] == 1.0
 
 
 def test_residual_linear_response_to_perturbation():
@@ -241,10 +261,69 @@ def test_dump_instance(tmp_path):
     path = tmp_path / "qp.json"
     dump_instance(qp, path)
     doc = json.loads(path.read_text())
-    assert doc["format"] == "swarmcoord-qp/1"
+    assert doc["format"] == "swarmcoord-qp/2"
     assert doc["shapes"]["G"] == [2, 3]
     assert doc["layout"]["eps"] == [2, 3]
     assert np.allclose(doc["Q"], qp.Q)
+
+
+def test_dump_round_trip_solves_to_the_same_x(tmp_path):
+    rng = np.random.default_rng(24)
+    qp = with_bound_rows(random_feasible_qp(rng, n=6, p=1), rng)
+    lb = qp.lb.copy()
+    lb[::2] = -np.inf
+    qp = QpInstance(qp.Q, qp.q, qp.G, qp.h, qp.R, qp.b, lb)
+    path = tmp_path / "qp.json"
+    dump_instance(qp, path)
+    doc = json.loads(path.read_text())
+    assert doc["format"] == "swarmcoord-qp/2"
+    back = QpInstance(doc["Q"], doc["q"], doc["G"], doc["h"], doc["R"], doc["b"],
+                      [-np.inf if v is None else v for v in doc["lb"]])
+    assert np.array_equal(back.lb, qp.lb)
+    sol = solve(qp)
+    assert sol.status == SolveStatus.OPTIMAL
+    assert np.array_equal(solve(back).x, sol.x)
+
+
+@pytest.mark.parametrize("lb", [[0.0], [0.0, 0.0, 0.0], [np.nan, 0.0], [0.0, np.inf]])
+def test_malformed_lb_rejected(lb):
+    with pytest.raises(QpError):
+        QpInstance(np.eye(2), [0.0, 0.0], np.zeros((0, 2)), np.zeros(0),
+                   np.zeros((0, 2)), np.zeros(0), lb)
+
+
+def test_lb_defaults_to_no_bound():
+    qp = QpInstance(np.eye(2), [1.0, -1.0], np.zeros((0, 2)), np.zeros(0),
+                    np.zeros((0, 2)), np.zeros(0))
+    assert np.array_equal(qp.lb, [-np.inf, -np.inf])
+    sol = solve(qp)
+    assert np.allclose(sol.x, [-1.0, 1.0], atol=1e-8)
+    assert np.array_equal(sol.bound_duals, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("field", ["q", "h"])
+def test_nan_data_ends_in_a_status(field):
+    # The LU calls skip scipy's finiteness checks; a NaN in the data must
+    # still end in a non-OPTIMAL status, with and without a hint.
+    rng = np.random.default_rng(45)
+    qp = with_bound_rows(random_feasible_qp(rng, n=6), rng)
+    rows, bounds = active_set(qp, solve(qp))
+    data = {"q": qp.q.copy(), "h": qp.h.copy()}
+    data[field][0] = np.nan
+    hostile = QpInstance(qp.Q, data["q"], qp.G, data["h"], qp.R, qp.b, qp.lb)
+    for hint in ({}, {"active_set_hint": rows, "bound_hint": bounds}):
+        assert solve(hostile, **hint).status != SolveStatus.OPTIMAL
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bound_form_matches_row_form(seed):
+    # The bounds in lb against the same bounds as -I rows of G: the same
+    # solution, and dlb against central differences.
+    rng = np.random.default_rng(300 + seed)
+    qp = with_bound_rows(random_feasible_qp(rng, n=int(rng.integers(4, 13))), rng)
+    sol = assert_bound_form_matches_row_form(qp)
+    err, compared, finite = dlb_check(qp, sol, rng.normal(size=qp.num_vars))
+    assert err <= 1e-9 and compared == finite
 
 
 def test_objective_value_matches_solution_field():
@@ -324,12 +403,13 @@ def test_polish_matches_full_system_reference(seed):
     # every bound row, and no row.
     rng = np.random.default_rng(100 + seed)
     qp = with_bound_rows(random_feasible_qp(rng, n=int(rng.integers(4, 13))), rng)
-    bound = np.count_nonzero(qp.G, axis=1) == 1
+    upper = np.arange(qp.num_ineq) >= qp.num_ineq - qp.num_vars
     sol = solve(qp)
     assert sol.status == SolveStatus.OPTIMAL
     compared = 0
-    for start in (active_set(qp, sol), bound, np.zeros(qp.num_ineq, dtype=bool)):
-        got, ref = _try_polish(qp, start, 0), reference_polish(qp, start)
+    none = (np.zeros(qp.num_ineq, dtype=bool), np.zeros(qp.num_vars, dtype=bool))
+    for start in (active_set(qp, sol), (upper, np.ones(qp.num_vars, dtype=bool)), none):
+        got, ref = _try_polish(qp, *start, 0), reference_polish(qp, *start)
         assert (got is None) == (ref is None)
         if ref is None:
             continue
@@ -341,12 +421,20 @@ def test_polish_matches_full_system_reference(seed):
 def test_kkt_factor_solves_full_system():
     # Any right-hand side, pinned rows included, against a dense solve of
     # the full active-set system; without reg the two systems are the same.
+    # Only lower bounds pin, so QPs whose solution holds none are passed over.
     rng = np.random.default_rng(43)
-    for _ in range(10):
+    checked = 0
+    for _ in range(100):
         qp = with_bound_rows(random_feasible_qp(rng, n=int(rng.integers(4, 13))), rng)
-        act = active_set(qp, solve(qp))
-        kkt = KktFactor(qp, act, 0.0)
+        act, pinned = active_set(qp, solve(qp))
+        if not pinned.any():
+            continue
+        kkt = KktFactor(qp, act, pinned, 0.0)
         assert kkt.var.size > 0
-        rhs = rng.normal(size=qp.num_vars + int(act.sum()) + qp.num_eq)
-        want = np.linalg.solve(full_kkt(qp, act, 0.0), rhs)
+        rhs = rng.normal(size=qp.num_vars + int(act.sum()) + int(pinned.sum()) + qp.num_eq)
+        want = np.linalg.solve(full_kkt(qp, act, pinned, 0.0), rhs)
         assert np.max(np.abs(kkt.solve(rhs) - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+        checked += 1
+        if checked == 10:
+            break
+    assert checked == 10

@@ -141,6 +141,28 @@ def test_singular_active_set_raises_with_diagnostics():
     assert np.isfinite(grads["dh"]).all()
 
 
+def test_nan_in_an_active_row_raises_kkt_singular():
+    # The factor skips scipy's finiteness check; its pivot probe still
+    # rejects a KKT matrix that holds a NaN.
+    qp = QpInstance([[1.0]], [0.0], [[-1.0]], [-1.0], np.zeros((0, 1)), np.zeros(0))
+    sol = solve(qp)
+    hostile = QpInstance(qp.Q, qp.q, [[np.nan]], qp.h, qp.R, qp.b)
+    with pytest.raises(KktSingularError):
+        factorize(hostile, sol)
+
+
+def test_bound_example_dlb_analytic():
+    # x >= 1 as a bound, loss = x: x* = lb, dL/dlb = 1, and no row
+    qp = QpInstance([[1.0]], [0.0], np.zeros((0, 1)), np.zeros(0), np.zeros((0, 1)),
+                    np.zeros(0), [1.0])
+    sol = solve(qp)
+    assert sol.x[0] == pytest.approx(1.0, abs=1e-9)
+    assert sol.bound_duals[0] == pytest.approx(1.0, abs=1e-9)
+    grads = backward(factorize(qp, sol), np.array([1.0]))
+    assert grads["dlb"][0] == pytest.approx(1.0, abs=1e-12)
+    assert grads["dq"][0] == pytest.approx(0.0, abs=1e-12)
+
+
 def test_non_optimal_solution_rejected():
     rng = np.random.default_rng(8)
     qp = small_random_qp(rng)

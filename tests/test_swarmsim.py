@@ -454,21 +454,20 @@ class TestColdStart:
 class TestHintPolish:
     def test_factors_only_free_variables(self, desk_scenario, monkeypatch):
         # The hint polish of a DESK QP factors the free variables, the
-        # general active rows and the equality rows: n - pinned + general + p.
+        # active rows and the equality rows: n - pinned + rows + p.
         real_solve, hinted = dmpc.solve, []
 
         def recording(qp, **kwargs):
             if kwargs.get("active_set_hint") is not None:
-                hinted.append((qp, kwargs["active_set_hint"]))
+                hinted.append((qp, kwargs["active_set_hint"], kwargs["bound_hint"]))
             return real_solve(qp, **kwargs)
 
         monkeypatch.setattr(dmpc, "solve", recording)
         run_episode(desk_scenario, mode="oracle", ticks=2, seed=0)
-        qp, hint = hinted[0]
-        one_nonzero = np.count_nonzero(qp.G, axis=1) == 1
-        pinned_vars = np.argmax(qp.G[hint & one_nonzero] != 0, axis=1)
-        assert len(np.unique(pinned_vars)) == len(pinned_vars) > 0
-        general = np.count_nonzero(hint & ~one_nonzero)
+        qp, hint, bound_hint = hinted[0]
+        pinned_vars = np.flatnonzero(bound_hint)
+        assert len(pinned_vars) > 0 and np.all(np.isfinite(qp.lb[pinned_vars]))
+        general = np.count_nonzero(hint)
         dims = []
         real_lu_factor = scipy.linalg.lu_factor
 
@@ -477,7 +476,7 @@ class TestHintPolish:
             return real_lu_factor(a, *args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "lu_factor", lu_factor)
-        sol = real_solve(qp, active_set_hint=hint)
+        sol = real_solve(qp, active_set_hint=hint, bound_hint=bound_hint)
         assert sol.status == SolveStatus.OPTIMAL and sol.iterations == 0
         dim = qp.num_vars - len(pinned_vars) + general + qp.num_eq
         assert dims[0] == (dim, dim)
