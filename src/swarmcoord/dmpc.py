@@ -43,6 +43,12 @@ sample times. Its product with the previous plan, meta["prev_traj"], is the
 point of every linearization above, and when the solver fails, plan() falls
 back to the least-squares fit of that same trajectory.
 
+Warm hints: plan() passes the previous tick's active labels to the solver as
+a row hint and a bound hint. A plan with no previous active set
+(hint_labels None: an agent's first tick, or the tick after a fallback)
+passes a guess instead, no row active and every slack at zero, and reaches
+the interior point only if the polish of that guess fails.
+
 build_qp, plan, cost_decomposition and prediction_row_gradients read the
 ControllerConfig from their BasisBundle (bundle.cfg). The neighbor set is
 the key set of the predictions dict.
@@ -189,7 +195,9 @@ class PlanResult:
     costs: dict
     status: SolveStatus
     fallback: bool = False
-    active_labels: frozenset | None = None  # warm hint for the next tick's plan
+    # warm hint for the next tick's plan; None (a fallback) means no previous
+    # active set, and the next plan polishes from the guess "every slack at zero"
+    active_labels: frozenset | None = None
 
     @property
     def total_cost(self):
@@ -496,11 +504,18 @@ def plan(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dict,
 
     hint_labels is the previous tick's PlanResult.active_labels: row and
     bound labels survive changes in neighbor sets and probes, so the hint
-    stays usable from one tick to the next.
+    stays usable from one tick to the next. None means there is no previous
+    active set (an agent's first tick, or the tick after a fallback); the
+    solve then polishes from a guess first: no row active and every slack
+    at zero. The slacks are exact penalties, so they are zero wherever the
+    hard rows are feasible (Kerrigan & Maciejowski, UKACC Control 2000), and
+    the polish adds the few rows that are active. A guess that fails goes on
+    to solve's interior point, like a warm hint that fails.
     """
     qp, meta = build_qp(state, prev_plan, neighbor_predictions, obstacles, p_mig, bundle)
-    hint = bound_hint = None
-    if hint_labels is not None:
+    if hint_labels is None:
+        hint, bound_hint = np.zeros(qp.num_ineq, dtype=bool), np.isfinite(qp.lb)
+    else:
         hint = np.array([lab in hint_labels for lab in meta["labels"]])
         bound_hint = np.array([lab in hint_labels for lab in meta["bound_labels"]])
     sol = solve(qp, active_set_hint=hint, bound_hint=bound_hint)

@@ -211,6 +211,10 @@ class Tensor:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
         grads = {id(self): np.asarray(grad, dtype=np.float64)}
+        # ids whose entry in grads is a buffer the tape allocated: only those
+        # are added into in place, never an array a node's backward handed
+        # out (__add__ hands the same one to both parents)
+        owned = set()
         for node in reversed(topo):
             g = grads.pop(id(node), None)
             if g is None:
@@ -223,8 +227,12 @@ class Tensor:
             for parent, pg in zip(node._parents, parent_grads):
                 if not parent.requires_grad or pg is None:
                     continue
-                if id(parent) in grads:
-                    grads[id(parent)] = grads[id(parent)] + pg
+                if id(parent) in owned:
+                    np.add(grads[id(parent)], pg, out=grads[id(parent)])
+                elif id(parent) in grads:
+                    # asarray: the sum of two 0-d arrays is a numpy scalar
+                    grads[id(parent)] = np.asarray(grads[id(parent)] + pg)
+                    owned.add(id(parent))
                 else:
                     grads[id(parent)] = pg
 

@@ -416,7 +416,8 @@ class TestPlan:
 
     def test_empty_hint_takes_the_hint_path(self, cfg, bundle, monkeypatch):
         # an isolated agent at rest on its goal holds no row active, so its
-        # hint is the empty set; an empty hint is still a hint
+        # hint is the empty set; an empty hint is still a hint, and the first
+        # plan's guess (no row active, every slack at zero) is already optimal
         iterations = []
         real_solve = dmpc.solve
 
@@ -434,7 +435,7 @@ class TestPlan:
             assert result.status == SolveStatus.OPTIMAL
             assert result.active_labels == frozenset()
             prev, hint = result.plan, result.active_labels
-        assert iterations[0] > 0 and iterations[1:] == [0, 0, 0]
+        assert iterations == [0, 0, 0, 0]
 
     def test_one_plan_fires_every_benchmark_hook(self, cfg, bundle, monkeypatch):
         # the benchmark's layer tracer times plan() through these module
@@ -471,16 +472,17 @@ CROWDED_QPS = DATA / "crowded_qps.bin"
 TICK0_QPS = DATA / "tick0_qps.bin"
 
 
-def fixture_qp(arrays, key, segment_duration, scenario, bundle):
-    """The QP of one plan() call stored by data/make_crowded_qps.py, rebuilt
-    from its inputs; scenario is the key prefix of its obstacles and p_mig."""
+def fixture_inputs(arrays, key, segment_duration, scenario):
+    """The (state, prev_plan, predictions, obstacles, p_mig) of one plan()
+    call stored by data/make_crowded_qps.py; scenario is the key prefix of
+    its obstacles and p_mig."""
     obstacles = [Ellipsoid(c, e) for c, e in zip(arrays[f"{scenario}obstacle_centers"],
                                                  arrays[f"{scenario}obstacle_shapes"])]
     neighbors = [int(j) for j in arrays[f"{key}.neighbors"]]
     state = AgentState(arrays[f"{key}.position"], arrays[f"{key}.velocity"])
     prev = BezierPlan(arrays[f"{key}.prev_control_points"], segment_duration)
     preds = dict(zip(neighbors, arrays[f"{key}.predictions"]))
-    return build_qp(state, prev, preds, obstacles, arrays[f"{scenario}p_mig"], bundle)[0]
+    return state, prev, preds, obstacles, arrays[f"{scenario}p_mig"]
 
 
 def crowded_qps(cfg, bundle):
@@ -488,15 +490,21 @@ def crowded_qps(cfg, bundle):
     arrays, meta = read_container(CROWDED_QPS, expect_format="swarmcoord-crowded-qps")
     for rec in meta["agent_ticks"]:
         key = f"{rec['tick']}.{rec['agent']}"
-        yield fixture_qp(arrays, key, rec["segment_duration"], "", bundle)
+        yield build_qp(*fixture_inputs(arrays, key, rec["segment_duration"], ""), bundle)[0]
 
 
-def tick0_qps(bundle):
-    """The QPs of the three tick-0 agent-ticks, each from its own scenario."""
+def tick0_inputs():
+    """The plan() inputs of the three tick-0 agent-ticks, each from its own scenario."""
     arrays, meta = read_container(TICK0_QPS, expect_format="swarmcoord-tick0-qps")
     for rec in meta["agent_ticks"]:
         key = f"{rec['scenario_seed']}.{rec['agent']}"
-        yield fixture_qp(arrays, key, rec["segment_duration"], f"{key}.", bundle)
+        yield fixture_inputs(arrays, key, rec["segment_duration"], f"{key}.")
+
+
+def tick0_qps(bundle):
+    """The QPs of the three tick-0 agent-ticks."""
+    for inputs in tick0_inputs():
+        yield build_qp(*inputs, bundle)[0]
 
 
 class TestCrowdedQps:
@@ -601,10 +609,70 @@ class TestHostileInputs:
         assert np.all(np.isfinite(result.trajectory))
 
 
+def recording_solves(monkeypatch):
+    """Replace dmpc.solve by one that records (qp, its keyword arguments, solution)."""
+    real_solve, solved = dmpc.solve, []
+
+    def recording(qp, **kwargs):
+        solved.append((qp, kwargs, real_solve(qp, **kwargs)))
+        return solved[-1][2]
+
+    monkeypatch.setattr(dmpc, "solve", recording)
+    return solved
+
+
+class TestColdGuess:
+    """A plan with no previous active set polishes from the guess "no row
+    active, every slack at zero" before it runs the interior point."""
+
+    def test_tick0_fixtures_polish_the_guess(self, bundle, monkeypatch):
+        # the three QPs on which the equilibrated ADMM ran out of iterations
+        solved = recording_solves(monkeypatch)
+        for inputs in tick0_inputs():
+            result = plan(*inputs, bundle)
+            assert result.status == SolveStatus.OPTIMAL
+        assert len(solved) == 3
+        for qp, _, sol in solved:
+            assert sol.iterations == 0
+            assert np.max(np.abs(sol.x - solve(qp).x)) <= 1e-9
+
+    def test_failed_guess_ends_in_the_interior_point(self, cfg, bundle, monkeypatch):
+        solved = recording_solves(monkeypatch)
+        velocity, preds, obstacles = hostile_inputs("1e3 m prediction noise", cfg.horizon)
+        result = plan(AgentState(HOSTILE_POSITION, velocity),
+                      hold_position_plan(HOSTILE_POSITION, cfg), preds, obstacles,
+                      [20.0, 0, 0], bundle)
+        ((qp, kwargs, sol),) = solved
+        assert _try_polish(qp, kwargs["active_set_hint"], kwargs["bound_hint"], 0) is None
+        assert result.status == sol.status == SolveStatus.OPTIMAL and not result.fallback
+        assert sol.iterations > 0
+
+    def test_plan_after_a_fallback_gets_the_guess(self, cfg, bundle, monkeypatch):
+        real_solve, calls = dmpc.solve, []
+
+        def first_fails(qp, **kwargs):
+            calls.append((qp, kwargs))
+            return real_solve(qp, max_iter=1) if len(calls) == 1 else real_solve(qp, **kwargs)
+
+        monkeypatch.setattr(dmpc, "solve", first_fails)
+        state = AgentState([0, 0, 0], [0.2, 0, 0])
+        first = plan(state, hold_position_plan(state.position, cfg), {}, two_obstacles(),
+                     [20.0, 0, 0], bundle)
+        assert first.fallback and first.active_labels is None
+        second = plan(state, first.plan, {}, two_obstacles(), [20.0, 0, 0], bundle,
+                      hint_labels=first.active_labels)
+        assert second.status == SolveStatus.OPTIMAL
+        qp, kwargs = calls[1]
+        assert kwargs["active_set_hint"] is not None and not np.any(kwargs["active_set_hint"])
+        assert np.array_equal(kwargs["bound_hint"], np.isfinite(qp.lb))
+
+
 class TestFallbackWarning:
     def test_names_iterations_and_largest_residual(self, cfg, bundle, monkeypatch, caplog):
+        # the fallback is forced by one interior-point step with no hint, so
+        # no polish of a hint or of the guess can succeed first
         real_solve = dmpc.solve
-        monkeypatch.setattr(dmpc, "solve", lambda qp, **kw: real_solve(qp, max_iter=1, **kw))
+        monkeypatch.setattr(dmpc, "solve", lambda qp, **kw: real_solve(qp, max_iter=1))
         state = AgentState([0, 0, 0], [0.2, 0, 0])
         prev = hold_position_plan(state.position, cfg)
         with caplog.at_level(logging.WARNING, logger="swarmcoord.dmpc"):
@@ -618,7 +686,7 @@ class TestFallbackWarning:
 
     def test_fits_the_time_shifted_previous_plan(self, cfg, bundle, monkeypatch):
         real_solve, real_build, metas = dmpc.solve, dmpc.build_qp, []
-        monkeypatch.setattr(dmpc, "solve", lambda qp, **kw: real_solve(qp, max_iter=1, **kw))
+        monkeypatch.setattr(dmpc, "solve", lambda qp, **kw: real_solve(qp, max_iter=1))
 
         def recording(*args):
             qp, meta = real_build(*args)

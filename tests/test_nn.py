@@ -159,6 +159,93 @@ class TestTensor:
         assert np.array_equal(y1, y2) and np.array_equal(g1, g2)
 
 
+def out_of_place_backward(root):
+    """Reference for Tensor.backward: the same reverse topological order (the
+    same stack walk), with every accumulation a fresh array (grads + pg), so
+    nothing is written in place."""
+    topo, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents
+                         if p.requires_grad and id(p) not in seen)
+    grads = {id(root): np.ones_like(root.data)}
+    for node in reversed(topo):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node._backward is None or not node._parents:
+            node.grad = g if node.grad is None else node.grad + g
+            continue
+        for parent, pg in zip(node._parents, node._backward(g)):
+            if parent.requires_grad and pg is not None:
+                grads[id(parent)] = grads[id(parent)] + pg if id(parent) in grads else pg
+
+
+class TestInPlaceAccumulation:
+    """Tensor.backward adds a parent's later contributions into a buffer the
+    tape owns; an array a node's backward handed out is never written."""
+
+    def test_taped_prior_gradients_match_out_of_place_reference(self):
+        cfg = PredictorConfig()
+        params = init_predictor_params(np.random.default_rng(31), cfg)
+        rng = np.random.default_rng(32)
+        positions = rng.normal(scale=3.0, size=(5, 3))
+        adjacency = np.ones((5, 5)) - np.eye(5)
+        targets = [0, 1, 3, 4]
+        prev = np.tile(positions[targets], cfg.horizon) + rng.normal(size=(4, cfg.traj_dim))
+        obstacle_centers = rng.normal(scale=3.0, size=(2, 3))
+        probe_mean, probe_sigma = rng.normal(size=(2, 4, cfg.traj_dim))
+        grads = []
+        for backward in (Tensor.backward, out_of_place_backward):
+            zero_grads(params)
+            mean, sigma = prior_forward(params, cfg, targets, positions, adjacency,
+                                        obstacle_centers, prev)
+            backward((mean * Tensor(probe_mean)).sum() + (sigma * Tensor(probe_sigma)).sum())
+            grads.append({k: t.grad for k, t in flatten_params(params).items()})
+        assert grads[0].keys() == grads[1].keys()
+        for name in grads[0]:
+            assert np.array_equal(grads[0][name], grads[1][name]), name
+
+    def test_shared_gradient_of_add_is_not_written(self):
+        # (x + x) + x: __add__ hands the same array to both of its parents,
+        # so x receives that one array three times
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        seed = np.array([0.5, 3.0])
+        ((x + x) + x).backward(seed)
+        assert np.array_equal(x.grad, 3 * np.array([0.5, 3.0]))
+        assert np.array_equal(seed, [0.5, 3.0])
+
+    def test_scalar_node_accumulates(self):
+        # products of 0-d arrays are numpy scalars, which cannot be added into
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        s = x.sum()
+        (s * s + s * 2.0 + s).backward()
+        assert np.array_equal(x.grad, [2 * 3.0 + 3.0] * 2)
+
+    def test_backward_returning_one_array_to_both_parents(self):
+        x = Tensor(np.array([2.0, 3.0]), requires_grad=True)
+        a, b = x * 1.0, x * 2.0
+        handed_out = []
+
+        def backward(grad):
+            handed_out.append(grad * 1.0)
+            return (handed_out[0], handed_out[0])
+
+        pair = Tensor._make(a.data + b.data, (a, b), backward)
+        # a and b each get the shared array, then more from the products
+        # below, so both accumulate past their first contribution
+        out = (pair + a * a + b * 3.0).sum()
+        out.backward()
+        assert np.array_equal(handed_out[0], [1.0, 1.0])
+        # d/dx of (x + 2x) + x^2 + 6x = 9 + 2x
+        assert np.array_equal(x.grad, 9.0 + 2.0 * x.data)
+
+
 class TestTape:
     """An op joins the tape exactly when at least one input requires grad."""
 

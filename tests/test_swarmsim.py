@@ -417,13 +417,13 @@ class TestTickShift:
 
 
 def tick_zero_solves(scenario, monkeypatch):
-    """The solutions of the cold QPs of a one-tick oracle episode."""
+    """Hint-free solves of the QPs of a one-tick oracle episode: the plans
+    polish from the guess, and each QP is solved again by the interior point."""
     real_solve, sols = dmpc.solve, []
 
     def recording(qp, **kwargs):
-        assert kwargs.get("active_set_hint") is None
-        sols.append(real_solve(qp, **kwargs))
-        return sols[-1]
+        sols.append(real_solve(qp))
+        return real_solve(qp, **kwargs)
 
     monkeypatch.setattr(dmpc, "solve", recording)
     run_episode(scenario, mode="oracle", ticks=1, seed=0)
@@ -433,8 +433,8 @@ def tick_zero_solves(scenario, monkeypatch):
 
 class TestColdStart:
     def test_tick_zero_admm_iterations(self, desk_scenario, monkeypatch):
-        # Tick 0 has no hint, so every QP runs the interior point from its
-        # fixed start, and its iterations are Newton steps. Step counts are
+        # Without a hint every QP runs the interior point from its fixed
+        # start, and its iterations are Newton steps. Step counts are
         # deterministic: this guards the convergence speed of the cold path
         # without timing anything.
         sols = tick_zero_solves(desk_scenario, monkeypatch)
@@ -449,6 +449,23 @@ class TestColdStart:
         for sol in tick_zero_solves(desk_scenario, monkeypatch):
             assert sol.status == SolveStatus.OPTIMAL
             assert sol.iterations <= 12
+
+    def test_tick_zero_polishes_the_guess(self, desk_scenario, monkeypatch):
+        # With no previous active set the plan polishes from the guess, no
+        # row active and every slack at zero, and each DESK tick-0 QP is
+        # solved by that polish alone.
+        real_solve, solved = dmpc.solve, []
+
+        def recording(qp, **kwargs):
+            solved.append((qp, real_solve(qp, **kwargs)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(dmpc, "solve", recording)
+        run_episode(desk_scenario, mode="oracle", ticks=1, seed=0)
+        assert len(solved) == desk_scenario.n
+        for qp, sol in solved:
+            assert sol.status == SolveStatus.OPTIMAL and sol.iterations == 0
+            assert np.max(np.abs(sol.x - real_solve(qp).x)) <= 1e-9
 
 
 class TestHintPolish:
