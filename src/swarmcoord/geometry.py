@@ -15,9 +15,10 @@ Distances, and who uses them:
       the agent norm, with a supporting plane per point, all obstacles in
       one call, for collision probes, obstacle rows, the scenario goal
       check and the obstacle metrics;
-  euclidean_project_ellipsoid and ellipsoid_gap: the Euclidean projection
-      onto a solid obstacle and the gap between two, for the scenario gap
-      check and the benchmark's clearances.
+  ellipsoid_gap: the Euclidean gap between two solid obstacles, certified
+      to 1e-12 by its support-function dual, for the scenario gap check;
+  euclidean_project_ellipsoid: the Euclidean projection onto a solid
+      obstacle, for the benchmark's clearances and the tests.
 """
 
 from dataclasses import dataclass
@@ -300,28 +301,127 @@ def euclidean_project_ellipsoid(obs: Ellipsoid, p) -> np.ndarray:
     y = v.T @ (p - obs.center)
     if float(np.sum(a * y**2)) <= 1.0 + 1e-12:
         return p.copy()
-    # the outside branch of _supporting_planes, without its per-call
-    # overhead: the scenario gap check projects several hundred times
     return obs.center + v @ _project_outside(a[None], y[None])[0]
 
 
-def ellipsoid_gap(a: Ellipsoid, b: Ellipsoid) -> float:
-    """Euclidean distance between two disjoint ellipsoid surfaces.
+GAP_TOL = 1e-12      # relative agreement of the primal witness and the dual value
+GAP_STEPS = 64       # Newton steps of the ascent, and of the overlap test
+GAP_HALVINGS = 40    # backtracking halvings of one ascent step
 
-    Alternating exact projections onto the two solid (convex) bodies; returns
-    0.0 when they intersect. Stops once the distance changes by less than
-    1e-9, or after 256 rounds.
+
+def ellipsoid_gap(a: Ellipsoid, b: Ellipsoid) -> float:
+    """Euclidean distance between two solid ellipsoids, 0.0 when they share a point.
+
+    The support-function dual (Lin & Han, SIAM J. Optim. 2002): for unit n,
+        f(n) = n·(c_b - c_a) - ||E_a⁻ᵀ n|| - ||E_b⁻ᵀ n||
+    is the width of the slab with normal n between the bodies, so the gap d
+    is at least max(f(n), 0). f is concave and 1-homogeneous, and its
+    gradient g = x_b - x_a joins the support points x_a = c_a + S_a n / r_a
+    of a and x_b = c_b - S_b n / r_b of b (S = E⁻¹E⁻ᵀ, r = sqrt(nᵀS n)), so
+    ||g|| >= d is a primal witness. Newton on the unit sphere from the
+    direction c_b - c_a maximises f; a Levenberg shift keeps the tangent
+    Hessian at or below minus the tangent gradient's norm (so no step turns
+    n by more than 45 degrees), and backtracking keeps every step an ascent.
+    It returns max(f, 0), which is never above d, once
+    ||g|| - max(f, 0) <= GAP_TOL * max(1, d).
+
+    The ascent gives up at a maximum of f on the sphere where f < 0, or when
+    no step along its direction rises. _shares_a_point must then prove that
+    the solids overlap, and the gap is exactly 0.0; if neither certificate
+    holds within GAP_STEPS steps, GeometryError is raised.
     """
-    x = b.center.copy()
-    prev = np.inf
-    for _ in range(256):
-        xa = euclidean_project_ellipsoid(a, x)
-        xb = euclidean_project_ellipsoid(b, xa)
-        d = float(np.linalg.norm(xa - xb))
-        if np.allclose(xa, xb, atol=1e-12):
-            return 0.0
-        if abs(prev - d) < 1e-9:
-            return d
-        prev = d
-        x = xb
-    return prev
+    delta = b.center - a.center
+    length = float(np.linalg.norm(delta))
+    if length == 0.0:
+        return 0.0      # the common center lies in both
+    gram_a, gram_b = _support_gram(a), _support_gram(b)
+
+    def slab(n):
+        """f(n), g(n) and the two support offsets with their radii."""
+        sa, sb = gram_a @ n, gram_b @ n
+        ra, rb = np.sqrt(n @ sa), np.sqrt(n @ sb)
+        return n @ delta - ra - rb, delta - sa / ra - sb / rb, sa / ra, ra, sb / rb, rb
+
+    n = delta / length
+    f, g, ua, ra, ub, rb = slab(n)
+    for _ in range(GAP_STEPS):
+        witness, dual = np.sqrt(g @ g), max(f, 0.0)
+        if witness - dual <= GAP_TOL * max(1.0, dual):
+            return dual
+        # Newton in an orthonormal basis t of the tangent plane at n: the
+        # sphere's Hessian of f is tᵀ∇²f t - f I, with ∇²r = (S - u uᵀ) / r
+        t = _tangent_basis(n)
+        hess = (np.outer(ua, ua) - gram_a) / ra + (np.outer(ub, ub) - gram_b) / rb
+        (p, q), (_, r) = t.T @ hess @ t
+        p, r = p - f, r - f
+        grad = t.T @ g
+        top = 0.5 * (p + r) + np.hypot(0.5 * (p - r), q)
+        shift = max(0.0, top + np.sqrt(grad @ grad))
+        p, r = shift - p, shift - r        # shift I - h = [[p, -q], [-q, r]] > 0
+        step = np.array([r * grad[0] + q * grad[1], q * grad[0] + p * grad[1]]) / (p * r - q * q)
+        rise = float(grad @ step)          # the step's first-order ascent
+        if f < 0.0 and rise <= GAP_TOL * max(1.0, -f):
+            break       # n is a maximum of f on the sphere, and f < 0 there
+        for halving in range(GAP_HALVINGS):
+            alpha = 0.5**halving
+            trial = n + alpha * (t @ step)
+            trial /= np.sqrt(trial @ trial)
+            support = slab(trial)
+            if support[0] >= f + 1e-4 * alpha * rise:
+                break
+        else:
+            break       # no rise along the step
+        n, (f, g, ua, ra, ub, rb) = trial, support
+    if _shares_a_point(a, b, delta):
+        return 0.0
+    raise GeometryError(f"ellipsoid gap not certified: f = {f:.3g}, "
+                        f"witness {np.sqrt(g @ g):.3g} after the ascent")
+
+
+def _support_gram(obs: Ellipsoid) -> np.ndarray:
+    """S = E⁻¹E⁻ᵀ: the support function of the solid is n·c + sqrt(nᵀS n)."""
+    inv = np.linalg.inv(obs.shape_matrix)
+    return inv @ inv.T
+
+
+def _tangent_basis(n):
+    """A 3x2 matrix whose orthonormal columns span the plane orthogonal to unit n."""
+    axis = np.zeros(3)
+    axis[np.argmin(np.abs(n))] = 1.0
+    t1 = axis - (axis @ n) * n
+    t1 /= np.sqrt(t1 @ t1)
+    t2 = n[[1, 2, 0]] * t1[[2, 0, 1]] - n[[2, 0, 1]] * t1[[1, 2, 0]]   # n x t1
+    return np.column_stack([t1, t2])
+
+
+def _shares_a_point(a: Ellipsoid, b: Ellipsoid, delta) -> bool:
+    """True once min over s in (0, 1) of K(s) >= 0 is proven: the solids
+    share a point (Gilitschenski & Hanebeck, FUSION 2012).
+
+    K(s) = 1 - deltaᵀ (S_a / (1 - s) + S_b / s)⁻¹ delta. With the eigenpairs
+    (lam, U) of E_a S_b E_aᵀ and v = Uᵀ E_a delta it is
+        K(s) = 1 - sum_i v_i² s (1 - s) / (lam_i + s (1 - lam_i)),
+    convex on [0, 1] with K(0) = K(1) = 1. Safeguarded Newton on K' from
+    s = 1/2; the tangent line at s bounds K from below on all of [0, 1], so
+    K(s) + min(-s K'(s), (1 - s) K'(s)) >= 0 proves the overlap. False when
+    some K(s) < 0 proves the solids disjoint, or after GAP_STEPS steps.
+    """
+    m = a.shape_matrix @ np.linalg.inv(b.shape_matrix)
+    lam, u = np.linalg.eigh(m @ m.T)
+    v2 = (u.T @ (a.shape_matrix @ delta)) ** 2
+    lo, hi, s = 0.0, 1.0, 0.5
+    for _ in range(GAP_STEPS):
+        den = lam + s * (1.0 - lam)
+        k = 1.0 - v2 @ (s * (1.0 - s) / den)
+        if k < 0.0:
+            return False
+        dk = -v2 @ ((lam * (1.0 - s) ** 2 - s * s) / den**2)
+        if k + min(-s * dk, (1.0 - s) * dk) >= 0.0:
+            return True
+        if dk > 0.0:
+            hi = s
+        else:
+            lo = s
+        newton = s - dk / (v2 @ (2.0 * lam / den**3))
+        s = newton if lo < newton < hi else 0.5 * (lo + hi)
+    return False

@@ -16,7 +16,6 @@ import numpy as np
 import scipy.linalg
 
 from .qpcore import (
-    ACT_TOL,
     KktFactor,
     QpInstance,
     QpSolution,
@@ -42,14 +41,6 @@ class KktFactorization:
     active: np.ndarray          # boolean mask over inequality rows
     bounds: np.ndarray          # boolean mask over variables: the active bounds
     kkt: KktFactor              # factor of the active-set KKT system
-
-
-def is_strictly_complementary(qp: QpInstance, sol: QpSolution) -> bool:
-    """No active inequality row or bound may have a dual at or below
-    ACT_TOL, i.e. be held active by its slack alone."""
-    rows, bounds = active_set(qp, sol)
-    return not (np.any(rows & (sol.ineq_duals <= ACT_TOL))
-                or np.any(bounds & (sol.bound_duals <= ACT_TOL)))
 
 
 def factorize(qp: QpInstance, sol: QpSolution, damping=0.0) -> KktFactorization:

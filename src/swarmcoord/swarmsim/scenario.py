@@ -1,7 +1,10 @@
 """Scenario sampling: two ellipsoid obstacles forming a funnel, Poisson-disk starts.
 
 Axis lengths are treated as semi-axes; the inter-obstacle gap is the true
-Euclidean surface distance, accepted only inside the configured band. Agent
+Euclidean surface distance, accepted only inside the configured band.
+geometry.ellipsoid_gap certifies it: the value never exceeds the true gap
+and lies within 1e-12 * max(1, gap) of it, and a pair that overlaps returns
+exactly 0.0 and is rejected. Agent
 starts must additionally clear both obstacles in the scaled surface distance
 ||E(p - C)|| - 1, otherwise episodes could begin in collision; a scaled
 clearance c guarantees a Euclidean clearance of at least c times the shortest

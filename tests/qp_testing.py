@@ -1,11 +1,12 @@
-"""Random QP generators, a finite-difference gradient check, the expansion
-of variable bounds into rows of G and a full-system reference polish,
-shared by the solver and KKT-layer tests."""
+"""Random QP generators, a strict-complementarity test, a finite-difference
+gradient check, the expansion of variable bounds into rows of G and a
+full-system reference polish, shared by the solver and KKT-layer tests."""
 
 import numpy as np
 import scipy.linalg
 
 from swarmcoord.qpcore import (
+    ACT_TOL,
     QpInstance,
     QpSolution,
     SolveStatus,
@@ -14,7 +15,15 @@ from swarmcoord.qpcore import (
     objective_value,
     solve,
 )
-from swarmcoord.qpdiff import backward, factorize, is_strictly_complementary
+from swarmcoord.qpdiff import backward, factorize
+
+
+def is_strictly_complementary(qp: QpInstance, sol: QpSolution) -> bool:
+    """No active inequality row or bound may have a dual at or below
+    ACT_TOL, i.e. be held active by its slack alone."""
+    rows, bounds = active_set(qp, sol)
+    return not (np.any(rows & (sol.ineq_duals <= ACT_TOL))
+                or np.any(bounds & (sol.bound_duals <= ACT_TOL)))
 
 
 def random_feasible_qp(rng, n=None, m=None, p=None, scale=1.0):

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
+from scipy.spatial import cKDTree
 
+from swarmcoord import geometry
 from swarmcoord.geometry import (
     BezierPlan,
     Ellipsoid,
@@ -14,6 +19,7 @@ from swarmcoord.geometry import (
     scaled_distance,
     surface_distance,
 )
+from swarmcoord.swarmsim.scenario import ScenarioConfig, _sample_obstacles
 
 
 def de_casteljau(points, tau):
@@ -303,6 +309,37 @@ class TestPointSurfaceDistance:
         assert d.shape == (0, 16) and eta.shape == (0, 16, 3)
 
 
+@st.composite
+def ellipsoids(draw):
+    """A solid ellipsoid with semi-axes in [0.2, 4] m, rotated by a quaternion."""
+    center = np.array(draw(st.tuples(*[st.floats(-4.0, 4.0)] * 3)))
+    semi = np.array(draw(st.tuples(*[st.floats(0.2, 4.0)] * 3)))
+    quat = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4)))
+    assume(np.linalg.norm(quat) > 0.1)
+    w, x, y, z = quat / np.linalg.norm(quat)
+    rot = np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                    [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                    [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+    return Ellipsoid(center, np.diag(1.0 / semi) @ rot.T)
+
+
+def slsqp_gap(a, b):
+    """Reference gap: SLSQP on min ||x - y|| over x in a and y in b."""
+    def sq_dist(z):
+        return np.sum((z[:3] - z[3:]) ** 2)
+
+    def sq_dist_grad(z):
+        d = z[:3] - z[3:]
+        return np.concatenate([2 * d, -2 * d])
+
+    inside = [{"type": "ineq", "fun": lambda z, o=o, k=k:
+               1.0 - np.sum((o.shape_matrix @ (z[k:k + 3] - o.center)) ** 2)}
+              for o, k in ((a, 0), (b, 3))]
+    res = minimize(sq_dist, np.concatenate([a.center, b.center]), jac=sq_dist_grad,
+                   constraints=inside, method="SLSQP", options={"ftol": 1e-16, "maxiter": 500})
+    return float(np.sqrt(max(res.fun, 0.0)))
+
+
 class TestEllipsoidGap:
     def test_disjoint_spheres(self):
         a = Ellipsoid.axis_aligned([0, 0, 0], [1, 1, 1])
@@ -321,3 +358,61 @@ class TestEllipsoidGap:
         sampled = np.min(np.linalg.norm(sa[:, None, :] - sb[None, :, :], axis=2))
         assert gap <= sampled + 1e-9
         assert abs(gap - sampled) < 0.05
+
+    def test_overlapping_pair_is_exactly_zero(self):
+        # two solids of the scenario sampler that overlap by 4.05 mm: the
+        # shortest translation that separates them
+        a = Ellipsoid.axis_aligned(
+            [13.73300997182945, 3.7968211284262288, -1.4131065264655573],
+            [7.198335975088302, 3.758804321513551, 4.132374615869567])
+        b = Ellipsoid.axis_aligned(
+            [10.211177062407007, -3.607652310740957, -1.9997124201851895],
+            [7.6796516868450455, 3.8807605280142514, 5.632349513567004])
+        assert ellipsoid_gap(a, b) == 0.0
+        assert ellipsoid_gap(b, a) == 0.0
+
+    def test_uncertified_pair_raises(self, monkeypatch):
+        # a pair the ascent cannot certify needs the overlap proof
+        a = Ellipsoid.axis_aligned([0, 0, 0], [2, 1, 1])
+        b = Ellipsoid.axis_aligned([2.5, 0, 0], [1, 1, 1])
+        assert ellipsoid_gap(a, b) == 0.0
+        monkeypatch.setattr(geometry, "_shares_a_point", lambda *args: False)
+        with pytest.raises(GeometryError):
+            ellipsoid_gap(a, b)
+
+    def test_scenario_pair_matches_slsqp(self):
+        # pair 1449 of the scenario sampler's obstacles: a sub-millimetre
+        # gap between two long, flat bodies
+        rng = np.random.default_rng(11)
+        for _ in range(1450):
+            a, b = _sample_obstacles(rng, ScenarioConfig())
+        reference = slsqp_gap(a, b)
+        assert reference == pytest.approx(9.697e-4, abs=1e-7)
+        assert abs(ellipsoid_gap(a, b) - reference) < 1e-8
+
+    def test_touching_spheres(self):
+        a = Ellipsoid.axis_aligned([0, 0, 0], [1, 1, 1])
+        for gap in (0.0, 1e-9, 0.5):
+            b = Ellipsoid.axis_aligned([3.0 + gap, 0, 0], [2, 2, 2])
+            assert abs(ellipsoid_gap(a, b) - gap) <= 1e-12
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(a=ellipsoids(), b=ellipsoids(),
+           shift=st.tuples(*[st.floats(-10.0, 10.0)] * 3), seed=st.integers(0, 2**16))
+    def test_certified_bounds(self, a, b, shift, seed):
+        gap = ellipsoid_gap(a, b)
+        tol = 1e-12 * max(1.0, gap)
+        assert abs(ellipsoid_gap(b, a) - gap) <= tol
+        moved = [Ellipsoid(obs.center + shift, obs.shape_matrix) for obs in (a, b)]
+        assert abs(ellipsoid_gap(*moved) - gap) <= tol
+        rng = np.random.default_rng(seed)
+        sampled, _ = cKDTree(surface_samples(b, 3000, rng)).query(surface_samples(a, 3000, rng))
+        assert gap <= sampled.min()
+        # every unit normal n gives a slab between the bodies no wider than the gap
+        n = rng.normal(size=(200, 3))
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        width = (n @ (b.center - a.center)
+                 - np.linalg.norm(np.linalg.solve(a.shape_matrix.T, n.T), axis=0)
+                 - np.linalg.norm(np.linalg.solve(b.shape_matrix.T, n.T), axis=0))
+        assert gap >= width.max() - tol
+

@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from swarmcoord.qpcore import QpInstance, SolveStatus, solve
-from swarmcoord.qpdiff import (
-    KktSingularError,
-    backward,
-    factorize,
-    is_strictly_complementary,
-)
+from swarmcoord.qpdiff import KktSingularError, backward, factorize
 
-from qp_testing import grad_check, random_feasible_qp
+from qp_testing import grad_check, is_strictly_complementary, random_feasible_qp
 
 
 def small_random_qp(rng):

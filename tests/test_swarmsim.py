@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -87,6 +88,20 @@ class TestScenario:
         sb = b.center + np.linalg.solve(b.shape_matrix, dirs.T).T
         sampled = np.min(np.linalg.norm(sa[:, None, :] - sb[None, :, :], axis=2))
         assert abs(sc.accepted_gap - sampled) < 0.05
+
+    def test_benchmark_scenarios_are_pinned(self):
+        # desk-oracle and desk-eg run sample_scenario(0) of the DESK config,
+        # swarm13-oracle sample_scenario(3); a change to the sampler or to
+        # the gap check must not move them silently
+        for sc, digest in (
+                (sample_scenario(0, DESK_SCENARIO),
+                 "c32b3ddf728899ccd89f572d481b57a7a500dcd4eb1ec87b2b3d127d35f933f2"),
+                (sample_scenario(3),
+                 "1cbb8a72ecea5d35f1ff92bfd8fc1c7dbdaae6f1482c191323ae4612143b9e24")):
+            parts = ([a.position for a in sc.agents] + [a.velocity for a in sc.agents]
+                     + [x for o in sc.obstacles for x in (o.center, o.shape_matrix)])
+            data = b"".join(np.asarray(x, dtype="<f8").tobytes() for x in parts)
+            assert hashlib.sha256(data).hexdigest() == digest
 
     def test_starts_clear_obstacles(self):
         for seed in range(10):
@@ -481,10 +496,11 @@ class TestHintPolish:
 
         monkeypatch.setattr(dmpc, "solve", recording)
         run_episode(desk_scenario, mode="oracle", ticks=2, seed=0)
-        qp, hint, bound_hint = hinted[0]
+        qp, hint, bound_hint = hinted[4]    # tick 1's first warm hint
         pinned_vars = np.flatnonzero(bound_hint)
         assert len(pinned_vars) > 0 and np.all(np.isfinite(qp.lb[pinned_vars]))
         general = np.count_nonzero(hint)
+        assert general > 0
         dims = []
         real_lu_factor = scipy.linalg.lu_factor
 
