@@ -154,17 +154,16 @@ def init_vae(rng, n_in, n_latent, n_hidden):
     }
 
 
-def vae_forward(traj, params, rng=None, noise=None):
+def vae_forward(traj, params, noise=None):
     """Encoder -> reparameterized sample -> decoder.
 
-    Deterministic when rng and noise are both None (z = mean). A frozen noise
-    array makes gradients finite-difference checkable.
+    Deterministic when noise is None (z = mean); otherwise z = mean +
+    exp(logstd) * noise, so a frozen noise array makes gradients
+    finite-difference checkable.
     """
     hidden = fc(traj, params["enc1"], activation="relu")
     z_mean = fc(hidden, params["mu"])
     z_logstd = fc(hidden, params["logstd"])
-    if noise is None and rng is not None:
-        noise = rng.standard_normal(z_mean.shape)
     if noise is None:
         z_sample = z_mean
     else:

@@ -2,9 +2,9 @@
 
 Supports exactly what the predictor stack needs: dense matmul (the left
 operand may be a stack of matrices), elementwise arithmetic with bias-style
-broadcasting, relu/tanh/sigmoid/exp/log, slicing, concatenation, transposes,
-reshapes and reductions. Backward walks the tape in reverse topological order
-and accumulates into .grad buffers.
+broadcasting, relu/tanh/sigmoid/exp/square, slicing, concatenation,
+transposes, reshapes and a full sum. Backward walks the tape in reverse
+topological order and accumulates into .grad buffers.
 """
 
 import numpy as np
@@ -168,9 +168,6 @@ class Tensor:
         out_data = np.exp(self.data)
         return self._make(out_data, (self,), lambda grad: (grad * out_data,))
 
-    def log(self):
-        return self._make(np.log(self.data), (self,), lambda grad: (grad / self.data,))
-
     def square(self):
         return self._make(self.data**2, (self,), lambda grad: (grad * 2 * self.data,))
 
@@ -178,12 +175,6 @@ class Tensor:
         shape = self.data.shape
         return self._make(np.sum(self.data), (self,),
                           lambda grad: (np.broadcast_to(grad, shape).copy(),))
-
-    def mean(self):
-        n = self.data.size
-        shape = self.data.shape
-        return self._make(np.mean(self.data), (self,),
-                          lambda grad: (np.broadcast_to(grad / n, shape).copy(),))
 
     def detach(self):
         """Value-equal tensor cut out of the graph."""

@@ -230,23 +230,6 @@ def prior_forward(params, cfg: PredictorConfig, targets, positions, adjacency,
     return mean, sigma
 
 
-def codec_encode_forward(traj, params, norm, noise=None):
-    """VAE encoder pass over a normalized trajectory; returns the forward dict."""
-    mean, std = norm
-    x = (np.asarray(traj, dtype=float).reshape(-1) - mean) / std
-    return vae_forward(Tensor(x.reshape(1, -1)), params["vae"], noise=noise)
-
-
-def codec_decode_forward(z, params):
-    zt = z if isinstance(z, Tensor) else Tensor(np.asarray(z, float).reshape(1, -1))
-    return vae_decode(zt, params["vae"])
-
-
-def codec_denormalize(out_data, norm):
-    mean, std = norm
-    return np.asarray(out_data).reshape(-1) * std + mean
-
-
 def fuse(prior: GaussianTrajectoryEstimate, observation, calib: CodecCalibration):
     """Coordinatewise MAP of the Gaussian product: precision-weighted mean.
 
@@ -323,7 +306,9 @@ class TrajectoryPredictor:
         return [GaussianTrajectoryEstimate(m, s) for m, s in zip(mean.data, sigma.data)]
 
     def encode(self, traj, tick, sender, mode="sample", rng=None) -> Message:
-        out = codec_encode_forward(traj, self.params, self.norm)
+        mean, std = self.norm
+        x = (np.asarray(traj, dtype=float).reshape(1, -1) - mean) / std
+        out = vae_forward(Tensor(x), self.params["vae"])
         z_mean = out["z_mean"].data
         if mode == "sample":
             if rng is None:
@@ -340,8 +325,9 @@ class TrajectoryPredictor:
         if msg.latent.size != expected:
             raise PredictorError(
                 f"message latent has {msg.latent.size} entries, expected {expected}")
-        out = codec_decode_forward(msg.latent.reshape(1, -1), self.params)
-        return codec_denormalize(out.data, self.norm)
+        mean, std = self.norm
+        out = vae_decode(Tensor(msg.latent.reshape(1, -1)), self.params["vae"])
+        return out.data.reshape(-1) * std + mean
 
     def predict(self, targets, messages, positions, adjacency, obstacle_centers,
                 tick) -> dict:

@@ -26,7 +26,6 @@ The active-set rule (active_set) and the factored active-set KKT system
 polish, the DMPC warm hint and qpdiff use them.
 """
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -61,27 +60,19 @@ REG = 1e-10             # diagonal regularization of the Newton system
 
 
 def _probe_hessian(Q):
-    """Raise QpError unless Q is symmetric to 1e-10 and positive semidefinite.
-
-    The PSD probe tries Cholesky, then with the documented 1e-9 diagonal
-    shift: Cholesky on the columns with an off-diagonal entry, the sign
-    check a Cholesky of Q makes on the diagonal of the rest. scipy's LAPACK:
-    waking numpy's own OpenBLAS thread pool between the solver's calls costs
-    more.
+    """Raise QpError unless Q is symmetric to 1e-10 and positive semidefinite:
+    a Cholesky of Q succeeds, or of Q with the documented 1e-9 diagonal
+    shift. scipy's LAPACK: waking numpy's own OpenBLAS thread pool between
+    the solver's calls costs more.
     """
     if np.max(np.abs(Q - Q.T), initial=0.0) > 1e-10:
         raise QpError("Q must be symmetric to 1e-10")
-    diag = np.diag(Q)
-    coupled = np.count_nonzero(Q, axis=0) > (diag != 0)
-    block, tail = Q[np.ix_(coupled, coupled)], diag[~coupled]
     for shift in (0.0, 1e-9):
         try:
-            if block.size:
-                scipy.linalg.cholesky(block + shift * np.eye(len(block)))
-        except np.linalg.LinAlgError:
-            continue
-        if np.all(np.isfinite(tail) & (tail + shift > 0)):
+            scipy.linalg.cholesky(Q + shift * np.eye(len(Q)))
             return
+        except ValueError:  # LinAlgError, or a non-finite entry
+            pass
     raise QpError("Q is not positive semidefinite")
 
 
@@ -113,7 +104,7 @@ class QpInstance:
 
     lb defaults to -inf on every variable. layout maps a slice name (e.g.
     "w", "zeta", "eps", "delta") to a slice of the variable vector; it is
-    bookkeeping for callers and the debug dump.
+    bookkeeping for callers.
 
     Construction checks shapes and lb (no NaN, no +inf) and probes Q for
     symmetry and PSD. Q may be a CheckedHessian, whose probe ran when it was
@@ -355,7 +346,7 @@ def solve(qp: QpInstance, active_set_hint=None, bound_hint=None, max_iter=50) ->
     tried first as a polish candidate: up to 25 refinement rounds, each an
     LU factorization and solve of the KKT system of the free variables, the
     active rows and the equality rows. A solution from it reports 0
-    iterations.
+    iterations. A hint of the wrong length raises QpError.
 
     Otherwise a Mehrotra predictor-corrector interior point (Mehrotra 1992;
     Wright, Primal-Dual Interior-Point Methods, 1997) runs on Gx + s = h,
@@ -383,9 +374,12 @@ def solve(qp: QpInstance, active_set_hint=None, bound_hint=None, max_iter=50) ->
     objective is unbounded below), each to 1e-8 of the direction's size.
     """
     n, m, p = qp.num_vars, qp.num_ineq, qp.num_eq
+    pinned = np.zeros(n, dtype=bool) if bound_hint is None else np.asarray(bound_hint, bool)
+    if pinned.shape != (n,) or (active_set_hint is not None and np.shape(active_set_hint) != (m,)):
+        raise QpError(f"active_set_hint needs shape ({m},) and bound_hint ({n},), got "
+                      f"{np.shape(active_set_hint)} and {pinned.shape}")
 
-    if active_set_hint is not None and len(active_set_hint) == m:
-        pinned = np.zeros(n, dtype=bool) if bound_hint is None else np.asarray(bound_hint, bool)
+    if active_set_hint is not None:
         cand = _try_polish(qp, active_set_hint, pinned & np.isfinite(qp.lb), 0)
         if cand is not None:
             return cand
@@ -493,23 +487,3 @@ def _certificate(qp: QpInstance, rows, rows_t, h, dx, dlam, dnu) -> bool:
                 and np.all(rows(dx) <= tol * scale)
                 and np.max(np.abs(qp.R @ dx), initial=0.0) <= tol * scale
                 and qp.q @ dx < -tol * scale)
-
-
-def dump_instance(qp: QpInstance, path):
-    """Self-describing JSON dump of one instance for offline inspection; lb
-    holds null where a variable has no lower bound."""
-    doc = {
-        "format": "swarmcoord-qp/2",
-        "shapes": {"Q": list(qp.Q.shape), "G": list(qp.G.shape), "R": list(qp.R.shape)},
-        "layout": {name: [sl.start, sl.stop] for name, sl in qp.layout.items()},
-        "objective_constant": qp.objective_constant,
-        "Q": qp.Q.tolist(),
-        "q": qp.q.tolist(),
-        "G": qp.G.tolist(),
-        "h": qp.h.tolist(),
-        "R": qp.R.tolist(),
-        "b": qp.b.tolist(),
-        "lb": [None if v == -np.inf else v for v in qp.lb.tolist()],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)

@@ -49,8 +49,6 @@ class RunMode(Enum):
 
     @classmethod
     def parse(cls, name: str) -> "RunMode":
-        # kkt-trained variants run the same pipeline as their base mode; the
-        # difference lives in the checkpoint they load
         aliases = {
             "oracle": cls.ORACLE,
             "constant-velocity-baseline": cls.CONSTANT_VELOCITY,
@@ -59,10 +57,6 @@ class RunMode(Enum):
             "vae": cls.VAE,
             "eg+vae": cls.EG_VAE,
             "vae+eg": cls.EG_VAE,
-            "eg+kkt": cls.EG,
-            "vae+kkt": cls.VAE,
-            "vae+eg+kkt": cls.EG_VAE,
-            "eg+vae+kkt": cls.EG_VAE,
         }
         try:
             return aliases[name.lower()]
@@ -70,7 +64,7 @@ class RunMode(Enum):
             raise ValueError(f"unknown run mode {name!r}") from None
 
     @property
-    def needs_checkpoint(self):
+    def uses_predictor(self):
         return self in (RunMode.EG, RunMode.VAE, RunMode.EG_VAE)
 
     @property
@@ -263,7 +257,7 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
     dynamics = dynamics or make_default_dynamics(cfg.dt)
     if dynamics.dt != cfg.dt:
         raise ValueError("dynamics and controller disagree on the tick length")
-    if mode.needs_checkpoint and predictor_factory is None:
+    if mode.uses_predictor and predictor_factory is None:
         raise ValueError(f"mode {mode.value} needs a predictor_factory")
 
     n = scenario.n
@@ -275,7 +269,7 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
     prev_plans = [hold_position_plan(a.position, cfg) for a in scenario.agents]
     obstacle_centers = np.array([o.center for o in scenario.obstacles])
 
-    predictors = [predictor_factory() for _ in range(n)] if mode.needs_checkpoint else []
+    predictors = [predictor_factory() for _ in range(n)] if mode.uses_predictor else []
     if any(p.cfg.horizon != cfg.horizon for p in predictors):
         raise ValueError("predictor and controller disagree on the horizon")
 

@@ -21,8 +21,7 @@ GOAL_RADIUS_DEFAULT = 0.5
 COST_KEYS = ("migration", "safe_agent", "safe_obstacle", "cohesion", "control_effort")
 
 
-def metrics(trace: EpisodeTrace, r_coll=R_COLL_DEFAULT,
-            goal_radius=GOAL_RADIUS_DEFAULT) -> dict:
+def metrics(trace: EpisodeTrace) -> dict:
     """Aggregate one trace into the reportable quantities."""
     n, ticks = trace.n, trace.ticks
     costs = {key: 0.0 for key in COST_KEYS}
@@ -37,8 +36,8 @@ def metrics(trace: EpisodeTrace, r_coll=R_COLL_DEFAULT,
                             for i, j in itertools.combinations(range(n), 2)])
     obs_d = trace.obstacle_distances()
 
-    agent_collisions = int(np.sum(pair_values < r_coll))
-    obstacle_collisions = int(np.sum(obs_d < r_coll))
+    agent_collisions = int(np.sum(pair_values < R_COLL_DEFAULT))
+    obstacle_collisions = int(np.sum(obs_d < R_COLL_DEFAULT))
 
     pred_err = prediction_error_per_step(trace)
 
@@ -56,7 +55,7 @@ def metrics(trace: EpisodeTrace, r_coll=R_COLL_DEFAULT,
         "obstacle_collisions": obstacle_collisions,
         "collision": bool(agent_collisions or obstacle_collisions),
         "prediction_error_per_step": pred_err,
-        "goal_reached": bool(np.any(goal_dist <= goal_radius)),
+        "goal_reached": bool(np.any(goal_dist <= GOAL_RADIUS_DEFAULT)),
         "fallback_ticks": int(sum(len(f) for f in trace.fallback_flags)),
         "ticks": ticks,
         "n_agents": n,
@@ -89,7 +88,7 @@ def _controller_doc(cfg):
     return doc
 
 
-def trace_manifest(trace: EpisodeTrace, extra=None) -> dict:
+def trace_manifest(trace: EpisodeTrace) -> dict:
     from .. import __version__
     doc = {
         "software_version": __version__,
@@ -102,14 +101,13 @@ def trace_manifest(trace: EpisodeTrace, extra=None) -> dict:
         "controller": _controller_doc(trace.controller),
         "channel": asdict(trace.channel),
     }
-    doc.update(extra or {})
     doc["config_digest"] = config_digest(
         {k: doc[k] for k in ("mode", "seed", "scenario_seed", "noise_std",
                              "controller", "channel")})
     return doc
 
 
-def write_trace_csvs(trace: EpisodeTrace, out_dir, manifest_extra=None):
+def write_trace_csvs(trace: EpisodeTrace, out_dir):
     """One CSV per metric family plus a JSON manifest; returns written paths."""
     from pathlib import Path
 
@@ -170,7 +168,7 @@ def write_trace_csvs(trace: EpisodeTrace, out_dir, manifest_extra=None):
                              len(trace.deliveries[t])])
     written["messages"] = out / "messages.csv"
 
-    manifest = trace_manifest(trace, manifest_extra)
+    manifest = trace_manifest(trace)
     manifest["metrics"] = metrics(trace)
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=1)

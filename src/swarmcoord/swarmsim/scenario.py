@@ -83,16 +83,17 @@ def _goal_clear(point, obstacles, clearance):
     return bool(np.all(point_surface_distance(obstacles, point)[0] >= clearance))
 
 
-def poisson_disk_box(rng, box, radius, count, accept=None, k=30, cap=10_000):
+def poisson_disk_box(rng, box, radius, count, accept=None):
     """Bridson-style Poisson disk sampling in a 3-D box, stopping at `count`.
 
-    `accept` is an extra point predicate (obstacle clearance). Returns None
-    when the active list exhausts before `count` points are placed.
+    `accept` is an extra point predicate (obstacle clearance). The first
+    point takes up to 10 000 uniform draws, and each active point up to
+    Bridson's k = 30 candidates. Returns None when the active list exhausts
+    before `count` points are placed.
     """
     lows = np.array([lo for lo, _ in box])
     highs = np.array([hi for _, hi in box])
     cell = radius / np.sqrt(3.0)
-    dims = np.maximum(np.ceil((highs - lows) / cell).astype(int), 1)
     grid = {}
 
     def grid_key(p):
@@ -113,7 +114,7 @@ def poisson_disk_box(rng, box, radius, count, accept=None, k=30, cap=10_000):
         return True
 
     points, active = [], []
-    for _ in range(cap):
+    for _ in range(10_000):
         seed_pt = lows + rng.uniform(size=3) * (highs - lows)
         if fits(seed_pt):
             points.append(seed_pt)
@@ -126,7 +127,7 @@ def poisson_disk_box(rng, box, radius, count, accept=None, k=30, cap=10_000):
     while active and len(points) < count:
         idx = int(rng.integers(len(active)))
         base = active[idx]
-        for _ in range(k):
+        for _ in range(30):
             direction = rng.normal(size=3)
             direction /= np.linalg.norm(direction)
             candidate = base + direction * rng.uniform(radius, 2 * radius)

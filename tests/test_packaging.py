@@ -1,6 +1,7 @@
 """What pyproject.toml declares must exist: every dependency imports and
-every console-script target resolves. Every module in src/ and tests/ reads
-each name it imports."""
+every console-script target resolves. Every name in a src/ package's
+__all__ resolves. Every module in src/ and tests/ reads each name it
+imports."""
 
 import ast
 import importlib
@@ -30,6 +31,17 @@ def test_script_targets_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGES = sorted(".".join(init.parent.relative_to(SRC).parts)
+                  for init in SRC.rglob("__init__.py"))
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_all_names_resolve(package):
+    module = importlib.import_module(package)
+    assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
 
 
 def _unused_imports(path):

@@ -13,6 +13,8 @@ from swarmcoord.nn import (
     lstm_step,
     lstm_zero_state,
     normalize_adjacency,
+    vae_decode,
+    vae_forward,
     zero_grads,
 )
 from swarmcoord.predictor import (
@@ -22,8 +24,6 @@ from swarmcoord.predictor import (
     PredictorConfig,
     PredictorError,
     TrajectoryPredictor,
-    codec_decode_forward,
-    codec_denormalize,
     evolved_weights,
     fuse,
     init_predictor_params,
@@ -211,8 +211,9 @@ class TestBatchedPrior:
             expected = mean
             msg = messages.get(target)
             if msg is not None and msg.tick == tick:
-                decoded = codec_denormalize(
-                    codec_decode_forward(msg.latent.reshape(1, -1), params).data, pred.norm)
+                shift, scale = pred.norm
+                decoded = (vae_decode(Tensor(msg.latent.reshape(1, -1)), params["vae"])
+                           .data.reshape(-1) * scale + shift)
                 expected, _ = fuse(GaussianTrajectoryEstimate(mean, sigma), decoded,
                                    calibration)
                 assert np.max(np.abs(expected - mean)) > 1e-3
@@ -368,6 +369,19 @@ class TestCodec:
         msg = pred.encode(rng.normal(size=cfg.traj_dim), tick=0, sender=2, mode="mean")
         out = pred.decode(msg)
         assert out.shape == (cfg.traj_dim,)
+
+    def test_norm_wraps_the_vae(self, cfg, params):
+        # encode reads the encoder's z_mean on (x - mean) / std, decode
+        # returns the decoder's output * std + mean
+        rng = np.random.default_rng(8)
+        mean, std = rng.normal(size=cfg.traj_dim), rng.uniform(0.5, 2.0, size=cfg.traj_dim)
+        pred = TrajectoryPredictor(params, cfg, norm=(mean, std))
+        traj = rng.normal(size=cfg.traj_dim)
+        msg = pred.encode(traj, tick=0, sender=0, mode="mean")
+        z_mean = vae_forward(Tensor(((traj - mean) / std)[None]), params["vae"])["z_mean"]
+        assert np.array_equal(msg.latent, z_mean.data.reshape(-1))
+        decoded = vae_decode(Tensor(msg.latent[None]), params["vae"]).data.reshape(-1)
+        assert np.array_equal(pred.decode(msg), decoded * std + mean)
 
     def test_decode_dimension_mismatch(self, cfg, params):
         pred = TrajectoryPredictor(params, cfg)

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,7 +11,6 @@ from swarmcoord.qpcore import (
     SolveStatus,
     _try_polish,
     active_set,
-    dump_instance,
     kkt_residuals,
     objective_value,
     solve,
@@ -154,6 +151,17 @@ def test_active_set_hint_short_circuit():
     assert abs(hinted.objective - sol.objective) < 1e-8
 
 
+@pytest.mark.parametrize("hints", [
+    {"active_set_hint": np.zeros(2, dtype=bool)},
+    {"active_set_hint": np.zeros(1, dtype=bool), "bound_hint": np.zeros(3, dtype=bool)},
+], ids=["rows", "bounds"])
+def test_hint_of_wrong_length_raises(hints):
+    qp = QpInstance(np.eye(2), [1.0, -1.0], [[1.0, 1.0]], [1.0], np.zeros((0, 2)), np.zeros(0),
+                    [0.0, -np.inf])
+    with pytest.raises(QpError, match=r"shape \(1,\) and bound_hint \(2,\)"):
+        solve(qp, **hints)
+
+
 def test_asymmetric_q_rejected():
     with pytest.raises(QpError):
         QpInstance([[1.0, 0.5], [0.0, 1.0]], [0.0, 0.0],
@@ -214,8 +222,8 @@ def test_indefinite_q_rejected_with_diagonal_tail(Q):
 
 
 def test_psd_probe_matches_full_cholesky():
-    # The probe factors only the coupled columns; it must accept exactly
-    # what a Cholesky of all of Q, or of Q + 1e-9 I, accepts.
+    # The probe must accept exactly what a Cholesky of all of Q, or of
+    # Q + 1e-9 I, accepts, on a coupled block beside diagonal-only columns.
     def full_probe(Q):
         for shift in (0.0, 1e-9):
             try:
@@ -252,37 +260,6 @@ def test_psd_singular_q_accepted():
     qp = QpInstance([[1.0, 0.0], [0.0, 0.0]], [1.0, 0.0],
                     [[0.0, -1.0]], [2.0], np.zeros((0, 2)), np.zeros(0))
     assert qp.num_vars == 2
-
-
-def test_dump_instance(tmp_path):
-    rng = np.random.default_rng(23)
-    qp = random_feasible_qp(rng, n=3, m=2, p=1)
-    qp.layout = {"w": slice(0, 2), "eps": slice(2, 3)}
-    path = tmp_path / "qp.json"
-    dump_instance(qp, path)
-    doc = json.loads(path.read_text())
-    assert doc["format"] == "swarmcoord-qp/2"
-    assert doc["shapes"]["G"] == [2, 3]
-    assert doc["layout"]["eps"] == [2, 3]
-    assert np.allclose(doc["Q"], qp.Q)
-
-
-def test_dump_round_trip_solves_to_the_same_x(tmp_path):
-    rng = np.random.default_rng(24)
-    qp = with_bound_rows(random_feasible_qp(rng, n=6, p=1), rng)
-    lb = qp.lb.copy()
-    lb[::2] = -np.inf
-    qp = QpInstance(qp.Q, qp.q, qp.G, qp.h, qp.R, qp.b, lb)
-    path = tmp_path / "qp.json"
-    dump_instance(qp, path)
-    doc = json.loads(path.read_text())
-    assert doc["format"] == "swarmcoord-qp/2"
-    back = QpInstance(doc["Q"], doc["q"], doc["G"], doc["h"], doc["R"], doc["b"],
-                      [-np.inf if v is None else v for v in doc["lb"]])
-    assert np.array_equal(back.lb, qp.lb)
-    sol = solve(qp)
-    assert sol.status == SolveStatus.OPTIMAL
-    assert np.array_equal(solve(back).x, sol.x)
 
 
 @pytest.mark.parametrize("lb", [[0.0], [0.0, 0.0, 0.0], [np.nan, 0.0], [0.0, np.inf]])

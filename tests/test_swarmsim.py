@@ -325,10 +325,13 @@ class TestEpisode:
                         predictor_factory=lambda: TrajectoryPredictor(params, pcfg))
 
     def test_mode_parse_aliases(self):
-        assert RunMode.parse("vae+eg+kkt") is RunMode.EG_VAE
-        assert RunMode.parse("EG+KKT") is RunMode.EG
-        with pytest.raises(ValueError):
-            RunMode.parse("ynet")
+        for mode in RunMode:
+            assert RunMode.parse(mode.value) is mode
+        assert RunMode.parse("cv") is RunMode.CONSTANT_VELOCITY
+        assert RunMode.parse("VAE+EG") is RunMode.EG_VAE
+        for name in ("EG+KKT", "ynet"):  # parse folds case
+            with pytest.raises(ValueError):
+                RunMode.parse(name)
 
 
 @pytest.fixture(scope="module")
