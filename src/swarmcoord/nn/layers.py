@@ -154,6 +154,12 @@ def init_vae(rng, n_in, n_latent, n_hidden):
     }
 
 
+def vae_encode(traj, params):
+    """Encoder alone: (z_mean, z_logstd) of traj, without a decoder pass."""
+    hidden = fc(traj, params["enc1"], activation="relu")
+    return fc(hidden, params["mu"]), fc(hidden, params["logstd"])
+
+
 def vae_forward(traj, params, noise=None):
     """Encoder -> reparameterized sample -> decoder.
 
@@ -161,9 +167,7 @@ def vae_forward(traj, params, noise=None):
     exp(logstd) * noise, so a frozen noise array makes gradients
     finite-difference checkable.
     """
-    hidden = fc(traj, params["enc1"], activation="relu")
-    z_mean = fc(hidden, params["mu"])
-    z_logstd = fc(hidden, params["logstd"])
+    z_mean, z_logstd = vae_encode(traj, params)
     if noise is None:
         z_sample = z_mean
     else:

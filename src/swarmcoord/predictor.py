@@ -12,7 +12,13 @@ looking at the input, cfg.history - 1 steps, and the GCN runs once on the
 current graph with the evolved weights. The prior is batched: one call
 predicts a list of targets, one output row each. prior_forward with
 weights=None evolves the weights on the autodiff tape (the training path);
-TrajectoryPredictor evolves them once, without a tape, and passes them in.
+TrajectoryPredictor evolves them without a tape, lazily at its first
+prediction, and passes them in. share_evolution gives the predictors of one
+episode that run on the same parameter arrays a single weight list, so they
+evolve once, at the episode's first prediction. That list lives in the
+predictors and dies with them: no cache outlives an episode, so eg_step fires
+in every episode, as the benchmark's traced pass requires, even when an
+earlier episode or test in the process evolved the same parameters.
 
 Work that does not change inside a loop runs once per call. The query
 LSTM's inputs are projected for every step before its recurrence, the
@@ -38,6 +44,7 @@ from .nn import (
     concat,
     eg_step,
     fc,
+    flatten_params,
     gcn_layer,
     init_eg_cell,
     init_fc,
@@ -47,7 +54,7 @@ from .nn import (
     lstm_zero_state,
     normalize_adjacency,
     vae_decode,
-    vae_forward,
+    vae_encode,
 )
 
 
@@ -254,6 +261,21 @@ def _no_grad_views(tree):
             for key, value in tree.items()}
 
 
+def share_evolution(predictors):
+    """Let predictors on the same EG parameter arrays evolve their weights once.
+
+    EvolveGCN-O weights depend on the parameters alone, so predictors whose
+    no-grad views share their `eg` arrays (the same .data objects) and agree
+    on history and eg_layers get one weight list; the first of them to
+    predict fills it. Equal values in distinct arrays are not shared.
+    """
+    groups = {}
+    for pred in predictors:
+        arrays = tuple((name, id(t.data)) for name, t in flatten_params(pred.params["eg"]).items())
+        key = (pred.cfg.history, pred.cfg.eg_layers, arrays)
+        pred._weights = groups.setdefault(key, pred._weights)
+
+
 class TrajectoryPredictor:
     """Per-ego predictor state: parameters, codec calibration, and the belief
     about each neighbour's plan, which predict (eg, eg+vae) and hold (vae)
@@ -263,7 +285,10 @@ class TrajectoryPredictor:
     belief is read aged one shift_trajectory per tick since then. The
     predictor runs on views of the parameter arrays that record no tape. The
     EG weights are evolved from the `eg` parameters at the first prediction
-    and kept, so build a new predictor after changing the parameters.
+    and kept in a list, which share_evolution shares among the predictors of
+    one episode on the same arrays. The list dies with its predictors, so no
+    evolution outlives an episode; build new predictors after changing the
+    parameters.
     """
 
     def __init__(self, params, cfg: PredictorConfig, calibration=None,
@@ -274,7 +299,7 @@ class TrajectoryPredictor:
         self.norm = norm if norm is not None else (np.zeros(cfg.traj_dim),
                                                    np.ones(cfg.traj_dim))
         self.beliefs = {}
-        self._weights = None
+        self._weights = []  # evolved_weights, filled at the first prediction
 
     def _aged(self, target, tick):
         """target's belief on tick's horizon."""
@@ -298,8 +323,8 @@ class TrajectoryPredictor:
         given = prev_predictions or {}
         prev = [np.asarray(given[t], dtype=float).reshape(-1) if t in given
                 else np.tile(positions[t], self.cfg.horizon) for t in targets]
-        if self._weights is None:
-            self._weights = evolved_weights(self.params, self.cfg)
+        if not self._weights:
+            self._weights[:] = evolved_weights(self.params, self.cfg)
         mean, sigma = prior_forward(self.params, self.cfg, targets, positions,
                                     adjacency, obstacle_centers, np.array(prev),
                                     weights=self._weights)
@@ -308,12 +333,11 @@ class TrajectoryPredictor:
     def encode(self, traj, tick, sender, mode="sample", rng=None) -> Message:
         mean, std = self.norm
         x = (np.asarray(traj, dtype=float).reshape(1, -1) - mean) / std
-        out = vae_forward(Tensor(x), self.params["vae"])
-        z_mean = out["z_mean"].data
+        z_mean, z_logstd = (t.data for t in vae_encode(Tensor(x), self.params["vae"]))
         if mode == "sample":
             if rng is None:
                 raise PredictorError("sample mode needs an rng")
-            z = z_mean + np.exp(out["z_logstd"].data) * rng.standard_normal(z_mean.shape)
+            z = z_mean + np.exp(z_logstd) * rng.standard_normal(z_mean.shape)
         elif mode == "mean":
             z = z_mean
         else:

@@ -37,6 +37,7 @@ from ..geometry import (
     point_surface_distance,
     scaled_distance,
 )
+from ..predictor import share_evolution
 from .scenario import Scenario
 
 
@@ -245,6 +246,11 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
     predictor_factory() must build a fresh TrajectoryPredictor per agent for
     the learned modes: it predicts the agent's neighbors and encodes the
     agent's messages. The oracle and constant-velocity modes need none.
+    Predictors the factory builds on the same parameter arrays share one EG
+    weight evolution (predictor.share_evolution), run lazily at the episode's
+    first prediction. The shared weights end with the episode, so every
+    episode evolves its own, as a tracer counting eg_step per episode needs;
+    a factory that copies the parameters per agent evolves once per agent.
     """
     mode = RunMode.parse(mode) if isinstance(mode, str) else mode
     cfg = controller or ControllerConfig()
@@ -270,6 +276,7 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
     obstacle_centers = np.array([o.center for o in scenario.obstacles])
 
     predictors = [predictor_factory() for _ in range(n)] if mode.uses_predictor else []
+    share_evolution(predictors)
     if any(p.cfg.horizon != cfg.horizon for p in predictors):
         raise ValueError("predictor and controller disagree on the horizon")
 

@@ -14,6 +14,7 @@ from swarmcoord.nn import (
     lstm_zero_state,
     normalize_adjacency,
     vae_decode,
+    vae_encode,
     vae_forward,
     zero_grads,
 )
@@ -382,6 +383,21 @@ class TestCodec:
         assert np.array_equal(msg.latent, z_mean.data.reshape(-1))
         decoded = vae_decode(Tensor(msg.latent[None]), params["vae"]).data.reshape(-1)
         assert np.array_equal(pred.decode(msg), decoded * std + mean)
+
+    def test_encode_reads_the_encoder_alone(self, cfg, params):
+        rng = np.random.default_rng(9)
+        pred = TrajectoryPredictor(params, cfg)
+        traj = rng.normal(size=cfg.traj_dim)
+        full = vae_forward(Tensor(traj[None]), params["vae"])
+        z_mean, z_logstd = vae_encode(Tensor(traj[None]), params["vae"])
+        assert np.array_equal(z_mean.data, full["z_mean"].data)
+        assert np.array_equal(z_logstd.data, full["z_logstd"].data)
+        msg = pred.encode(traj, tick=0, sender=0, mode="mean")
+        assert np.array_equal(msg.latent, full["z_mean"].data.reshape(-1))
+        noise = np.random.default_rng(10).standard_normal(z_mean.shape)
+        msg = pred.encode(traj, tick=0, sender=0, mode="sample", rng=np.random.default_rng(10))
+        want = full["z_mean"].data + np.exp(full["z_logstd"].data) * noise
+        assert np.array_equal(msg.latent, want.reshape(-1))
 
     def test_decode_dimension_mismatch(self, cfg, params):
         pred = TrajectoryPredictor(params, cfg)

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from swarmcoord import dmpc
+from swarmcoord import dmpc, predictor
 from swarmcoord.dmpc import (
     AgentState,
     BasisBundle,
@@ -353,6 +354,15 @@ def run_short_episode(scenario, mode, ticks=3, channel=None):
                        predictor_factory=factory)
 
 
+def assert_same_trace(tr, other):
+    """True states, plans and predictions of every tick bitwise equal."""
+    for a, b in zip(tr.true_states + tr.plans, other.true_states + other.plans):
+        assert np.array_equal(a, b)
+    for a, b in zip(tr.predictions, other.predictions):
+        assert a.keys() == b.keys()
+        assert all(np.array_equal(a[k], b[k]) for k in a)
+
+
 class TestEveryMode:
     @pytest.mark.parametrize("mode", ["cv", "eg", "vae", "eg+vae"])
     def test_short_episode_invariants(self, desk_scenario, mode):
@@ -370,12 +380,55 @@ class TestEveryMode:
         if RunMode.parse(mode).uses_messages:
             assert any(tr.deliveries)
         if mode == "eg":
-            again = run_short_episode(desk_scenario, mode)
-            for a, b in zip(tr.true_states + tr.plans, again.true_states + again.plans):
-                assert np.array_equal(a, b)
-            for a, b in zip(tr.predictions, again.predictions):
-                assert a.keys() == b.keys()
-                assert all(np.array_equal(a[k], b[k]) for k in a)
+            assert_same_trace(tr, run_short_episode(desk_scenario, mode))
+
+
+class TestSharedEvolution:
+    """The predictors of one episode on the same parameter arrays evolve the
+    EG weights once, at the episode's first prediction; EvolveGCN-O weights
+    read only the parameters."""
+
+    PCFG = PredictorConfig(history=6, hidden=12, feature=8, latent=6)
+    EVOLUTION = PCFG.eg_layers * (PCFG.history - 1)
+
+    @pytest.fixture
+    def eg_steps(self, monkeypatch):
+        calls, real = [], predictor.eg_step
+
+        def counting(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(predictor, "eg_step", counting)
+        return calls
+
+    def run(self, scenario, factory):
+        return run_episode(scenario, mode="eg", ticks=2, seed=0, predictor_factory=factory)
+
+    def params(self, seed=0):
+        return init_predictor_params(np.random.default_rng(seed), self.PCFG)
+
+    def test_one_evolution_per_episode(self, desk_scenario, eg_steps):
+        assert desk_scenario.n == 4
+        params = self.params()
+        for _ in range(2):  # no evolution outlives its episode
+            eg_steps.clear()
+            self.run(desk_scenario, lambda: TrajectoryPredictor(params, self.PCFG))
+            assert len(eg_steps) == self.EVOLUTION
+
+    def test_two_parameter_sets_evolve_twice(self, desk_scenario, eg_steps):
+        sets = itertools.cycle([self.params(0), self.params(1)])
+        self.run(desk_scenario, lambda: TrajectoryPredictor(next(sets), self.PCFG))
+        assert len(eg_steps) == 2 * self.EVOLUTION
+
+    def test_copied_parameters_evolve_per_agent_alike(self, desk_scenario, eg_steps):
+        params = self.params()
+        shared = self.run(desk_scenario, lambda: TrajectoryPredictor(params, self.PCFG))
+        eg_steps.clear()
+        copied = self.run(desk_scenario,
+                          lambda: TrajectoryPredictor(copy.deepcopy(params), self.PCFG))
+        assert len(eg_steps) == desk_scenario.n * self.EVOLUTION
+        assert_same_trace(shared, copied)
 
 
 class TestTickShift:
