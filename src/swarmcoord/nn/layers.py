@@ -1,14 +1,19 @@
 """Layers for the trajectory predictor: FC, LSTM cell, GCN, EvolveGCN cell, VAE.
 
-Parameters are flat dicts of Tensors keyed by short names so a whole model is
-one name->Tensor mapping that checkpoints can serialize.
+Parameters are nested dicts keyed by short names, so a whole model is one
+name->leaf mapping that checkpoints can serialize. The init functions make
+Tensor leaves that require grad (the training tree). The layers take the
+same tree with ndarray leaves as well: each layer follows its inputs' type,
+a Tensor from any Tensor input and an ndarray from ndarrays alone, computed
+by the same numpy expressions in the same operand order, so the two agree
+bitwise.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeMismatch, Tensor
+from .tensor import ShapeMismatch, Tensor, exp, relu
 
 
 def _param(rng, shape, scale=None):
@@ -28,7 +33,7 @@ def fc(x, params, activation=None):
         raise ShapeMismatch(f"fc input {x.shape} vs W {params['W'].shape}")
     out = x @ params["W"] + params["b"]
     if activation == "relu":
-        out = out.relu()
+        out = relu(out)
     elif activation is not None:
         raise ValueError(f"unknown activation {activation!r}")
     return out
@@ -47,14 +52,18 @@ def lstm_step(xw, state, params):
     projection does not depend on the state, so a caller projects all its
     steps, or a constant input, once outside the recurrence.
 
-    The cell is one tape node. Its forward runs the gate arithmetic in numpy,
-    in the same expressions and operand order as the composed Tensor ops, so
-    its values are bitwise those of the composition; its backward is the
-    analytic gate gradient into xw, h_prev, c_prev, Wh and b. h and c are the
-    two halves of the node's (batch, 2 hidden) output.
+    The gate arithmetic runs in numpy, in the same expressions and operand
+    order as the composed Tensor ops, so its values are bitwise those of the
+    composition. On ndarrays alone it returns ndarrays h and c. When any of
+    xw, h_prev, c_prev, Wh and b is a Tensor the cell is one tape node, whose
+    backward is the analytic gate gradient into those five (an ndarray among
+    them is lifted as a constant); h and c are then the two halves of the
+    node's (batch, 2 hidden) output.
     """
     h_prev, c_prev = state
     wh, b = params["Wh"], params["b"]
+    inputs = (xw, h_prev, c_prev, wh, b)
+    taped = any(isinstance(v, Tensor) for v in inputs)
     n_hidden = wh.shape[0]
     if h_prev.shape[-1] != n_hidden or c_prev.shape[-1] != n_hidden:
         raise ShapeMismatch("lstm state width does not match parameters")
@@ -63,8 +72,9 @@ def lstm_step(xw, state, params):
     if len(xw.shape) != 2 or not xw.shape[0] == h_prev.shape[0] == c_prev.shape[0]:
         raise ShapeMismatch(f"lstm batch: input {xw.shape}, state {h_prev.shape} "
                             f"and {c_prev.shape}")
-    c_prev_data = c_prev.data
-    gates = (xw.data + h_prev.data @ wh.data) + b.data
+    xw_data, h_prev_data, c_prev_data, wh_data, b_data = (
+        [v.data if isinstance(v, Tensor) else v for v in inputs] if taped else inputs)
+    gates = (xw_data + h_prev_data @ wh_data) + b_data
     ifo = 1.0 / (1.0 + np.exp(-gates[:, :3 * n_hidden]))
     i = ifo[:, :n_hidden]
     f = ifo[:, n_hidden:2 * n_hidden]
@@ -73,16 +83,19 @@ def lstm_step(xw, state, params):
     c = f * c_prev_data + i * g
     tanh_c = np.tanh(c)
     h = o * tanh_c
+    if not taped:
+        return h, (h, c)
 
     def backward(grad):
         dh, dc = grad[:, :n_hidden], grad[:, n_hidden:]
         dc = dc + dh * o * (1.0 - tanh_c**2)
         d_ifo = np.concatenate([dc * g, dc * c_prev_data, dh * tanh_c], axis=1)
         d_gates = np.concatenate([d_ifo * ifo * (1.0 - ifo), dc * i * (1.0 - g**2)], axis=1)
-        return (d_gates, d_gates @ wh.data.T, dc * f, h_prev.data.T @ d_gates,
+        return (d_gates, d_gates @ wh_data.T, dc * f, h_prev_data.T @ d_gates,
                 d_gates.sum(axis=0).reshape(b.shape))
 
-    cell = Tensor._make(np.concatenate([h, c], axis=1), (xw, h_prev, c_prev, wh, b), backward)
+    cell = Tensor._make(np.concatenate([h, c], axis=1), tuple(map(Tensor._lift, inputs)),
+                        backward)
     h = cell[:, :n_hidden]
     return h, (h, cell[:, n_hidden:])
 
@@ -111,19 +124,20 @@ def gcn_layer(a_hat, h, w):
     """
     if h.shape[-1] != w.shape[0]:
         raise ShapeMismatch(f"gcn features {h.shape} vs weights {w.shape}")
-    return (Tensor(a_hat) @ h @ w).relu()
+    return relu(a_hat @ h @ w)
 
 
 @dataclass
 class EgCellState:
     """Evolving GCN weight matrix plus the LSTM cell carry, both (rows, cols)."""
 
-    weight: Tensor
-    carry: Tensor
+    weight: Tensor | np.ndarray
+    carry: Tensor | np.ndarray
 
     @classmethod
     def initial(cls, weight):
-        return cls(weight, Tensor(np.zeros(weight.shape)))
+        carry = np.zeros(weight.shape)
+        return cls(weight, Tensor(carry) if isinstance(weight, Tensor) else carry)
 
 
 def init_eg_cell(rng, n_in, n_out):
@@ -171,7 +185,7 @@ def vae_forward(traj, params, noise=None):
     if noise is None:
         z_sample = z_mean
     else:
-        z_sample = z_mean + z_logstd.exp() * Tensor(noise)
+        z_sample = z_mean + exp(z_logstd) * noise
     dec_hidden = fc(z_sample, params["dec1"], activation="relu")
     reconstruction = fc(dec_hidden, params["out"])
     return {"z_mean": z_mean, "z_logstd": z_logstd, "z_sample": z_sample,

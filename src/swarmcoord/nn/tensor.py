@@ -5,6 +5,13 @@ operand may be a stack of matrices), elementwise arithmetic with bias-style
 broadcasting, relu/tanh/sigmoid/exp/square, slicing, concatenation,
 transposes, reshapes and a full sum. Backward walks the tape in reverse
 topological order and accumulates into .grad buffers.
+
+A Tensor is only needed where a gradient may be taken. The layers follow
+their inputs' type: any Tensor input gives a Tensor output, and plain
+ndarrays give an ndarray from the same numpy expressions, so inference
+builds no Tensor at all. The operators need nothing for that (an ndarray on
+either side of a Tensor joins it on the tape); concat, relu, exp and detach
+are the free functions that dispatch on the type.
 """
 
 import numpy as np
@@ -229,6 +236,9 @@ class Tensor:
 
 
 def concat(tensors, axis=0):
+    """Concatenation: a Tensor when any input is one, else an ndarray."""
+    if not any(isinstance(t, Tensor) for t in tensors):
+        return np.concatenate(tensors, axis=axis)
     tensors = [Tensor._lift(t) for t in tensors]
     sizes = [t.data.shape[axis] for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -237,3 +247,16 @@ def concat(tensors, axis=0):
         return tuple(np.split(grad, np.cumsum(sizes)[:-1], axis=axis))
 
     return Tensor._make(out_data, tuple(tensors), backward)
+
+
+def relu(x):
+    return x.relu() if isinstance(x, Tensor) else np.where(x > 0, x, 0.0)
+
+
+def exp(x):
+    return x.exp() if isinstance(x, Tensor) else np.exp(x)
+
+
+def detach(x):
+    """x cut out of the graph; an ndarray has no graph and is returned as is."""
+    return x.detach() if isinstance(x, Tensor) else x

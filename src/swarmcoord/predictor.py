@@ -10,12 +10,18 @@ and the current (n, n) communication graph. It is EvolveGCN-O with a
 last-step readout (Pareja et al., AAAI 2020): the GCN weights evolve without
 looking at the input, cfg.history - 1 steps, and the GCN runs once on the
 current graph with the evolved weights. The prior is batched: one call
-predicts a list of targets, one output row each. prior_forward with
-weights=None evolves the weights on the autodiff tape (the training path);
-TrajectoryPredictor evolves them without a tape, lazily at its first
-prediction, and passes them in. share_evolution gives the predictors of one
-episode that run on the same parameter arrays a single weight list, so they
-evolve once, at the episode's first prediction. That list lives in the
+predicts a list of targets, one output row each.
+
+There is one prior_forward, and it follows the type of the parameter tree
+it is given (see nn.layers): on the Tensors of init_predictor_params it
+records the autodiff tape, and with weights=None it evolves the weights on
+that tape (the training path); on ndarrays it runs the same numpy
+expressions and builds no Tensor. TrajectoryPredictor predicts on the arrays
+behind its parameters. It evolves the weights on no-grad Tensor views of
+those arrays, lazily at its first prediction, which records no tape either,
+and passes the evolved arrays in. share_evolution gives the predictors of
+one episode that run on the same parameter arrays a single weight list, so
+they evolve once, at the episode's first prediction. That list lives in the
 predictors and dies with them: no cache outlives an episode, so eg_step fires
 in every episode, as the benchmark's traced pass requires, even when an
 earlier episode or test in the process evolved the same parameters.
@@ -26,9 +32,10 @@ decoder projects its constant input once, and each decoder head runs once
 over the stacked hidden states. The adjacency is normalised once, and the
 last GCN layer computes only the target's row. lstm_step, gcn_layer and
 eg_step are called through this module's attributes, where a tracer can
-wrap them. The LSTM cell is one tape node (nn.lstm_step): each recurrent step
-records a single node whose backward is the analytic gate gradient, in the
-query and decoder LSTMs, in the EG weight evolution and on the training tape.
+wrap them. On the training tape the LSTM cell is one node (nn.lstm_step):
+each recurrent step of the query and decoder LSTMs and of the EG weight
+evolution records a single node whose backward is the analytic gate
+gradient. The no-grad evolution computes the same cell with no node.
 
 The VAE codec normalizes trajectories with dataset statistics stored next to
 the parameters.
@@ -42,7 +49,9 @@ from .nn import (
     EgCellState,
     Tensor,
     concat,
+    detach,
     eg_step,
+    exp,
     fc,
     flatten_params,
     gcn_layer,
@@ -51,7 +60,6 @@ from .nn import (
     init_lstm,
     init_vae,
     lstm_step,
-    lstm_zero_state,
     normalize_adjacency,
     vae_decode,
     vae_encode,
@@ -172,10 +180,12 @@ def prior_forward(params, cfg: PredictorConfig, targets, positions, adjacency,
     order, each on the previous tick's horizon; the prior shifts it once and
     adds the learned correction. The GCN runs once per target anchor on the
     current positions and graph, with the weights evolved cfg.history - 1
-    steps (EvolveGCN-O). weights=None evolves them here, on the tape (the
-    training path); otherwise `weights` is the evolved_weights list to apply.
+    steps (EvolveGCN-O). weights=None evolves them here, on the tape when
+    params require grad (the training path); otherwise `weights` is the
+    evolved_weights list to apply.
 
-    Returns (mean, sigma) Tensors of shape (len(targets), 3P); mean carries
+    Returns (mean, sigma) of shape (len(targets), 3P): Tensors when params or
+    weights are Tensors, ndarrays when both are ndarrays. mean carries
     gradients, sigma's trunk input is detached so the deviation head trains
     independently of the mean pathway.
     """
@@ -192,8 +202,8 @@ def prior_forward(params, cfg: PredictorConfig, targets, positions, adjacency,
     # (hor, rows, 3) product; numpy multiplies each step's (rows, 3) block
     # as a product of its own, so the sums round as step by step
     steps_in = prev_rel.reshape(rows, hor, 3).transpose(1, 0, 2)
-    query_xw = Tensor(steps_in) @ query["Wx"]
-    state = lstm_zero_state(query["Wh"].shape[0], batch=rows)
+    query_xw = steps_in @ query["Wx"]
+    state = (np.zeros((rows, query["Wh"].shape[0])),) * 2
     for tau in range(hor):
         q_out, state = lstm_step(query_xw[tau], state, query)
     y = fc(q_out, params["query"]["out"], activation="relu")
@@ -203,7 +213,7 @@ def prior_forward(params, cfg: PredictorConfig, targets, positions, adjacency,
     a_hat = normalize_adjacency(np.asarray(adjacency, dtype=float))
     node_rows = []
     for target, anchor in zip(targets, anchors):
-        feats = Tensor(positions - anchor)
+        feats = positions - anchor
         for w in weights[:-1]:
             feats = gcn_layer(a_hat, feats, w)
         # only the target's row of the last layer is read
@@ -215,12 +225,12 @@ def prior_forward(params, cfg: PredictorConfig, targets, positions, adjacency,
             - anchors[:, None, :]).reshape(rows, -1)
     used = min(flat.shape[1], centers.shape[1])
     centers[:, :used] = flat[:, :used]
-    o = fc(Tensor(centers), params["obstacle"], activation="relu")
+    o = fc(centers, params["obstacle"], activation="relu")
 
     decoder = params["decoder"]
     # the decoder reads the same fused input at every step: project it once
     fused_xw = concat([y, o, g], axis=1) @ decoder["lstm"]["Wx"]
-    dec_state = lstm_zero_state(decoder["lstm"]["Wh"].shape[0], batch=rows)
+    dec_state = (np.zeros((rows, decoder["lstm"]["Wh"].shape[0])),) * 2
     hiddens = []
     for tau in range(hor):
         h_t, dec_state = lstm_step(fused_xw, dec_state, decoder["lstm"])
@@ -229,11 +239,11 @@ def prior_forward(params, cfg: PredictorConfig, targets, positions, adjacency,
     # (hor, rows, 3) output re-slices into the (rows, 3P) layout
     h_steps = concat(hiddens, axis=0).reshape(hor, rows, -1)
     mean_rel = fc(h_steps, decoder["mean"]).transpose(1, 0, 2).reshape(rows, 3 * hor)
-    logstd = fc(h_steps.detach(), decoder["logstd"]).transpose(1, 0, 2).reshape(rows, 3 * hor)
+    logstd = fc(detach(h_steps), decoder["logstd"]).transpose(1, 0, 2).reshape(rows, 3 * hor)
 
     shifted = np.array([shift_trajectory(r, hor) for r in prev_rel])
-    mean = mean_rel + Tensor(shifted) + Tensor(anchor_traj)
-    sigma = logstd.exp() + cfg.sigma_floor
+    mean = mean_rel + shifted + anchor_traj
+    sigma = exp(logstd) + cfg.sigma_floor
     return mean, sigma
 
 
@@ -255,9 +265,8 @@ def fuse(prior: GaussianTrajectoryEstimate, observation, calib: CodecCalibration
     return mean, posterior_var
 
 
-def _no_grad_views(tree):
-    """Same parameter arrays, wrapped in Tensors that record no backward closures."""
-    return {key: _no_grad_views(value) if isinstance(value, dict) else Tensor(value.data)
+def _map_leaves(fn, tree):
+    return {key: _map_leaves(fn, value) if isinstance(value, dict) else fn(value)
             for key, value in tree.items()}
 
 
@@ -283,23 +292,25 @@ class TrajectoryPredictor:
 
     beliefs maps a target to (its last prediction, the tick it was made); a
     belief is read aged one shift_trajectory per tick since then. The
-    predictor runs on views of the parameter arrays that record no tape. The
-    EG weights are evolved from the `eg` parameters at the first prediction
-    and kept in a list, which share_evolution shares among the predictors of
-    one episode on the same arrays. The list dies with its predictors, so no
-    evolution outlives an episode; build new predictors after changing the
-    parameters.
+    prior and the codec run on the parameter arrays themselves and build no
+    Tensor; `params` holds views of the same arrays in Tensors that record no
+    tape, on which the EG weights are evolved at the first prediction. The
+    evolved arrays are kept in a list, which share_evolution shares among
+    the predictors of one episode on the same arrays. The list dies with its
+    predictors, so no evolution outlives an episode; build new predictors
+    after changing the parameters.
     """
 
     def __init__(self, params, cfg: PredictorConfig, calibration=None,
                  norm=None):
-        self.params = _no_grad_views(params)
+        self.params = _map_leaves(lambda t: Tensor(t.data), params)
+        self._arrays = _map_leaves(lambda t: t.data, params)
         self.cfg = cfg
         self.calibration = calibration
         self.norm = norm if norm is not None else (np.zeros(cfg.traj_dim),
                                                    np.ones(cfg.traj_dim))
         self.beliefs = {}
-        self._weights = []  # evolved_weights, filled at the first prediction
+        self._weights = []  # evolved_weights as arrays, filled at the first prediction
 
     def _aged(self, target, tick):
         """target's belief on tick's horizon."""
@@ -324,16 +335,16 @@ class TrajectoryPredictor:
         prev = [np.asarray(given[t], dtype=float).reshape(-1) if t in given
                 else np.tile(positions[t], self.cfg.horizon) for t in targets]
         if not self._weights:
-            self._weights[:] = evolved_weights(self.params, self.cfg)
-        mean, sigma = prior_forward(self.params, self.cfg, targets, positions,
+            self._weights[:] = [w.data for w in evolved_weights(self.params, self.cfg)]
+        mean, sigma = prior_forward(self._arrays, self.cfg, targets, positions,
                                     adjacency, obstacle_centers, np.array(prev),
                                     weights=self._weights)
-        return [GaussianTrajectoryEstimate(m, s) for m, s in zip(mean.data, sigma.data)]
+        return [GaussianTrajectoryEstimate(m, s) for m, s in zip(mean, sigma)]
 
     def encode(self, traj, tick, sender, mode="sample", rng=None) -> Message:
         mean, std = self.norm
         x = (np.asarray(traj, dtype=float).reshape(1, -1) - mean) / std
-        z_mean, z_logstd = (t.data for t in vae_encode(Tensor(x), self.params["vae"]))
+        z_mean, z_logstd = vae_encode(x, self._arrays["vae"])
         if mode == "sample":
             if rng is None:
                 raise PredictorError("sample mode needs an rng")
@@ -350,8 +361,8 @@ class TrajectoryPredictor:
             raise PredictorError(
                 f"message latent has {msg.latent.size} entries, expected {expected}")
         mean, std = self.norm
-        out = vae_decode(Tensor(msg.latent.reshape(1, -1)), self.params["vae"])
-        return out.data.reshape(-1) * std + mean
+        out = vae_decode(msg.latent.reshape(1, -1), self._arrays["vae"])
+        return out.reshape(-1) * std + mean
 
     def predict(self, targets, messages, positions, adjacency, obstacle_centers,
                 tick) -> dict:

@@ -2,7 +2,7 @@
 
     python3 tests/bench_pairs.py --parent PARENT_DIR --change CHANGE_DIR \\
         --seeds 101 102 ... 110 [--claim desk-eg/cold_start_tick_ms_p50] \\
-        --out BENCH_<n>.json
+        [--digest] --out BENCH_<n>.json
 
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository whose benchmark
 (BENCHMARK.json and the directories it lists as paths) must be identical. For
@@ -14,7 +14,10 @@ sequential. A run that exits non-zero stops the script.
 
 The output file holds the `workloads`, `claim` and `no_regression` sections
 of the swarmcoord-bench/1 layout, plus the command, the machine and the
-order of the runs. compare() is the verdict: a claimed gain needs the change
+order of the runs. --digest first runs `python3 tests/episode_digest.py
+--out` in each checkout and adds a `digest` section: per DESK episode, the
+largest absolute difference between the two dumps and whether they are
+bitwise equal. compare() is the verdict: a claimed gain needs the change
 to win at least nine tenths of the pairs (ties count for neither side), and
 the medians to differ in its favour by more than the distance between the
 parent's quartiles; every other metric's median may be worse than the
@@ -25,13 +28,17 @@ import argparse
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
+import episode_digest
+
 FORMAT = "swarmcoord-bench/1"
 RUN = ["swarmbench/run.py", "--workload", "{workload}", "--seed", "{seed}",
        "--seconds", "{seconds}", "--trace", "0"]
+DIGEST = ["tests/episode_digest.py", "--out", "{out}"]
 
 
 def compare(parent, change, better, bound):
@@ -114,6 +121,25 @@ def run_pairs(parent, change, workload, seeds, seconds, log=sys.stderr):
     return pairs, results, info["machine"]
 
 
+def run_digest(checkout, out):
+    """Dump `checkout`'s DESK episodes to `out` with that checkout's episode_digest.py."""
+    cmd = [sys.executable] + [a.format(out=out) for a in DIGEST]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=1800)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}\n"
+                           f"{proc.stderr.strip()}")
+
+
+def digest_section(parent_npz, change_npz):
+    """The `digest` section from the parent's and the change's dumps."""
+    episodes = {ep: {"max_abs_diff": worst, "bitwise_equal": equal} for ep, (worst, equal)
+                in episode_digest.differences(parent_npz, change_npz).items()}
+    return {"command": "python3 " + " ".join(DIGEST).format(out="<file>.npz"),
+            "episodes": episodes,
+            "bitwise_equal": bool(episodes) and all(e["bitwise_equal"]
+                                                    for e in episodes.values())}
+
+
 def workload_section(pairs, results, specs):
     metrics = {}
     for spec in specs:
@@ -130,8 +156,9 @@ def workload_section(pairs, results, specs):
     return {"pairs": pairs, "metrics": metrics, "failed_over_attempted": failed}
 
 
-def report(workloads, claim, seconds, machine):
-    """The swarmcoord-bench/1 sections from {workload: workload_section}."""
+def report(workloads, claim, seconds, machine, digest=None):
+    """The swarmcoord-bench/1 sections from {workload: workload_section},
+    plus the digest section when one is given."""
     out = {"format": FORMAT,
            "command": "python3 " + " ".join(RUN).format(workload="<workload>",
                                                         seed="<seed>", seconds=seconds),
@@ -161,6 +188,8 @@ def report(workloads, claim, seconds, machine):
                 out["no_regression"][f"{workload}/{metric}"] = {
                     key: m[key] for key in ("relative_change", "bound", "within_bound",
                                             "resolved")}
+    if digest is not None:
+        out["digest"] = digest
     return out
 
 
@@ -171,6 +200,8 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, nargs="+", required=True,
                         help="one benchmark seed per pair")
     parser.add_argument("--claim", help="WORKLOAD/METRIC whose gain is claimed")
+    parser.add_argument("--digest", action="store_true",
+                        help="compare the two checkouts' DESK episode digests first")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
@@ -183,13 +214,22 @@ def main(argv=None):
         if workload not in names or metric not in {m["name"] for m in spec["end_to_end"]}:
             parser.error(f"--claim {args.claim} names no benchmark workload and metric")
     seconds = spec["run_seconds"]
+    digest = None
+    if args.digest:
+        with tempfile.TemporaryDirectory() as tmp:
+            dumps = [str(Path(tmp) / f"{side}.npz") for side in ("parent", "change")]
+            for checkout, dump in zip((args.parent, args.change), dumps):
+                run_digest(checkout, dump)
+            digest = digest_section(*dumps)
+        print(f"digest: {'bitwise equal' if digest['bitwise_equal'] else 'DIFFERENT'}",
+              file=sys.stderr, flush=True)
     workloads = {}
     for name in names:
         pairs, results, machine = run_pairs(args.parent, args.change, name, args.seeds,
                                             seconds)
         workloads[name] = workload_section(pairs, results, spec["end_to_end"])
     with open(args.out, "w") as fh:
-        json.dump(report(workloads, args.claim, seconds, machine), fh, indent=1)
+        json.dump(report(workloads, args.claim, seconds, machine, digest), fh, indent=1)
         fh.write("\n")
     return 0
 

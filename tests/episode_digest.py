@@ -61,23 +61,35 @@ def dump(path):
     np.savez(path, **out)
 
 
-def compare(path_a, path_b, out=sys.stdout):
-    """Print one line per episode; True when every array is bitwise equal."""
+def differences(path_a, path_b):
+    """{episode: (largest absolute difference, bitwise equal)} over the
+    episodes of either dump; (None, False) for an episode that is missing
+    from one of them or whose array shapes differ."""
     with np.load(path_a) as fa, np.load(path_b) as fb:
         a, b = dict(fa), dict(fb)
     episodes = sorted({k.rsplit(".", 1)[0] for k in a} | {k.rsplit(".", 1)[0] for k in b})
-    all_equal = True
+    out = {}
     for ep in episodes:
         names = [f"{ep}.{field}" for field in FIELDS]
         if not all(k in a and k in b and a[k].shape == b[k].shape for k in names):
-            print(f"{ep}: missing from one file or shapes differ", file=out)
-            all_equal = False
+            out[ep] = (None, False)
             continue
         equal = all(np.array_equal(a[k], b[k]) for k in names)
         worst = max((float(np.max(np.abs(a[k] - b[k]), initial=0.0)) for k in names
                      if a[k].dtype.kind == "f"), default=0.0)
-        print(f"{ep}: max abs diff {worst:.3g}, {'bitwise equal' if equal else 'DIFFERENT'}",
-              file=out)
+        out[ep] = (worst, equal)
+    return out
+
+
+def compare(path_a, path_b, out=sys.stdout):
+    """Print one line per episode; True when every array is bitwise equal."""
+    all_equal = True
+    for ep, (worst, equal) in differences(path_a, path_b).items():
+        if worst is None:
+            print(f"{ep}: missing from one file or shapes differ", file=out)
+        else:
+            print(f"{ep}: max abs diff {worst:.3g}, "
+                  f"{'bitwise equal' if equal else 'DIFFERENT'}", file=out)
         all_equal &= equal
     return all_equal
 

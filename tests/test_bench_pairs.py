@@ -65,3 +65,40 @@ class TestCompare:
             bench_pairs.compare(PARENT, PARENT[:-1], "lower", 0.25)
         with pytest.raises(ValueError):
             bench_pairs.compare(PARENT, PARENT, "faster", 0.25)
+
+
+class TestDigestSection:
+    @staticmethod
+    def write(path, episodes, plans):
+        """A dump in episode_digest's layout: the same arrays for each episode
+        but `plans`."""
+        rng = np.random.default_rng(5)
+        arrays = {"true_states": rng.normal(size=(2, 4, 6)),
+                  "pred_keys": np.array([[0, 0, 1], [1, 1, 0]], dtype=np.int64),
+                  "pred_values": rng.normal(size=(2, 48))}
+        np.savez(path, **{f"{ep}.{field}": a for ep in episodes
+                          for field, a in {"plans": plans, **arrays}.items()})
+
+    def test_equal_moved_and_missing_episodes(self, tmp_path):
+        plans = np.random.default_rng(6).normal(size=(2, 4, 48))
+        parent, change = tmp_path / "parent.npz", tmp_path / "change.npz"
+        episodes = ["desk-eg.1000", "desk-oracle.1000"]
+        self.write(parent, episodes, plans)
+        self.write(change, episodes, plans.copy())
+        section = bench_pairs.digest_section(parent, change)
+        assert section["bitwise_equal"]
+        assert section["episodes"] == {
+            ep: {"max_abs_diff": 0.0, "bitwise_equal": True} for ep in episodes}
+        assert section["command"] == "python3 tests/episode_digest.py --out <file>.npz"
+
+        moved = plans.copy()
+        moved[0, 1, 2] += 1e-3
+        self.write(change, episodes[:1], moved)
+        section = bench_pairs.digest_section(parent, change)
+        assert not section["bitwise_equal"]
+        assert section["episodes"]["desk-eg.1000"]["bitwise_equal"] is False
+        assert section["episodes"]["desk-eg.1000"]["max_abs_diff"] == pytest.approx(1e-3)
+        assert section["episodes"]["desk-oracle.1000"] == {"max_abs_diff": None,
+                                                           "bitwise_equal": False}
+        report = bench_pairs.report({}, None, 45, {}, digest=section)
+        assert report["digest"] is section

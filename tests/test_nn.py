@@ -8,7 +8,9 @@ from swarmcoord.nn import (
     ShapeMismatch,
     Tensor,
     concat,
+    detach,
     eg_step,
+    exp,
     fc,
     flatten_params,
     gcn_layer,
@@ -21,7 +23,10 @@ from swarmcoord.nn import (
     lstm_step,
     lstm_zero_state,
     normalize_adjacency,
+    relu,
     save_checkpoint,
+    vae_decode,
+    vae_encode,
     vae_forward,
     vae_kl,
     zero_grads,
@@ -283,6 +288,40 @@ class TestTape:
             self.assert_taped(out, False)
         for out in prior_forward(params, *args):
             self.assert_taped(out, True)
+
+
+class TestArrayInputs:
+    """A layer on ndarrays alone returns an ndarray, bitwise equal to the
+    values of the same layer on Tensors."""
+
+    def test_layers_follow_their_inputs_type(self):
+        rng = np.random.default_rng(33)
+        params = {"lstm": init_lstm(rng, 3, 4), "fc": init_fc(rng, 4, 5),
+                  "eg": init_eg_cell(rng, 3, 4), "vae": init_vae(rng, 6, 2, 5)}
+        for t in flatten_params(params).values():
+            t.data[:] = rng.normal(size=t.shape)
+        x, h0, c0, traj = (rng.normal(size=shape) for shape in [(2, 3), (2, 4), (2, 4), (2, 6)])
+        feats, noise = rng.normal(size=(3, 3)), rng.normal(size=(2, 2))
+        a_hat = normalize_adjacency(np.ones((3, 3)) - np.eye(3))[1:]
+
+        def run(p, lift):
+            h, (_, c) = lstm_step(lift(x) @ p["lstm"]["Wx"], (lift(h0), lift(c0)), p["lstm"])
+            cell = eg_step(EgCellState.initial(p["eg"]["W0"]), p["eg"])
+            z_mean, z_logstd = vae_encode(lift(traj), p["vae"])
+            return [h, c, fc(h, p["fc"], activation="relu"), relu(h), exp(c), detach(h),
+                    concat([h, lift(c0)], axis=1), gcn_layer(a_hat, lift(feats), p["eg"]["W0"]),
+                    cell.weight, cell.carry, z_mean, z_logstd, vae_decode(z_mean, p["vae"]),
+                    vae_forward(lift(traj), p["vae"], noise=noise)["reconstruction"]]
+
+        def leaf_arrays(tree):
+            return {k: leaf_arrays(v) if isinstance(v, dict) else v.data
+                    for k, v in tree.items()}
+
+        taped, plain = run(params, Tensor), run(leaf_arrays(params), lambda a: a)
+        assert len(taped) == len(plain)
+        for k, (t, a) in enumerate(zip(taped, plain)):
+            assert isinstance(t, Tensor) and type(a) is np.ndarray, k
+            assert np.array_equal(t.data, a), k
 
 
 class TestFc:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmcoord import predictor
 from swarmcoord.nn import (
@@ -240,6 +242,80 @@ class TestBatchedPrior:
         assert all(views[k].data is live[k].data for k in live)
         # an op records a backward closure only when an input requires grad
         assert not any(t.requires_grad for t in views.values())
+
+
+@st.composite
+def prior_cases(draw):
+    """1-5 targets in a random order among up to two more agents, each target
+    with or without a belief, and a seed for the positions, graph, obstacles
+    and beliefs."""
+    n_targets = draw(st.integers(1, 5))
+    n = n_targets + draw(st.integers(0, 2))
+    targets = draw(st.permutations(range(n)))[:n_targets]
+    believed = draw(st.lists(st.booleans(), min_size=n_targets, max_size=n_targets))
+    return targets, believed, n, draw(st.integers(0, 2**32 - 1))
+
+
+class TestArrayInference:
+    """The predictor's prior and codec run on plain arrays; the taped
+    prior_forward on parameters that require grad is the reference."""
+
+    @pytest.fixture(scope="class")
+    def biased(self, cfg):
+        """Parameters whose biases are nonzero too: a zero bias would hide a
+        change in the order the gate sums round in."""
+        tree = init_predictor_params(np.random.default_rng(109), cfg)
+        rng = np.random.default_rng(110)
+        for name, t in flatten_params(tree).items():
+            if name.endswith(".b"):
+                t.data[:] = rng.normal(scale=0.5, size=t.shape)
+        return tree
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(case=prior_cases())
+    def test_predict_prior_equals_the_tape_bitwise(self, cfg, biased, case):
+        params = biased
+        targets, believed, n, seed = case
+        rng = np.random.default_rng(seed)
+        positions = rng.normal(scale=2.0, size=(n, 3))
+        adjacency = random_adjacency(rng, n)
+        obstacles = rng.normal(scale=4.0, size=(rng.integers(0, 3), 3))
+        beliefs = {t: np.tile(positions[t], cfg.horizon)
+                   + rng.normal(scale=0.3, size=cfg.traj_dim)
+                   for t, has in zip(targets, believed) if has}
+        estimates = TrajectoryPredictor(params, cfg).predict_prior(
+            targets, positions, adjacency, obstacles, prev_predictions=beliefs)
+        prev = [beliefs.get(t, np.tile(positions[t], cfg.horizon)) for t in targets]
+        mean, sigma = prior_forward(params, cfg, targets, positions, adjacency, obstacles,
+                                    np.array(prev))
+        assert mean.requires_grad and sigma.requires_grad
+        assert len(estimates) == len(targets)
+        for est, m, s in zip(estimates, mean.data, sigma.data):
+            assert np.array_equal(est.mean, m)
+            assert np.array_equal(est.stddev, s)
+
+    def test_inference_after_evolution_builds_no_tensor(self, cfg, params, monkeypatch):
+        rng = np.random.default_rng(108)
+        positions = make_history(rng, 4, cfg.history)[-1]
+        adjacency, obstacles = ring_adjacency(4), np.zeros((2, 3))
+        pred = TrajectoryPredictor(params, cfg,
+                                   calibration=CodecCalibration(np.ones(cfg.traj_dim)))
+        pred.predict([1, 3], {}, positions, adjacency, obstacles, tick=0)
+        built = []
+        real_init = Tensor.__init__
+
+        def tensor_init(tensor, *args, **kwargs):
+            built.append(None)
+            real_init(tensor, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", tensor_init)
+        # the prior, with and without beliefs, and the codec both ways
+        msg = pred.encode(rng.normal(size=cfg.traj_dim), tick=1, sender=3, mode="mean")
+        out = pred.predict([1, 2, 3], {3: msg}, positions, adjacency, obstacles, tick=1)
+        assert list(out) == [1, 2, 3]
+        assert built == []
+        Tensor(np.zeros(1))
+        assert len(built) == 1
 
 
 class TestHookContract:
