@@ -100,10 +100,6 @@ def lstm_step(xw, state, params):
     return h, (h, cell[:, n_hidden:])
 
 
-def lstm_zero_state(n_hidden, batch=1):
-    return (Tensor(np.zeros((batch, n_hidden))), Tensor(np.zeros((batch, n_hidden))))
-
-
 def normalize_adjacency(adj):
     """Symmetric self-loop normalization D^-1/2 (A+I) D^-1/2 (plain numpy)."""
     adj = np.asarray(adj, dtype=float)

@@ -2,7 +2,7 @@
 
     python3 tests/bench_pairs.py --parent PARENT_DIR --change CHANGE_DIR \\
         --seeds 101 102 ... 110 [--claim desk-eg/cold_start_tick_ms_p50] \\
-        [--digest] --out BENCH_<n>.json
+        --out BENCH_<n>.json
 
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository whose benchmark
 (BENCHMARK.json and the directories it lists as paths) must be identical. For
@@ -12,16 +12,18 @@ BENCHMARK.json's run_seconds, with the k-th seed on both sides; the parent
 runs first in odd pairs and the change first in even ones. Runs are
 sequential. A run that exits non-zero stops the script.
 
-The output file holds the `workloads`, `claim` and `no_regression` sections
-of the swarmcoord-bench/1 layout, plus the command, the machine and the
-order of the runs. --digest first runs `python3 tests/episode_digest.py
---out` in each checkout and adds a `digest` section: per DESK episode, the
-largest absolute difference between the two dumps and whether they are
-bitwise equal. compare() is the verdict: a claimed gain needs the change
-to win at least nine tenths of the pairs (ties count for neither side), and
-the medians to differ in its favour by more than the distance between the
-parent's quartiles; every other metric's median may be worse than the
-parent's by at most the relative bound of BENCHMARK.json.
+The script first runs `python3 tests/episode_digest.py --out` in each
+checkout. The output file holds the `workloads`, `claim` and `no_regression`
+sections of the swarmcoord-bench/1 layout, plus the command, the machine,
+the order of the runs and a `digest` section: per DESK episode, the largest
+absolute difference between the two dumps and whether they are bitwise
+equal. The digest only reports; a difference does not stop the pairs.
+
+compare() is the verdict: a claimed gain needs the change to win at least
+nine tenths of the pairs (ties count for neither side), and the medians to
+differ in its favour by more than the distance between the parent's
+quartiles; every other metric's median may be worse than the parent's by at
+most the relative bound of BENCHMARK.json.
 """
 
 import argparse
@@ -156,9 +158,9 @@ def workload_section(pairs, results, specs):
     return {"pairs": pairs, "metrics": metrics, "failed_over_attempted": failed}
 
 
-def report(workloads, claim, seconds, machine, digest=None):
+def report(workloads, claim, seconds, machine, digest):
     """The swarmcoord-bench/1 sections from {workload: workload_section},
-    plus the digest section when one is given."""
+    plus the digest section."""
     out = {"format": FORMAT,
            "command": "python3 " + " ".join(RUN).format(workload="<workload>",
                                                         seed="<seed>", seconds=seconds),
@@ -188,8 +190,7 @@ def report(workloads, claim, seconds, machine, digest=None):
                 out["no_regression"][f"{workload}/{metric}"] = {
                     key: m[key] for key in ("relative_change", "bound", "within_bound",
                                             "resolved")}
-    if digest is not None:
-        out["digest"] = digest
+    out["digest"] = digest
     return out
 
 
@@ -200,8 +201,6 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, nargs="+", required=True,
                         help="one benchmark seed per pair")
     parser.add_argument("--claim", help="WORKLOAD/METRIC whose gain is claimed")
-    parser.add_argument("--digest", action="store_true",
-                        help="compare the two checkouts' DESK episode digests first")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
@@ -214,15 +213,13 @@ def main(argv=None):
         if workload not in names or metric not in {m["name"] for m in spec["end_to_end"]}:
             parser.error(f"--claim {args.claim} names no benchmark workload and metric")
     seconds = spec["run_seconds"]
-    digest = None
-    if args.digest:
-        with tempfile.TemporaryDirectory() as tmp:
-            dumps = [str(Path(tmp) / f"{side}.npz") for side in ("parent", "change")]
-            for checkout, dump in zip((args.parent, args.change), dumps):
-                run_digest(checkout, dump)
-            digest = digest_section(*dumps)
-        print(f"digest: {'bitwise equal' if digest['bitwise_equal'] else 'DIFFERENT'}",
-              file=sys.stderr, flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        dumps = [str(Path(tmp) / f"{side}.npz") for side in ("parent", "change")]
+        for checkout, dump in zip((args.parent, args.change), dumps):
+            run_digest(checkout, dump)
+        digest = digest_section(*dumps)
+    print(f"digest: {'bitwise equal' if digest['bitwise_equal'] else 'DIFFERENT'}",
+          file=sys.stderr, flush=True)
     workloads = {}
     for name in names:
         pairs, results, machine = run_pairs(args.parent, args.change, name, args.seeds,

@@ -21,7 +21,6 @@ from swarmcoord.nn import (
     load_checkpoint,
     load_into,
     lstm_step,
-    lstm_zero_state,
     normalize_adjacency,
     relu,
     save_checkpoint,
@@ -37,6 +36,7 @@ from swarmcoord.predictor import (
     init_predictor_params,
     prior_forward,
 )
+from test_predictor import lstm_zero_state
 
 
 def finite_difference(loss_fn, params, step=1e-5):

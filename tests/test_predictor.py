@@ -13,7 +13,6 @@ from swarmcoord.nn import (
     flatten_params,
     gcn_layer,
     lstm_step,
-    lstm_zero_state,
     normalize_adjacency,
     vae_decode,
     vae_encode,
@@ -33,6 +32,11 @@ from swarmcoord.predictor import (
     prior_forward,
     shift_trajectory,
 )
+
+
+def lstm_zero_state(n_hidden, batch=1):
+    """A taped LSTM's zero (h, c): the start state of the reference forwards here."""
+    return (Tensor(np.zeros((batch, n_hidden))), Tensor(np.zeros((batch, n_hidden))))
 
 
 @pytest.fixture(scope="module")
