@@ -53,13 +53,18 @@ build_qp, plan, cost_decomposition and prediction_row_gradients read the
 ControllerConfig from their BasisBundle (bundle.cfg). The neighbor set is
 the key set of the predictions dict.
 
-QP frames: the dense Q and R depend only on the probe and neighbor counts.
-BasisBundle.frame(n_probes, n_neighbors) builds both once per pair of
-counts, read-only, and Q as a qpcore.CheckedHessian: QpInstance's symmetry
-and PSD probe runs on it once, when the bundle builds it, and not again in
-the QpInstance that build_qp makes from it. An agent has at most one probe
-per obstacle and at most n - 1 neighbors in a swarm of n, so a swarm fills
-at most (obstacles + 1) x n frames; BasisBundle states their memory.
+QP frames: every part of the QP that depends only on the probe and neighbor
+counts is built once per pair of counts by BasisBundle.frame(n_probes,
+n_neighbors), read-only, and shared by every plan with those counts: the
+dense Q and R, the layout slices, lb, the slack-penalty tail of q, and the
+(row, column) indices of the -1 slack entries of the safety and cohesion
+rows. Q is a qpcore.CheckedHessian: QpInstance's symmetry and PSD probe
+runs on it once, when the bundle builds it, and not again in the
+QpInstance that build_qp makes from it. build_qp itself computes only what
+changes per tick (the linear part of q, G, h and b) and writes the row
+blocks straight into G and h. An agent has at most one probe per obstacle
+and at most n - 1 neighbors in a swarm of n, so a swarm fills at most
+(obstacles + 1) x n frames; BasisBundle states their memory.
 
 build_qp also returns a meta dict: "labels" (one per inequality row),
 "bound_labels" (one per variable), "probes", "neighbors" (ids in ascending
@@ -70,12 +75,15 @@ order), "prev_traj" (3P) and the neighbor linearization as arrays over
       u = p_hat - p_tilde (+x fallback where u = 0);
   scale (n_nb, P): ||E u||;
   degenerate (n_nb, P): eta came from the fallback;
-  nb_rows (n_nb, P, 2): the inequality row indices of the (saf, coh) pair.
+  nb_rows (n_nb, P, 2): the inequality row indices of the (saf, coh) pair,
+      the frame's read-only array.
 prediction_row_gradients reads these arrays.
 """
 
 import logging
 from dataclasses import dataclass, field
+from itertools import chain, compress
+from types import MappingProxyType
 
 import numpy as np
 import scipy.linalg
@@ -206,17 +214,29 @@ class PlanResult:
 
 @dataclass(frozen=True)
 class QpFrame:
-    """The dense, read-only Q and R of every plan with the same probe and
-    neighbor counts, n = n_w + n_probes + 2 P n_neighbors variables.
+    """The read-only parts of every plan with the same probe and neighbor
+    counts, n = n_w + n_probes + 2 P n_neighbors variables.
 
     - Q (n, n): bundle.hessian on the w-block, 2 q_saf on the zeta and eps
       diagonal, 2 q_coh on the delta diagonal; probed once as a
       CheckedHessian;
-    - R (n_eq, n): bundle.eq_rows on the w-block.
+    - R (n_eq, n): bundle.eq_rows on the w-block;
+    - layout: the slices of w, zeta, eps and delta;
+    - lb (n,): -inf on w, 0 on every slack;
+    - q_slack (n - n_w,): the slack penalties, the tail of q: l_saf on zeta
+      and eps, l_coh on delta;
+    - nb_rows, nb_cols (n_neighbors, P, 2): the inequality row of each
+      (saf, coh) pair and the column of its slack, eps then delta; G holds
+      -1 at each (row, column).
     """
 
     Q: CheckedHessian
     R: np.ndarray
+    layout: MappingProxyType
+    lb: np.ndarray
+    q_slack: np.ndarray
+    nb_rows: np.ndarray
+    nb_cols: np.ndarray
 
 
 class BasisBundle:
@@ -239,14 +259,18 @@ class BasisBundle:
       built and probed on its first use and kept for the bundle's life.
       Memory bound: with M obstacles and n agents, at most (M + 1) n frames
       (n_neighbors runs to n - 1, since comm_graph's union of nearest-
-      neighbor picks can give an agent more than max_neighbors neighbors),
-      each of 8 (N + n_eq) N bytes for N = n_w + n_probes + 2 P n_neighbors:
+      neighbor picks can give an agent more than max_neighbors neighbors).
+      For N = n_w + n_probes + 2 P n_neighbors variables a frame holds
+      8 (N + n_eq) N bytes of Q and R, plus at most 32 N bytes of vectors
+      and index arrays (lb, the slack tail of q, nb_rows and nb_cols):
       O((M + 1) n^3) bytes in all. At the default ControllerConfig (n_w = 54,
-      P = 16, n_eq = 27) and M = 2 that is at most 12 frames and 1.4 MB for
-      4 agents (DESK), 39 frames and 26 MB for 13, 90 frames and 260 MB for
-      30; a 30-tick episode of the default 13-agent scenario fills 19
-      frames, 13 MB. A swarm much larger than 13 needs frames that keep
-      only the w-blocks and the slack diagonal.
+      P = 16, n_eq = 27) and M = 2 that is at most 12 frames and 1.43 MB
+      for 4 agents (DESK; a frame with 2 probes and 3 neighbors holds
+      185 KB of Q, 33 KB of R and 3.5 KB of the rest), 39 frames and
+      25.8 MB for 13, 90 frames and 261 MB for 30; a 30-tick episode of
+      the default 13-agent scenario fills 18 to 23 frames, 13 to 18 MB
+      (episode seeds 0, 1000 and 7000). A swarm much larger than 13 needs
+      frames that keep only the w-blocks and the slack diagonal.
     """
 
     def __init__(self, cfg: ControllerConfig):
@@ -321,8 +345,17 @@ class BasisBundle:
                                          [n_z, n_eps, n_eps])
         r = np.zeros((self.eq_rows.shape[0], n))
         r[:, :n_w] = self.eq_rows
-        r.flags.writeable = False
-        return QpFrame(CheckedHessian(qmat), r)
+        layout = MappingProxyType({"w": slice(0, n_w), "zeta": slice(n_w, n_w + n_z),
+                                   "eps": slice(n_w + n_z, n_w + n_z + n_eps),
+                                   "delta": slice(n_w + n_z + n_eps, n)})
+        lb = np.concatenate([np.full(n_w, -np.inf), np.zeros(n - n_w)])
+        q_slack = np.repeat([w.l_saf, w.l_saf, w.l_coh], [n_z, n_eps, n_eps])
+        nb_rows = len(self.box_labels) + np.arange(2 * n_eps).reshape(n_nb, self.cfg.horizon, 2)
+        nb_cols = np.stack([np.arange(n_w + n_z, n_w + n_z + n_eps),
+                            np.arange(n_w + n_z + n_eps, n)], axis=1).reshape(nb_rows.shape)
+        for array in (r, lb, q_slack, nb_rows, nb_cols):
+            array.flags.writeable = False
+        return QpFrame(CheckedHessian(qmat), r, layout, lb, q_slack, nb_rows, nb_cols)
 
     def fit_plan(self, trajectory) -> BezierPlan:
         """C0/C1/C2-continuous least-squares plan through a sampled trajectory."""
@@ -353,7 +386,7 @@ def detect_first_collision(prev_traj, obstacles, r_min,
     probes = []
     for m, breach in enumerate(dist < r_min):
         if breach.any():
-            k = int(np.argmax(breach))
+            k = int(breach.argmax())
             probes.append(CollisionProbe(k, m, dist[m, k:], eta[m, k:]))
     return probes
 
@@ -366,7 +399,7 @@ def _scaled_norm_gradient(u, shape_matrix):
     """
     m = shape_matrix.T @ shape_matrix
     mu = u @ m.T
-    s = np.sqrt(np.sum(mu * u, axis=-1))
+    s = np.sqrt(np.add.reduce(mu * u, axis=-1))
     degenerate = s < 1e-9
     mu[degenerate] = m[:, 0]  # m @ e_x
     return mu / np.where(degenerate, np.sqrt(m[0, 0]), s)[..., None], s, degenerate
@@ -391,26 +424,18 @@ def build_qp(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dic
     prev_pts = prev_traj.reshape(horizon, 3)
     probes = detect_first_collision(prev_traj, obstacles, cfg.r_min + OBSTACLE_BAND,
                                     norm_matrix=cfg.agent_shape)
-
-    n_z, n_eps, n_delta = len(probes), n_nb * horizon, n_nb * horizon
-    n = n_w + n_z + n_eps + n_delta
-    layout = {
-        "w": slice(0, n_w),
-        "zeta": slice(n_w, n_w + n_z),
-        "eps": slice(n_w + n_z, n_w + n_z + n_eps),
-        "delta": slice(n_w + n_z + n_eps, n),
-    }
+    frame = bundle.frame(len(probes), n_nb)
+    n, n_eps, n_box = frame.lb.size, n_nb * horizon, len(bundle.box_labels)
 
     f = bundle.basis.matrix
     p_mig = np.asarray(p_mig, dtype=float).reshape(3)
     p_bar = np.tile(p_mig, horizon)
-    counts = [n_z, n_eps, n_delta]
-    qvec = np.concatenate([-2 * w.q_mig * (f.T @ p_bar),
-                           np.repeat([w.l_saf, w.l_saf, w.l_coh], counts)])
+    qvec = np.concatenate([-2 * w.q_mig * (f.T @ p_bar), frame.q_slack])
     const = w.q_mig * horizon * float(p_mig @ p_mig)
 
     # safety eta'(p - p_tilde) >= r_min - eps and cohesion eta'(p - p_tilde)
-    # <= r_coh + delta, for every (neighbor, step) at once
+    # <= r_coh + delta, for every (neighbor, step) at once, written into their
+    # (saf, coh) row pairs of G and h
     f_steps = f.reshape(horizon, 3, n_w)
     preds = np.array([np.asarray(neighbor_predictions[j], dtype=float).reshape(horizon, 3)
                       for j in ordered]).reshape(n_nb, horizon, 3)
@@ -418,34 +443,36 @@ def build_qp(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dic
     eta, scale, degen = _scaled_norm_gradient(u, cfg.agent_shape)
     grad = np.einsum("jki,kiw->jkw", eta, f_steps)
     reach = np.einsum("jki,jki->jk", eta, preds)
-    w_rows = [np.stack([-grad, grad], axis=2).reshape(-1, n_w)]
-    h_vals = [np.stack([-cfg.r_min - reach, cfg.r_coh + reach], axis=2).reshape(-1)]
-    slack_cols = [np.stack([layout["eps"].start + np.arange(n_eps),
-                            layout["delta"].start + np.arange(n_delta)], axis=1).reshape(-1)]
+    n_rows = n_box + 2 * n_eps + sum(horizon - probe.k_coll for probe in probes)
+    g, h = np.zeros((n_rows, n)), np.empty(n_rows)
+    g[:n_box, :n_w], h[:n_box] = bundle.box_rows, bundle.box_h
+    g_pairs = g[n_box:n_box + 2 * n_eps].reshape(n_nb, horizon, 2, n)
+    np.negative(grad, out=g_pairs[:, :, 0, :n_w])
+    g_pairs[:, :, 1, :n_w] = grad
+    g[frame.nb_rows, frame.nb_cols] = -1.0
+    h_pairs = h[n_box:n_box + 2 * n_eps].reshape(n_nb, horizon, 2)
+    h_pairs[..., 0] = -cfg.r_min - reach
+    h_pairs[..., 1] = cfg.r_coh + reach
     nb_steps = [(j, k) for j in ordered for k in range(horizon)]
-    n_box = len(bundle.box_labels)
-    nb_rows = n_box + np.arange(2 * n_eps).reshape(n_nb, horizon, 2)
     labels = bundle.box_labels + [(name, j, k) for j, k in nb_steps
                                   for name in ("saf", "coh")]
 
+    row = n_box + 2 * n_eps
     for z_idx, probe in enumerate(probes):
         # a supporting plane at every step from the first one in the band on:
         # eta'(p_k - p_hat_k) + d_k >= r_min (+ reserve after step 0) - zeta
-        steps = np.arange(probe.k_coll, horizon)
+        k0, end = probe.k_coll, row + horizon - probe.k_coll
+        steps = np.arange(k0, horizon)
         clearance = cfg.r_min + np.where(steps > 0, OBSTACLE_RESERVE, 0.0)
-        w_rows.append(-np.einsum("ki,kiw->kw", probe.eta, f_steps[steps]))
-        h_vals.append(probe.dist - np.sum(probe.eta * prev_pts[steps], axis=1) - clearance)
-        slack_cols.append(np.full(steps.size, layout["zeta"].start + z_idx))
-        labels += [("obs", probe.obstacle, int(k)) for k in steps]
+        np.negative(np.einsum("ki,kiw->kw", probe.eta, f_steps[k0:]), out=g[row:end, :n_w])
+        g[row:end, frame.layout["zeta"].start + z_idx] = -1.0
+        h[row:end] = (probe.dist - np.add.reduce(probe.eta * prev_pts[k0:], axis=1)
+                      - clearance)
+        labels += [("obs", probe.obstacle, k) for k in range(k0, horizon)]
+        row = end
 
     bound_labels = ([None] * n_w + [("nnz", probe.obstacle) for probe in probes]
                     + [(name, j, k) for name in ("nne", "nnd") for j, k in nb_steps])
-    g = np.zeros((len(labels), n))
-    g[:n_box, :n_w] = bundle.box_rows
-    g[n_box:, :n_w] = np.vstack(w_rows)
-    g[np.arange(n_box, len(labels)), np.concatenate(slack_cols)] = -1.0
-    h = np.concatenate([bundle.box_h, *h_vals])
-    lb = np.concatenate([np.full(n_w, -np.inf), np.zeros(n - n_w)])
 
     # equalities: junction continuity plus pinned initial conditions. Position
     # and velocity are the measured state. The plant tracks the committed plan
@@ -453,9 +480,9 @@ def build_qp(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dic
     # previous plan's at +dt; acceleration is not measured and carries over.
     lim = cfg.limits
     t_handover = min(cfg.dt, prev_plan.total_duration)
-    v0 = np.clip(state.velocity, lim.v_min, lim.v_max)
-    a0 = np.clip(eval_bezier(derivative_plan(prev_plan, 2), t_handover),
-                 lim.a_min, lim.a_max)
+    v0 = np.minimum(np.maximum(state.velocity, lim.v_min), lim.v_max)
+    a0 = np.minimum(np.maximum(eval_bezier(derivative_plan(prev_plan, 2), t_handover),
+                               lim.a_min), lim.a_max)
     # the two pins determine the second velocity control point
     # q01 = v0 + a0 * seg_dur / (d-1); keep it inside the velocity box or the
     # QP is infeasible when the previous plan rides a bound
@@ -465,12 +492,11 @@ def build_qp(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dic
     b = np.concatenate([np.zeros(bundle.continuity.shape[0]),
                         state.position, v0, a0])
 
-    frame = bundle.frame(n_z, n_nb)
-    qp = QpInstance(frame.Q, qvec, g, h, frame.R, b, lb, layout=layout,
+    qp = QpInstance(frame.Q, qvec, g, h, frame.R, b, frame.lb, layout=frame.layout,
                     objective_constant=const)
     return qp, {"probes": probes, "neighbors": ordered, "prev_traj": prev_traj,
                 "labels": labels, "bound_labels": bound_labels, "preds": preds,
-                "eta": eta, "scale": scale, "degenerate": degen, "nb_rows": nb_rows}
+                "eta": eta, "scale": scale, "degenerate": degen, "nb_rows": frame.nb_rows}
 
 
 def cost_decomposition(trajectory, slack_obstacle, slack_safety, slack_cohesion,
@@ -480,7 +506,7 @@ def cost_decomposition(trajectory, slack_obstacle, slack_safety, slack_cohesion,
     wts = bundle.cfg.weights
     pts = np.asarray(trajectory, float).reshape(bundle.cfg.horizon, 3)
     p_mig = np.asarray(p_mig, float).reshape(3)
-    migration = wts.q_mig * float(np.sum((pts - p_mig) ** 2))
+    migration = wts.q_mig * float(((pts - p_mig) ** 2).sum())
     acc = bundle.a2 @ np.asarray(w_vec, float)
     effort = wts.q_eft * float(acc @ acc)
     # slacks are nonnegative; the solver returns them to within its tolerance
@@ -516,8 +542,9 @@ def plan(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dict,
     if hint_labels is None:
         hint, bound_hint = np.zeros(qp.num_ineq, dtype=bool), np.isfinite(qp.lb)
     else:
-        hint = np.array([lab in hint_labels for lab in meta["labels"]])
-        bound_hint = np.array([lab in hint_labels for lab in meta["bound_labels"]])
+        hint = np.fromiter(map(hint_labels.__contains__, meta["labels"]), bool, qp.num_ineq)
+        bound_hint = np.fromiter(map(hint_labels.__contains__, meta["bound_labels"]), bool,
+                                 qp.num_vars)
     sol = solve(qp, active_set_hint=hint, bound_hint=bound_hint)
 
     if sol.status != SolveStatus.OPTIMAL:
@@ -540,8 +567,8 @@ def plan(state: AgentState, prev_plan: BezierPlan, neighbor_predictions: dict,
     costs = cost_decomposition(traj, zeta, eps, delta, p_mig, bundle, w_vec=w_vec)
     bez = BezierPlan.from_flat(w_vec, bundle.cfg.segments, bundle.cfg.degree, bundle.seg_dur)
     rows, bounds = active_set(qp, sol)
-    active_labels = frozenset([lab for lab, a in zip(meta["labels"], rows) if a]
-                              + [lab for lab, a in zip(meta["bound_labels"], bounds) if a])
+    active_labels = frozenset(chain(compress(meta["labels"], rows.tolist()),
+                                    compress(meta["bound_labels"], bounds.tolist())))
     return PlanResult(bez, traj, zeta, eps, delta, costs, sol.status,
                       active_labels=active_labels)
 

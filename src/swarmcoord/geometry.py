@@ -21,8 +21,9 @@ Distances, and who uses them:
       obstacle, for the benchmark's clearances and the tests.
 """
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import comb
@@ -30,6 +31,10 @@ from scipy.special import comb
 
 class GeometryError(ValueError):
     pass
+
+
+_IDENTITY = np.eye(3)
+_IDENTITY.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -129,13 +134,22 @@ class Ellipsoid:
 def bernstein_row(degree, tau):
     """Bernstein basis values (B_{0,d}(tau), ..., B_{d,d}(tau))."""
     i = np.arange(degree + 1)
-    return comb(degree, i) * tau**i * (1.0 - tau) ** (degree - i)
+    return _binomials(degree) * tau**i * (1.0 - tau) ** (degree - i)
+
+
+@lru_cache(maxsize=None)
+def _binomials(degree):
+    """comb(degree, i) for i = 0..degree, read-only: scipy's comb costs about
+    15 us a call, and eval_bezier runs once per plan."""
+    out = comb(degree, np.arange(degree + 1))
+    out.flags.writeable = False
+    return out
 
 
 def _segment_and_tau(plan_duration, segment_duration, num_segments, t):
     if t < -1e-12 or t > plan_duration + 1e-12:
         raise GeometryError(f"time {t} outside [0, {plan_duration}]")
-    seg = int(np.floor(t / segment_duration))
+    seg = math.floor(t / segment_duration)
     if seg >= num_segments:  # terminal boundary belongs to the last segment
         seg = num_segments - 1
     tau = t / segment_duration - seg
@@ -220,14 +234,14 @@ def point_surface_distance(obstacles, p, norm_matrix=None):
     pts = np.asarray(p, dtype=float)
     single = pts.ndim == 1
     pts = pts.reshape(-1, 3)
-    m = np.eye(3) if norm_matrix is None else np.asarray(norm_matrix, dtype=float).reshape(3, 3)
-    if not np.array_equal(m, np.eye(3)):
+    m = _IDENTITY if norm_matrix is None else np.asarray(norm_matrix, dtype=float).reshape(3, 3)
+    if (m != _IDENTITY).any():
         # the norm ||M x|| is Euclidean in the coordinates z = M x
         m_inv = np.linalg.inv(m)
         obstacles = [Ellipsoid(m @ obs.center, obs.shape_matrix @ m_inv) for obs in obstacles]
         pts = pts @ m.T
     surface, normal = _supporting_planes(obstacles, pts)
-    d = np.sum(normal * (pts - surface), axis=2)
+    d = np.add.reduce(normal * (pts - surface), axis=2)
     eta = normal @ m
     return (d[:, 0], eta[:, 0]) if single else (d, eta)
 
@@ -245,18 +259,18 @@ def _supporting_planes(obstacles, pts):
     v = np.array([obs.principal_axes[1] for obs in obstacles]).reshape(-1, 3, 3)
     center = np.array([obs.center for obs in obstacles]).reshape(-1, 1, 3)
     y = (pts - center) @ v              # principal-axis frames
-    r2 = np.sum(a * y**2, axis=2)
+    r2 = np.add.reduce(a * y**2, axis=2)
     r = np.sqrt(r2)
     x = y / np.maximum(r, 1e-12)[..., None]     # the radial points
     # the center itself maps to the +x-axis point of the sphere frame
-    for k, i in zip(*np.nonzero(r <= 1e-12)):
+    for k, i in zip(*(r <= 1e-12).nonzero()):
         x[k, i] = np.linalg.solve(obstacles[k].shape_matrix, [1.0, 0.0, 0.0]) @ v[k]
     outside = r2 > 1.0
-    group = np.nonzero(outside)[0]      # the obstacle of each outside row
+    group = outside.nonzero()[0]        # the obstacle of each outside row
     if group.size:
         x[outside] = _project_outside(a[group, 0], y[outside], group)
     normal = a * x
-    normal /= np.linalg.norm(normal, axis=2, keepdims=True)
+    normal /= np.sqrt(np.add.reduce(normal * normal, axis=2, keepdims=True))
     v_t = v.transpose(0, 2, 1)
     return center + x @ v_t, normal @ v_t
 
@@ -276,16 +290,19 @@ def _project_outside(a, y, group=None):
     """
     ay2 = a * y**2
     a2y2 = a * ay2
-    t = (np.sqrt(ay2.sum(axis=1)) - 1.0) / a.max(axis=1)
+    t = (np.sqrt(np.add.reduce(ay2, axis=1)) - 1.0) / np.maximum.reduce(a, axis=1)
     for _ in range(128):
         inv = 1.0 / (1.0 + t[:, None] * a)
         inv2 = inv * inv
-        g = (ay2 * inv2).sum(axis=1) - 1.0
+        g = np.add.reduce(ay2 * inv2, axis=1) - 1.0
         settled = np.abs(g) < 1e-12
         if settled.all():
             break
-        step = t + g / (2.0 * (a2y2 * inv2 * inv).sum(axis=1))
-        t = step if group is None else np.where(np.bincount(group, ~settled)[group] > 0, step, t)
+        step = t + g / (2.0 * np.add.reduce(a2y2 * inv2 * inv, axis=1))
+        if group is None or not settled.any():
+            t = step    # no row has settled, so no group has
+        else:
+            t = np.where(np.bincount(group, ~settled)[group] > 0, step, t)
     return y / (1.0 + t[:, None] * a)
 
 

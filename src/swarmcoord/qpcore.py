@@ -179,8 +179,13 @@ def objective_value(qp: QpInstance, x) -> float:
 def kkt_residuals(qp: QpInstance, sol: QpSolution) -> dict:
     """Max-norm KKT residuals {stationarity, primal_eq, primal_ineq,
     complementarity}; the bounds count as inequality rows."""
+    return _kkt_residuals(qp, sol, qp.Q @ sol.x)
+
+
+def _kkt_residuals(qp: QpInstance, sol: QpSolution, qx) -> dict:
+    """kkt_residuals, given qx = Q x."""
     x, lam, nu, z = sol.x, sol.ineq_duals, sol.eq_duals, sol.bound_duals
-    stat = qp.Q @ x + qp.q - z
+    stat = qx + qp.q - z
     if qp.num_ineq:
         stat = stat + qp.G.T @ lam
     if qp.num_eq:
@@ -188,12 +193,13 @@ def kkt_residuals(qp: QpInstance, sol: QpSolution) -> dict:
     viol = qp.G @ x - qp.h if qp.num_ineq else np.zeros(0)
     bnd = np.isfinite(qp.lb)
     viol_b = qp.lb[bnd] - x[bnd]
+    largest = np.maximum.reduce
     return {
-        "stationarity": float(np.max(np.abs(stat), initial=0.0)),
-        "primal_eq": float(np.max(np.abs(qp.R @ x - qp.b), initial=0.0)) if qp.num_eq else 0.0,
-        "primal_ineq": float(np.max(np.concatenate([viol, viol_b]), initial=0.0)),
-        "complementarity": float(np.max(np.abs(np.concatenate([lam * viol, z[bnd] * viol_b])),
-                                        initial=0.0)),
+        "stationarity": float(largest(np.abs(stat), initial=0.0)),
+        "primal_eq": float(largest(np.abs(qp.R @ x - qp.b), initial=0.0)) if qp.num_eq else 0.0,
+        "primal_ineq": float(largest(np.concatenate([viol, viol_b]), initial=0.0)),
+        "complementarity": float(largest(np.abs(np.concatenate([lam * viol, z[bnd] * viol_b])),
+                                         initial=0.0)),
     }
 
 
@@ -220,33 +226,46 @@ class KktFactor:
     """
 
     def __init__(self, qp: QpInstance, active, pinned, reg):
-        self.qp, self.rows, self.var = qp, np.flatnonzero(active), np.flatnonzero(pinned)
+        self.qp = qp
+        self.rows, self.var = np.asarray(active).nonzero()[0], np.asarray(pinned).nonzero()[0]
         self.free = np.ones(qp.num_vars, dtype=bool)
         self.free[self.var] = False
-        self.g_act, free = qp.G[self.rows], np.flatnonzero(self.free)
-        g_free, r_free = self.g_act[:, free], qp.R[:, free]
+        self.g_act, free = qp.G.take(self.rows, 0), self.free.nonzero()[0]
+        g_free, r_free = self.g_act.take(free, 1), qp.R.take(free, 1)
         ng, nf = g_free.shape
         kkt = np.zeros((nf + ng + qp.num_eq,) * 2, order="F")  # LAPACK factors it in place
-        kkt[:nf, :nf] = qp.Q[free[:, None], free]
+        kkt[:nf, :nf] = qp.Q.take(free, 0).take(free, 1)
         kkt[nf:nf + ng, :nf] = g_free
         kkt[:nf, nf:nf + ng] = g_free.T
         kkt[nf + ng:, :nf] = r_free
         kkt[:nf, nf + ng:] = r_free.T
-        diag = np.arange(len(kkt))
-        kkt[diag[:nf], diag[:nf]] += reg
-        kkt[diag[nf:], diag[nf:]] = -reg
+        diag = kkt.reshape(-1, order="F")[::len(kkt) + 1]    # a view of the diagonal
+        diag[:nf] += reg
+        diag[nf:] = -reg
         self.lu = scipy.linalg.lu_factor(kkt, overwrite_a=True, check_finite=False)
 
     def solve(self, rhs):
-        """The solution (x, λ_act, z_pin, ν) of the full system, stacked like rhs."""
+        """The solution (x, λ_act, z_pin, ν) of the full system, stacked like rhs.
+
+        The pinned variables take x = -r_pin, and the reduced right-hand side
+        subtracts their share Q x, G_act x and R x. When r_pin is all zero
+        that share is zero, and subtracting it leaves every entry as it was
+        (v - 0 = v, up to the sign of a zero), so the three products are
+        skipped. That holds in every DMPC solve and refinement, because the
+        pinned slacks sit at lb = 0. The bound multipliers z still come from
+        the stationarity rows of the pinned variables, with the original r_x.
+        """
         qp, free, var = self.qp, self.free, self.var
         n, ng, nb = qp.num_vars, self.rows.size, var.size
         r_x, r_act = rhs[:n], rhs[n:n + ng]
         r_pin, r_eq = rhs[n + ng:n + ng + nb], rhs[n + ng + nb:]
         x = np.zeros(n)
         x[var] = -r_pin
-        red = scipy.linalg.lu_solve(self.lu, np.concatenate([
-            (r_x - qp.Q @ x)[free], r_act - self.g_act @ x, r_eq - qp.R @ x]), check_finite=False)
+        if r_pin.any():
+            reduced = [(r_x - qp.Q @ x)[free], r_act - self.g_act @ x, r_eq - qp.R @ x]
+        else:
+            reduced = [r_x[free], r_act, r_eq]
+        red = scipy.linalg.lu_solve(self.lu, np.concatenate(reduced), check_finite=False)
         nf = n - nb
         x[free], lam, nu = red[:nf], red[nf:nf + ng], red[nf + ng:]
         z = (qp.Q @ x + self.g_act.T @ lam + qp.R.T @ nu - r_x)[var]
@@ -295,7 +314,7 @@ def _try_polish(qp: QpInstance, active, pinned, iterations,
                                                        qp.b])))
         except (scipy.linalg.LinAlgError, ValueError):
             return None
-        if not np.all(np.isfinite(sol)):
+        if not np.isfinite(sol).all():
             return None
         x, lam, z, nu = kkt.unpack(sol)
         mult = np.where(held, np.concatenate([lam, z]), np.inf)
@@ -308,10 +327,11 @@ def _try_polish(qp: QpInstance, active, pinned, iterations,
         else:
             worst = np.inf
             for extra in range(4):  # the candidate, then up to 3 more refinement rounds
+                qx = qp.Q @ x   # shared by the objective and the residuals
                 cand = QpSolution(x, np.maximum(lam, 0.0), nu, SolveStatus.OPTIMAL,
-                                  objective_value(qp, x), iterations, polished=True,
+                                  float(0.5 * x @ qx + qp.q @ x), iterations, polished=True,
                                   bound_duals=np.maximum(z, 0.0))
-                res = kkt_residuals(qp, cand)
+                res = _kkt_residuals(qp, cand, qx)
                 if _meets_contract(res):
                     return cand
                 if extra == 3 or not max(res.values()) < worst:

@@ -28,7 +28,7 @@ from swarmcoord.geometry import (
     point_surface_distance,
 )
 from swarmcoord.qpcore import SolveStatus, _try_polish, active_set, kkt_residuals, solve
-from swarmcoord.swarmsim import ScenarioConfig, run_episode, sample_scenario
+from swarmcoord.swarmsim import ChannelConfig, ScenarioConfig, episode, run_episode, sample_scenario
 
 from qp_testing import (assert_bound_form_matches_row_form, assert_same_polish, dlb_check,
                         reference_polish)
@@ -269,6 +269,42 @@ class TestBuildQp:
         with pytest.raises(dataclasses.FrozenInstanceError):
             frame.R = np.zeros_like(frame.R)
 
+    def test_frame_owned_parts_are_shared_and_read_only(self, cfg, bundle):
+        qp, meta, _ = crowded_instance(cfg, bundle)
+        qp2, meta2, _ = crowded_instance(cfg, bundle)
+        frame = bundle.frame(len(meta["probes"]), len(meta["neighbors"]))
+        # two build_qp calls on one frame hold the frame's own arrays, or views of them
+        for name, owned in (("Q", frame.Q.matrix), ("R", frame.R), ("lb", frame.lb)):
+            for built in (qp, qp2):
+                assert getattr(built, name) is owned or getattr(built, name).base is owned, name
+        assert qp.layout is qp2.layout is frame.layout
+        assert meta["nb_rows"] is meta2["nb_rows"] is frame.nb_rows
+        assert np.array_equal(qp.q[bundle.n_w:], frame.q_slack)
+        assert np.all(qp.G[frame.nb_rows, frame.nb_cols] == -1.0)
+        for array in (frame.Q.matrix, frame.R, frame.lb, frame.q_slack, frame.nb_rows,
+                      frame.nb_cols):
+            assert not array.flags.writeable
+
+        # a write through a built QP fails, and leaves every later plan as it was
+        state = AgentState([0.0, 0.0, 0.0], [0.2, 0.0, 0.0])
+        args = (state, hold_position_plan(state.position, cfg),
+                {1: hold_position_trajectory([1.5, 0.5, 0.0], cfg.horizon)}, two_obstacles(),
+                [10.0, 0.0, 0.0], bundle)
+        before = plan(*args)
+        warm_before = plan(*args, hint_labels=before.active_labels)
+        qp, meta = build_qp(*args)
+        for array in (qp.Q, qp.R, qp.lb, meta["nb_rows"]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7
+        with pytest.raises(TypeError):
+            qp.layout["w"] = slice(0, 1)
+        after = plan(*args)
+        warm_after = plan(*args, hint_labels=after.active_labels)
+        for first, second in ((before, after), (warm_before, warm_after)):
+            assert np.array_equal(first.plan.control_points, second.plan.control_points)
+            assert np.array_equal(first.trajectory, second.trajectory)
+            assert first.active_labels == second.active_labels
+
     def test_hessian_probe_once_per_frame_over_an_episode(self, cfg, monkeypatch):
         real_cholesky = scipy.linalg.cholesky
         cholesky_calls, frames, solves = [], set(), []
@@ -456,6 +492,55 @@ class TestPlan:
                       [10.0, 0.0, 0.0], bundle)
         assert result.status == SolveStatus.OPTIMAL
         assert all(count > 0 for count in calls.values()), calls
+
+    def test_hint_masks_and_active_labels_match_label_loops(self, cfg, monkeypatch):
+        # plan() builds its hint masks and its active labels in C-level
+        # passes; on every warm plan of a DESK oracle episode they must be
+        # what the label-by-label loops give. A 1 m comm range makes the
+        # neighbour sets change along the episode, as the probes do.
+        solved = recording_solves(monkeypatch)
+        metas, calls = [], []
+        real_build, real_plan = dmpc.build_qp, episode.plan
+
+        def recording_build(*args):
+            qp, meta = real_build(*args)
+            metas.append(meta)
+            return qp, meta
+
+        def recording_plan(*args, hint_labels=None):
+            calls.append((hint_labels, real_plan(*args, hint_labels=hint_labels)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(dmpc, "build_qp", recording_build)
+        monkeypatch.setattr(episode, "plan", recording_plan)
+        desk = sample_scenario(0, ScenarioConfig(n_min=4, n_max=5, p_mig=(18.0, 0.0, 0.0)))
+        run_episode(desk, "oracle", controller=cfg, ticks=30, seed=1000,
+                    channel=ChannelConfig(comm_range=1.0))
+        assert len(metas) == len(solved) == len(calls) == 30 * desk.n
+
+        warm = []
+        for k, ((hint_labels, result), meta, (qp, kwargs, sol)) in enumerate(
+                zip(calls, metas, solved)):
+            if hint_labels is None:
+                continue
+            warm.append(k)
+            for mask, labels in ((kwargs["active_set_hint"], meta["labels"]),
+                                 (kwargs["bound_hint"], meta["bound_labels"])):
+                assert mask.dtype == bool
+                assert np.array_equal(mask, [lab in hint_labels for lab in labels])
+            if result.fallback:
+                assert result.active_labels is None
+                continue
+            rows, bounds = active_set(qp, sol)
+            assert result.active_labels == frozenset(
+                [lab for lab, a in zip(meta["labels"], rows) if a]
+                + [lab for lab, a in zip(meta["bound_labels"], bounds) if a])
+
+        assert len(warm) > 0.9 * len(calls)
+        after_tick0 = [(metas[k - desk.n], metas[k]) for k in warm if k >= desk.n]
+        assert any(old["neighbors"] != new["neighbors"] for old, new in after_tick0)
+        assert any([p.obstacle for p in old["probes"]] != [p.obstacle for p in new["probes"]]
+                   for old, new in after_tick0)
 
     def test_warm_start_and_hint_consistent(self, cfg, bundle):
         state = AgentState([0, 0, 0], [0, 0, 0])

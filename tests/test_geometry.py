@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.spatial import cKDTree
+from scipy.special import comb
 
 from swarmcoord import geometry
 from swarmcoord.geometry import (
@@ -60,6 +61,19 @@ class TestEvalBezier:
             eval_bezier(plan, -0.1)
         with pytest.raises(GeometryError):
             eval_bezier(plan, plan.total_duration + 0.1)
+
+
+class TestBernsteinRow:
+    def test_equals_the_binomial_formula_bitwise(self):
+        rng = np.random.default_rng(4)
+        for degree in range(1, 12):
+            i = np.arange(degree + 1)
+            for tau in [0.0, 0.25, 0.5, 1.0, *rng.uniform(size=4), np.float64(rng.uniform())]:
+                expected = comb(degree, i) * tau**i * (1.0 - tau) ** (degree - i)
+                got = geometry.bernstein_row(degree, tau)
+                assert got.tobytes() == expected.tobytes(), (degree, tau)
+                got[:] = -1.0   # the caller's copy, not the cached binomials
+                assert geometry.bernstein_row(degree, tau).tobytes() == expected.tobytes()
 
 
 class TestBuildBasis:
@@ -307,6 +321,49 @@ class TestPointSurfaceDistance:
                 assert np.array_equal(d[k], d_k) and np.array_equal(eta[k], eta_k)
         d, eta = point_surface_distance([], pts)
         assert d.shape == (0, 16) and eta.shape == (0, 16, 3)
+
+
+def project_one_group(a, y):
+    """Reference for one obstacle's rows: the plain Newton loop on the
+    secular equation, all rows stopping together. Returns (projection, steps)."""
+    ay2 = a * y**2
+    a2y2 = a * ay2
+    t = (np.sqrt(ay2.sum(axis=1)) - 1.0) / a.max(axis=1)
+    for steps in range(128):
+        inv = 1.0 / (1.0 + t[:, None] * a)
+        inv2 = inv * inv
+        g = (ay2 * inv2).sum(axis=1) - 1.0
+        if np.all(np.abs(g) < 1e-12):
+            break
+        t = t + g / (2.0 * (a2y2 * inv2 * inv).sum(axis=1))
+    return y / (1.0 + t[:, None] * a), steps
+
+
+class TestProjectOutside:
+    def test_groups_match_a_loop_over_groups(self):
+        # a sphere settles at once, elongated ellipsoids take 5 to 10 steps;
+        # each group of the stacked call keeps the bits of its own loop
+        rng = np.random.default_rng(3)
+        a_rows, y_rows, group = [], [], []
+        for g, semi in enumerate(([1.0, 1.0, 1.0], [1.0, 1.0, 1.2], [0.2, 1.0, 3.0],
+                                  [0.05, 1.0, 8.0])):
+            a = 1.0 / np.array(semi) ** 2
+            y = rng.normal(size=(12, 3)) * 3.0
+            y = y[np.sum(a * y**2, axis=1) > 1.0]
+            a_rows.append(np.tile(a, (len(y), 1)))
+            y_rows.append(y)
+            group += [g] * len(y)
+        order = rng.permutation(len(group))     # interleave the groups' rows
+        a, y, group = np.vstack(a_rows)[order], np.vstack(y_rows)[order], np.array(group)[order]
+        got = geometry._project_outside(a, y, group)
+        steps = set()
+        for g in range(4):
+            rows = group == g
+            expected, n_steps = project_one_group(a[rows], y[rows])
+            assert got[rows].tobytes() == expected.tobytes(), g
+            steps.add(n_steps)
+        assert len(steps) == 4
+        assert geometry._project_outside(a, y).tobytes() != got.tobytes()
 
 
 @st.composite
