@@ -13,8 +13,14 @@ Distances, and who uses them:
       below);
   point_surface_distance: the exact signed distance to each obstacle in
       the agent norm, with a supporting plane per point, all obstacles in
-      one call, for collision probes, obstacle rows, the scenario goal
+      one call (in a non-Euclidean norm, on each obstacle's in_norm frame,
+      built once), for collision probes, obstacle rows, the scenario goal
       check and the obstacle metrics;
+  distance_lower_bound: (min ||E (p - C)|| - 1) / sigma_max(E M⁻¹) per
+      obstacle, a certified lower bound on the agent-norm distance from a
+      set of points (the triangle inequality in the frame where the norm
+      ||M x|| is Euclidean), for the collision probe to skip the obstacles
+      that a plan cannot come near;
   ellipsoid_gap: the Euclidean gap between two solid obstacles, certified
       to 1e-12 by its support-function dual, for the scenario gap check;
   euclidean_project_ellipsoid: the Euclidean projection onto a solid
@@ -35,6 +41,7 @@ class GeometryError(ValueError):
 
 _IDENTITY = np.eye(3)
 _IDENTITY.flags.writeable = False
+_IDENTITY_BYTES = _IDENTITY.tobytes()
 
 
 @dataclass(frozen=True)
@@ -130,6 +137,22 @@ class Ellipsoid:
         """
         return np.linalg.eigh(self.shape_matrix.T @ self.shape_matrix)
 
+    def in_norm(self, norm_matrix):
+        """This obstacle in the coordinates z = M x, where the norm ||M x|| is
+        Euclidean: center M c and shape matrix E M⁻¹. Built once per norm
+        matrix (keyed by its bytes) and kept, with its principal axes, for the
+        obstacle's life."""
+        key = norm_matrix.tobytes()
+        scaled = self._in_norm.get(key)
+        if scaled is None:
+            scaled = self._in_norm[key] = Ellipsoid(
+                norm_matrix @ self.center, self.shape_matrix @ np.linalg.inv(norm_matrix))
+        return scaled
+
+    @cached_property
+    def _in_norm(self):
+        return {}
+
 
 def bernstein_row(degree, tau):
     """Bernstein basis values (B_{0,d}(tau), ..., B_{d,d}(tau))."""
@@ -222,7 +245,8 @@ def point_surface_distance(obstacles, p, norm_matrix=None):
 
     Returns (d, eta), obstacle-major. p is one point (d is (num obstacles,),
     eta (num obstacles, 3)) or an (n, 3) array of points (d is (num
-    obstacles, n), eta (num obstacles, n, 3)). eta is such that
+    obstacles, n), eta (num obstacles, n, 3)); no obstacles give empty
+    arrays of those shapes without a projection. eta is such that
     d(x) >= d + eta @ (x - p) for every x, where d(x) is the true signed
     distance: the obstacle is convex, so the plane through a surface point
     with its outward normal keeps the whole obstacle on one side. Outside the
@@ -234,16 +258,56 @@ def point_surface_distance(obstacles, p, norm_matrix=None):
     pts = np.asarray(p, dtype=float)
     single = pts.ndim == 1
     pts = pts.reshape(-1, 3)
-    m = _IDENTITY if norm_matrix is None else np.asarray(norm_matrix, dtype=float).reshape(3, 3)
-    if (m != _IDENTITY).any():
+    if len(obstacles) == 0:
+        d, eta = np.empty((0, len(pts))), np.empty((0, len(pts), 3))
+        return (d[:, 0], eta[:, 0]) if single else (d, eta)
+    m = _norm_matrix(norm_matrix)
+    if m is not _IDENTITY:
         # the norm ||M x|| is Euclidean in the coordinates z = M x
-        m_inv = np.linalg.inv(m)
-        obstacles = [Ellipsoid(m @ obs.center, obs.shape_matrix @ m_inv) for obs in obstacles]
+        obstacles = [obs.in_norm(m) for obs in obstacles]
         pts = pts @ m.T
     surface, normal = _supporting_planes(obstacles, pts)
     d = np.add.reduce(normal * (pts - surface), axis=2)
     eta = normal @ m
     return (d[:, 0], eta[:, 0]) if single else (d, eta)
+
+
+def distance_lower_bound(obstacles, p, norm_matrix=None):
+    """A certified lower bound, per obstacle, on the distance ||M (x - z)||
+    from every row x of p ((n, 3), or one point) to every point z of the
+    solid obstacle, without a projection: (min over x of ||E (x - c)|| - 1)
+    / sigma_max(E M⁻¹), negative when some x lies inside.
+
+    Why it holds: in the coordinates of in_norm the obstacle's shape matrix
+    is E M⁻¹, and E (x - c) = E M⁻¹ M (x - z) + E (z - c) with
+    ||E (z - c)|| <= 1, so ||E (x - c)|| <= sigma_max(E M⁻¹) ||M (x - z)|| + 1.
+    sigma_max is the square root of the largest of the scaled obstacle's
+    principal_axes eigenvalues, which in_norm keeps, so no call decomposes
+    a matrix after the first. The bound is exact for a sphere in the
+    Euclidean norm and falls below the distance as the obstacle (in the
+    norm) gets more elongated.
+    """
+    pts = np.asarray(p, dtype=float).reshape(-1, 3)
+    m = _norm_matrix(norm_matrix)
+    bounds = np.empty(len(obstacles))
+    for i, obs in enumerate(obstacles):
+        y = (pts - obs.center) @ obs.shape_matrix.T
+        frame = obs if m is _IDENTITY else obs.in_norm(m)
+        sigma_max = math.sqrt(frame.principal_axes[0][-1])
+        bounds[i] = (math.sqrt(min(np.add.reduce(y * y, axis=1).tolist())) - 1.0) / sigma_max
+    return bounds
+
+
+def _norm_matrix(norm_matrix):
+    """M as a (3, 3) float array; the read-only _IDENTITY itself for the
+    Euclidean norm (None or an identity matrix)."""
+    if norm_matrix is None:
+        return _IDENTITY
+    m = np.asarray(norm_matrix, dtype=float).reshape(3, 3)
+    # comparing bytes is the fast test; -0.0 entries take the value test
+    if m.tobytes() == _IDENTITY_BYTES or not (m != _IDENTITY).any():
+        return _IDENTITY
+    return m
 
 
 def _supporting_planes(obstacles, pts):
@@ -268,7 +332,9 @@ def _supporting_planes(obstacles, pts):
     outside = r2 > 1.0
     group = outside.nonzero()[0]        # the obstacle of each outside row
     if group.size:
-        x[outside] = _project_outside(a[group, 0], y[outside], group)
+        # one obstacle is one group: its rows stop together without bincount
+        x[outside] = _project_outside(a[group, 0], y[outside],
+                                      group if len(obstacles) > 1 else None)
     normal = a * x
     normal /= np.sqrt(np.add.reduce(normal * normal, axis=2, keepdims=True))
     v_t = v.transpose(0, 2, 1)

@@ -51,7 +51,8 @@ def compare(parent, change, better, bound):
     median by more than the parent's interquartile distance. within_bound:
     the change's median is worse than the parent's by at most `bound`,
     relative. resolved: the parent's own interquartile distance is within
-    the bound, or every change run reads better than every parent run.
+    the bound, every change run reads better than every parent run, or
+    every pair reads exactly equal (relative_change is then 0).
     """
     parent, change = np.asarray(parent, dtype=float), np.asarray(change, dtype=float)
     if parent.shape != change.shape or parent.ndim != 1 or parent.size == 0:
@@ -77,7 +78,8 @@ def compare(parent, change, better, bound):
         "change_wins": wins, "change_losses": losses, "pairs": int(parent.size),
         "claim_met": bool(wins >= 0.9 * parent.size and sign * (p_med - c_med) > spread),
         "within_bound": bool(sign * rel <= bound),
-        "resolved": bool(spread <= bound * abs(p_med) or c.max() < p.min()),
+        "resolved": bool(spread <= bound * abs(p_med) or c.max() < p.min()
+                         or np.array_equal(p, c)),
     }
 
 
@@ -182,8 +184,8 @@ def report(workloads, claim, seconds, machine, digest):
     out["no_regression"] = {
         "how": "change median against parent median for every other end-to-end metric and "
                "workload, against the relative bound of BENCHMARK.json; resolved when the "
-               "parent's interquartile distance is within the bound or every change run "
-               "reads better than every parent run"}
+               "parent's interquartile distance is within the bound, every change run "
+               "reads better than every parent run, or every pair reads exactly equal"}
     for workload, section in workloads.items():
         for metric, m in section["metrics"].items():
             if f"{workload}/{metric}" != claim:

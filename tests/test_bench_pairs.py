@@ -57,8 +57,20 @@ class TestCompare:
         # a parent spread wider than the bound leaves the metric unresolved,
         # unless every change run beats every parent run
         wide = [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0]
-        assert not bench_pairs.compare(wide, wide, "lower", 0.25)["resolved"]
+        assert not bench_pairs.compare(wide, wide[::-1], "lower", 0.25)["resolved"]
         assert bench_pairs.compare(wide, [0.5] * 10, "lower", 0.25)["resolved"]
+
+    def test_equal_pairs_are_resolved(self):
+        # every pair reads exactly the parent's value: no change, however
+        # widely the value spreads across seeds
+        wide = [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0]
+        v = bench_pairs.compare(wide, wide, "lower", 0.25)
+        assert v["resolved"] and v["within_bound"] and not v["claim_met"]
+        assert v["relative_change"] == 0.0
+        assert (v["change_wins"], v["change_losses"]) == (0, 0)
+        # one pair apart, and the spread rule applies again
+        near = wide[:-1] + [3.0 + 1e-12]
+        assert not bench_pairs.compare(wide, near, "lower", 0.25)["resolved"]
 
     def test_rejects_unpaired_input(self):
         with pytest.raises(ValueError):

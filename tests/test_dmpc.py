@@ -5,10 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmcoord import dmpc, geometry
 from swarmcoord.arrayio import read_container
 from swarmcoord.dmpc import (
+    CLEARANCE_MARGIN,
+    OBSTACLE_BAND,
     OBSTACLE_RESERVE,
     AgentState,
     BasisBundle,
@@ -24,6 +28,7 @@ from swarmcoord.geometry import (
     BezierPlan,
     Ellipsoid,
     derivative_plan,
+    distance_lower_bound,
     eval_bezier,
     point_surface_distance,
 )
@@ -32,6 +37,7 @@ from swarmcoord.swarmsim import ChannelConfig, ScenarioConfig, episode, run_epis
 
 from qp_testing import (assert_bound_form_matches_row_form, assert_same_polish, dlb_check,
                         reference_polish)
+from test_geometry import ellipsoids
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +59,38 @@ def two_obstacles():
             Ellipsoid.axis_aligned([12.0, -4.0, 0.0], [6.0, 3.5, 5.0])]
 
 
+def unfiltered_first_collision(prev_traj, obstacles, r_min, norm_matrix=None):
+    """Reference probe without the distance bound: project every step onto
+    every obstacle, then keep each obstacle's first breach.
+    Returns (k_coll, obstacle, dist, eta) tuples."""
+    pts = np.asarray(prev_traj, dtype=float).reshape(-1, 3)
+    dist, eta = point_surface_distance(obstacles, pts, norm_matrix)
+    probes = []
+    for m, breach in enumerate(dist < r_min):
+        if breach.any():
+            k = int(breach.argmax())
+            probes.append((k, m, dist[m, k:], eta[m, k:]))
+    return probes
+
+
+def point_at_distance(obs, norm, r, rng):
+    """A point whose distance to the solid obstacle in the norm ||M x|| is r
+    up to rounding (r < 0 inside, along the surface normal): in the frame
+    z = M x the obstacle's projection of the point is a surface point."""
+    m = np.eye(3) if norm is None else norm
+    scaled = obs.in_norm(m)
+    u = rng.normal(size=3)
+    surface = scaled.center + np.linalg.solve(scaled.shape_matrix, u / np.linalg.norm(u))
+    normal = scaled.shape_matrix.T @ scaled.shape_matrix @ (surface - scaled.center)
+    return np.linalg.solve(m, surface + r * normal / np.linalg.norm(normal))
+
+
+# a norm's agent_shape: the identity, a stretched z axis, a rotated anisotropic one
+_ROTATION = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))[0]
+PROBE_NORMS = (None, np.diag([1.0, 1.0, 1.2]), np.diag([0.7, 1.6, 1.0]) @ _ROTATION)
+STEP_KINDS = st.sampled_from(["inside", "near", "threshold", "far"])
+
+
 class TestDetectFirstCollision:
     def test_clear_plan_no_probe(self, cfg):
         traj = hold_position_trajectory([0.0, 0.0, 0.0], cfg.horizon)
@@ -63,6 +101,52 @@ class TestDetectFirstCollision:
         traj = hold_position_trajectory(obstacles[0].center, cfg.horizon)
         probes = detect_first_collision(traj, obstacles, cfg.r_min)
         assert probes and probes[0].k_coll == 0 and probes[0].obstacle == 0
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(obstacles=st.lists(ellipsoids(), max_size=3),
+           moved=st.lists(st.booleans(), min_size=3, max_size=3),
+           norm=st.sampled_from(range(len(PROBE_NORMS))),
+           r_min=st.sampled_from([0.15, 0.65]),
+           kinds=st.one_of(STEP_KINDS.map(lambda kind: [kind] * 16),
+                           st.lists(STEP_KINDS, min_size=16, max_size=16)),
+           seed=st.integers(0, 2**16))
+    def test_equals_the_unfiltered_probe_bitwise(self, obstacles, moved, norm, r_min, kinds,
+                                                 seed):
+        # the distance bound skips only obstacles that no step breaches, so
+        # every probe is bitwise the one of projecting every obstacle. Some
+        # obstacles are moved 40 m away from every step, which the bound
+        # clears; each step lies inside, near, within 1e-12 of r_min or far
+        # (2 to 10 m) from one of the others, all steps alike or mixed
+        rng = np.random.default_rng(seed)
+        norm = PROBE_NORMS[norm]
+        obstacles = [Ellipsoid(obs.center + [40.0 * shift, 0.0, 0.0], obs.shape_matrix)
+                     for obs, shift in zip(obstacles, moved)]
+        anchors = [obs for obs, shift in zip(obstacles, moved) if not shift]
+        if anchors:
+            radius = {"inside": lambda: -0.1, "near": lambda: r_min + 1e-6,
+                      "threshold": lambda: r_min, "far": lambda: rng.uniform(2.0, 10.0)}
+            pts = [point_at_distance(anchors[rng.integers(len(anchors))], norm,
+                                     radius[kind](), rng) for kind in kinds]
+        else:
+            pts = rng.normal(size=(16, 3))
+        traj = np.reshape(pts, -1)
+        probes = detect_first_collision(traj, obstacles, r_min, norm_matrix=norm)
+        expected = unfiltered_first_collision(traj, obstacles, r_min, norm)
+        assert len(probes) == len(expected)
+        for probe, (k, m, dist, eta) in zip(probes, expected):
+            assert (probe.k_coll, probe.obstacle) == (k, m)
+            assert probe.dist.tobytes() == dist.tobytes()
+            assert probe.eta.tobytes() == eta.tobytes()
+
+    def test_threshold_points_sit_within_1e_12(self, cfg):
+        # the helper above places its threshold steps this close to r_min
+        rng = np.random.default_rng(23)
+        obs = Ellipsoid(np.array([0.3, -0.2, 0.1]),
+                        np.diag([1 / 2.0, 1.0, 1 / 0.6]) @ _ROTATION)
+        for norm in PROBE_NORMS:
+            pts = [point_at_distance(obs, norm, 0.65, rng) for _ in range(50)]
+            d = point_surface_distance([obs], pts, norm)[0][0]
+            assert np.max(np.abs(d - 0.65)) <= 1e-12
 
     def test_matches_linear_scan_oracle(self, cfg):
         rng = np.random.default_rng(0)
@@ -222,10 +306,20 @@ class TestBuildQp:
         monkeypatch.setattr(geometry, "_supporting_planes", counting)
         _, meta, obstacles = crowded_instance(cfg, bundle)
         assert len(obstacles) == 3 and len(meta["probes"]) == 2
-        # the probe pass projects each (obstacle, step) pair once; the
-        # obstacle rows reuse it
-        assert sorted(projected) == sorted((tuple(obs.center), k) for obs in obstacles
-                                           for k in range(cfg.horizon))
+        # the probe pass projects every step of each obstacle that the
+        # distance bound cannot clear once, and a cleared obstacle never;
+        # the obstacle rows reuse it
+        band = cfg.r_min + OBSTACLE_BAND
+        prev_pts = meta["prev_traj"].reshape(cfg.horizon, 3)
+        bounds = distance_lower_bound(obstacles, prev_pts, cfg.agent_shape)
+        cleared = bounds >= band + CLEARANCE_MARGIN
+        assert cleared.tolist() == [False, False, True]     # the one 30 m away
+        assert sorted(projected) == sorted((tuple(obs.center), k)
+                                           for obs, skip in zip(obstacles, cleared)
+                                           if not skip for k in range(cfg.horizon))
+        # a cleared obstacle's exact distance is at least the band at every step
+        for obs in (obs for obs, skip in zip(obstacles, cleared) if skip):
+            assert np.all(point_surface_distance([obs], prev_pts, cfg.agent_shape)[0] >= band)
 
     @pytest.mark.parametrize("n_obstacles,n_neighbors", [(0, 0), (1, 1), (2, 3), (3, 2)])
     def test_frame_parts_match_dense_reference(self, cfg, n_obstacles, n_neighbors):

@@ -13,6 +13,7 @@ from swarmcoord.geometry import (
     GeometryError,
     build_basis,
     derivative_plan,
+    distance_lower_bound,
     ellipsoid_gap,
     euclidean_project_ellipsoid,
     eval_bezier,
@@ -322,6 +323,51 @@ class TestPointSurfaceDistance:
         d, eta = point_surface_distance([], pts)
         assert d.shape == (0, 16) and eta.shape == (0, 16, 3)
 
+    @pytest.mark.parametrize("norm", [None, np.diag([1.0, 1.0, 1.2])])
+    def test_no_obstacles_project_nothing(self, norm, monkeypatch):
+        def no_projection(obstacles, pts):
+            raise AssertionError("projected with no obstacles")
+
+        monkeypatch.setattr(geometry, "_supporting_planes", no_projection)
+        pts = np.random.default_rng(4).normal(size=(16, 3))
+        d, eta = point_surface_distance([], pts, norm)
+        assert d.shape == (0, 16) and eta.shape == (0, 16, 3)
+        d, eta = point_surface_distance([], pts[0], norm)
+        assert d.shape == (0,) and eta.shape == (0, 3)
+
+    def test_scaled_obstacles_are_built_once(self, monkeypatch):
+        # a non-identity norm moves each obstacle into the frame z = M x
+        # once; later calls reuse it and its principal axes, bit for bit
+        rng = np.random.default_rng(9)
+        norm = np.diag([1.0, 1.0, 1.2])
+
+        def fresh():
+            return [Ellipsoid(np.array([2.0, 1.0, 0.5]), np.diag([1.0, 0.5, 2.0])
+                              @ np.linalg.qr(np.random.default_rng(1).normal(size=(3, 3)))[0]),
+                    Ellipsoid.axis_aligned([-1.0, 3.0, 0.0], [0.6, 1.5, 0.8])]
+
+        eigh, calls = np.linalg.eigh, []
+
+        def counting(matrix):
+            calls.append(1)
+            return eigh(matrix)
+
+        obstacles = fresh()
+        for round_ in range(4):
+            pts = rng.normal(size=(16, 3)) * 3.0
+            monkeypatch.setattr(np.linalg, "eigh", counting)
+            d, eta = point_surface_distance(obstacles, pts, norm)
+            assert len(calls) == 2     # both obstacles, on the first call only
+            monkeypatch.undo()
+            d_ref, eta_ref = point_surface_distance(fresh(), pts, norm)   # uncached
+            assert d.tobytes() == d_ref.tobytes() and eta.tobytes() == eta_ref.tobytes()
+        # the cached frame is the one the norm defines
+        scaled = obstacles[0].in_norm(norm)
+        assert scaled is obstacles[0].in_norm(norm.copy())
+        assert np.array_equal(scaled.center, norm @ obstacles[0].center)
+        assert np.array_equal(scaled.shape_matrix,
+                              obstacles[0].shape_matrix @ np.linalg.inv(norm))
+
 
 def project_one_group(a, y):
     """Reference for one obstacle's rows: the plain Newton loop on the
@@ -473,3 +519,39 @@ class TestEllipsoidGap:
                  - np.linalg.norm(np.linalg.solve(b.shape_matrix.T, n.T), axis=0))
         assert gap >= width.max() - tol
 
+
+class TestDistanceLowerBound:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(obs=ellipsoids(), scale=st.tuples(*[st.floats(0.5, 2.0)] * 3),
+           seed=st.integers(0, 2**16))
+    def test_never_above_the_distance(self, obs, scale, seed):
+        # outside the obstacle the bound never exceeds the exact distance of
+        # any point, in the Euclidean and in an anisotropic norm
+        rng = np.random.default_rng(seed)
+        pts = obs.center + rng.normal(size=(16, 3)) * 5.0
+        for norm in (None, np.diag(scale) @ np.linalg.qr(rng.normal(size=(3, 3)))[0]):
+            d = point_surface_distance([obs], pts, norm)[0][0]
+            outside = d > 0
+            for k in outside.nonzero()[0]:
+                (bound,) = distance_lower_bound([obs], pts[k], norm)
+                assert bound <= d[k] + 1e-12 * max(1.0, d[k])
+            # over a set of points: the bound of the nearest one
+            if outside.any():
+                (bound,) = distance_lower_bound([obs], pts[outside], norm)
+                assert bound <= d[outside].min() + 1e-12 * max(1.0, d[outside].min())
+
+    def test_exact_for_a_sphere_in_the_euclidean_norm(self):
+        rng = np.random.default_rng(21)
+        sphere = Ellipsoid.axis_aligned([1.0, -2.0, 0.5], [0.7, 0.7, 0.7])
+        pts = sphere.center + rng.normal(size=(40, 3)) * 4.0
+        bounds = [distance_lower_bound([sphere], p)[0] for p in pts]
+        exact = np.linalg.norm(pts - sphere.center, axis=1) - 0.7
+        assert np.max(np.abs(np.array(bounds) - exact)) < 1e-12
+        assert distance_lower_bound([sphere], pts)[0] == pytest.approx(exact.min(), abs=1e-12)
+
+    def test_negative_inside_and_one_per_obstacle(self):
+        obstacles = [Ellipsoid.axis_aligned([0.0, 0.0, 0.0], [1.0, 2.0, 0.5]),
+                     Ellipsoid.axis_aligned([9.0, 0.0, 0.0], [1.0, 1.0, 1.0])]
+        bounds = distance_lower_bound(obstacles, np.array([[0.1, 0.2, 0.0], [5.0, 0.0, 0.0]]))
+        assert bounds.shape == (2,) and bounds[0] < 0 < bounds[1]
+        assert distance_lower_bound([], np.zeros((16, 3))).shape == (0,)

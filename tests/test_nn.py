@@ -36,6 +36,7 @@ from swarmcoord.predictor import (
     init_predictor_params,
     prior_forward,
 )
+from swarmcoord.nn.layers import _batch_matmul
 from test_predictor import lstm_zero_state
 
 
@@ -367,6 +368,20 @@ def composed_lstm_step(xw, state, params):
     c = f * c_prev + i * g
     h = o * c.tanh()
     return h, (h, c)
+
+
+class TestBatchMatmul:
+    # the recurrent products of the prior: the query and decoder LSTMs'
+    # Wh (hidden 128) and the EG cells' Wh (inputs 3 and 16)
+    @pytest.mark.parametrize("shape", [(128, 512), (16, 64), (3, 12)])
+    def test_equals_the_plain_product_bitwise(self, shape):
+        rng = np.random.default_rng(shape[0])
+        w = rng.normal(size=shape)
+        for rows in range(1, 10):
+            h = rng.normal(size=(rows, shape[0]))
+            out = _batch_matmul(h, w)
+            assert out.shape == (rows, shape[1])
+            assert out.tobytes() == (h @ w).tobytes(), rows
 
 
 class TestLstm:
