@@ -27,17 +27,14 @@ the (convex) obstacle, taken at every step of the time-shifted previous plan
 from the first one that comes within OBSTACLE_BAND of r_min: outside the
 obstacle the plane touches at the exact closest point in the agent norm,
 inside it at the radial surface point. The collision probe's pass supplies
-the planes: detect_first_collision first bounds the distance from the plan
-to each obstacle from below, (min_k ||E (p_k - c)|| - 1) / sigma_max(E M⁻¹)
-(the triangle inequality in the frame where the agent norm ||M x|| is
-Euclidean), skips every obstacle that bound clears, and projects every step
-onto each other obstacle in one point_surface_distance call; each probe
-keeps the distances and plane gradients from its first step on. A skipped
-obstacle is one the projection would not have probed, and a projected one
-gets the bits of a projection of every obstacle. Each plane is a lower
-bound of the true signed distance everywhere, so a plan that satisfies a
-row keeps at least r_min from the obstacle at that step; all rows of one
-obstacle share its slack.
+the planes: detect_first_collision skips each obstacle whose distance lower
+bound (min_k ||E (p_k - c)|| - 1) / sigma_max(E M⁻¹) clears the band (the
+triangle inequality where the agent norm ||M x|| is Euclidean), projects
+every step onto the others in one point_surface_distance call, and each
+probe keeps the distances and plane gradients from its first step on. Each
+plane is a lower bound of the true signed distance everywhere, so a plan
+that satisfies a row keeps at least r_min from the obstacle at that step;
+all rows of one obstacle share its slack.
 
 Initial condition: the plan starts from the measured position and velocity;
 its acceleration carries over from the previous plan at +dt, the point the
@@ -118,10 +115,8 @@ OBSTACLE_BAND = 0.5
 # its pinned initial state leaves its own first step almost no freedom; the
 # reserve lets that step still meet r_min without slack.
 OBSTACLE_RESERVE = 0.02
-# The collision probe skips an obstacle whose distance lower bound clears
-# the probe distance by this much (m), far above the rounding of the bound
-# and of the projected distance, so a skipped obstacle is one whose
-# projection would not breach.
+# The collision probe skips an obstacle whose distance lower bound clears the
+# probe distance by this much (m), far above the rounding of either distance.
 CLEARANCE_MARGIN = 1e-9
 
 
@@ -387,17 +382,14 @@ def detect_first_collision(prev_traj, obstacles, r_min,
 
     Distance is the signed distance from each trajectory point to the
     obstacle in the agent norm (Euclidean by default), as point_surface_distance
-    gives it: exact outside, a lower bound inside. An obstacle is projected
-    only if its distance_lower_bound over the trajectory, (min ||E (p - c)||
-    - 1) / sigma_max(E M⁻¹), falls below r_min + CLEARANCE_MARGIN: the bound
-    holds because ||E (p - c)|| <= sigma_max(E M⁻¹) ||M (p - z)|| + 1 for
-    every z in the obstacle, so an obstacle above it is one no step
-    breaches. One point_surface_distance call, made even when no obstacle
-    is left, projects every step of the others; each probe keeps its
-    obstacle's distances and supporting planes from its step on, and
-    build_qp makes the obstacle rows from them. A projected obstacle keeps
-    its whole group of steps, so its values are bitwise those of a call
-    with every obstacle.
+    gives it: exact outside, a lower bound inside. An obstacle whose
+    distance_lower_bound, (min ||E (p - c)|| - 1) / sigma_max(E M⁻¹), is at
+    least r_min + CLEARANCE_MARGIN is not projected: ||E (p - c)|| <=
+    sigma_max(E M⁻¹) ||M (p - z)|| + 1 for every z in it, so no step
+    breaches it. One point_surface_distance call, made even when no obstacle
+    is left, projects every step of the others, with the bits of a call on
+    every obstacle; each probe keeps its obstacle's distances and supporting
+    planes from its step on, and build_qp makes the obstacle rows from them.
     """
     pts = np.asarray(prev_traj, dtype=float).reshape(-1, 3)
     bounds = distance_lower_bound(obstacles, pts, norm_matrix)

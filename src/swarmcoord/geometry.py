@@ -139,9 +139,8 @@ class Ellipsoid:
 
     def in_norm(self, norm_matrix):
         """This obstacle in the coordinates z = M x, where the norm ||M x|| is
-        Euclidean: center M c and shape matrix E M⁻¹. Built once per norm
-        matrix (keyed by its bytes) and kept, with its principal axes, for the
-        obstacle's life."""
+        Euclidean: center M c, shape matrix E M⁻¹. Built once per norm matrix
+        and kept, with its principal axes, for the obstacle's life."""
         key = norm_matrix.tobytes()
         scaled = self._in_norm.get(key)
         if scaled is None:
@@ -273,19 +272,12 @@ def point_surface_distance(obstacles, p, norm_matrix=None):
 
 
 def distance_lower_bound(obstacles, p, norm_matrix=None):
-    """A certified lower bound, per obstacle, on the distance ||M (x - z)||
-    from every row x of p ((n, 3), or one point) to every point z of the
-    solid obstacle, without a projection: (min over x of ||E (x - c)|| - 1)
-    / sigma_max(E M⁻¹), negative when some x lies inside.
-
-    Why it holds: in the coordinates of in_norm the obstacle's shape matrix
-    is E M⁻¹, and E (x - c) = E M⁻¹ M (x - z) + E (z - c) with
-    ||E (z - c)|| <= 1, so ||E (x - c)|| <= sigma_max(E M⁻¹) ||M (x - z)|| + 1.
-    sigma_max is the square root of the largest of the scaled obstacle's
-    principal_axes eigenvalues, which in_norm keeps, so no call decomposes
-    a matrix after the first. The bound is exact for a sphere in the
-    Euclidean norm and falls below the distance as the obstacle (in the
-    norm) gets more elongated.
+    """Per obstacle, (min over rows x of p of ||E (x - c)|| - 1) / sigma_max(E M⁻¹):
+    a lower bound on the distance ||M (x - z)|| from every x to every z in
+    the solid obstacle, negative when some x lies inside, exact for a sphere
+    in the Euclidean norm. It holds because E (x - c) = E M⁻¹ M (x - z) +
+    E (z - c) with ||E (z - c)|| <= 1. sigma_max comes from the principal
+    axes of the in_norm obstacle, computed once.
     """
     pts = np.asarray(p, dtype=float).reshape(-1, 3)
     m = _norm_matrix(norm_matrix)
@@ -294,7 +286,8 @@ def distance_lower_bound(obstacles, p, norm_matrix=None):
         y = (pts - obs.center) @ obs.shape_matrix.T
         frame = obs if m is _IDENTITY else obs.in_norm(m)
         sigma_max = math.sqrt(frame.principal_axes[0][-1])
-        bounds[i] = (math.sqrt(min(np.add.reduce(y * y, axis=1).tolist())) - 1.0) / sigma_max
+        r2 = min(np.add.reduce(y * y, axis=1).tolist(), default=math.inf)  # inf for no rows
+        bounds[i] = (math.sqrt(r2) - 1.0) / sigma_max
     return bounds
 
 

@@ -555,3 +555,5 @@ class TestDistanceLowerBound:
         bounds = distance_lower_bound(obstacles, np.array([[0.1, 0.2, 0.0], [5.0, 0.0, 0.0]]))
         assert bounds.shape == (2,) and bounds[0] < 0 < bounds[1]
         assert distance_lower_bound([], np.zeros((16, 3))).shape == (0,)
+        # no points: nothing comes near
+        assert distance_lower_bound(obstacles, np.zeros((0, 3))).tolist() == [np.inf] * 2
