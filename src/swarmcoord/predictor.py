@@ -19,12 +19,20 @@ that tape (the training path); on ndarrays it runs the same numpy
 expressions and builds no Tensor. TrajectoryPredictor predicts on the arrays
 behind its parameters. It evolves the weights on no-grad Tensor views of
 those arrays, lazily at its first prediction, which records no tape either,
-and passes the evolved arrays in. share_evolution gives the predictors of
-one episode that run on the same parameter arrays a single weight list, so
-they evolve once, at the episode's first prediction. That list lives in the
-predictors and dies with them: no cache outlives an episode, so eg_step fires
-in every episode, as the benchmark's traced pass requires, even when an
-earlier episode or test in the process evolved the same parameters.
+and passes the evolved arrays in.
+
+share_prior gives the predictors of one episode on the same parameter
+arrays, under equal configs, one _SharedPrior: one evolved weight list and
+a memo of prior rows, since every ego reads the same positions, graph and
+obstacles and ages its beliefs alike. The memo keys a row by (target, bytes
+of its prev row) and holds only the current context, the bytes of the
+positions, adjacency and obstacle centers. A request that misses any row
+runs the whole batch and stores every row of it, never the missing rows
+alone: a row's rounding depends on the batch's BLAS path (a 1-row batch
+takes gemv), and the whole batch is what the ego computes on its own.
+Stored rows are read-only. The shared state dies with the predictors: no
+cache outlives an episode, so eg_step and lstm_step fire in every episode,
+as the benchmark's traced pass requires.
 
 Work that does not change inside a loop runs once per call. The query
 LSTM's inputs are projected for every step before its recurrence, the
@@ -41,7 +49,7 @@ The VAE codec normalizes trajectories with dataset statistics stored next to
 the parameters.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -102,7 +110,7 @@ class GaussianTrajectoryEstimate:
             raise PredictorError("mean and stddev must have equal length")
         if not np.all(np.isfinite(self.mean)):
             raise PredictorError("estimate mean must be finite")
-        if np.any(self.stddev <= 0):
+        if not np.all(self.stddev > 0):
             raise PredictorError("estimate stddev must be strictly positive")
 
 
@@ -122,7 +130,7 @@ class CodecCalibration:
 
     def __post_init__(self):
         self.variance = np.asarray(self.variance, dtype=float).reshape(-1)
-        if np.any(self.variance <= 0):
+        if not np.all(self.variance > 0):
             raise PredictorError("calibrated variances must be strictly positive")
 
 
@@ -241,7 +249,8 @@ def prior_forward(params, cfg: PredictorConfig, targets, positions, adjacency,
     mean_rel = fc(h_steps, decoder["mean"]).transpose(1, 0, 2).reshape(rows, 3 * hor)
     logstd = fc(detach(h_steps), decoder["logstd"]).transpose(1, 0, 2).reshape(rows, 3 * hor)
 
-    shifted = np.array([shift_trajectory(r, hor) for r in prev_rel])
+    # shift_trajectory of every row at once: drop the first point, repeat the last
+    shifted = np.concatenate([prev_rel[:, 3:], prev_rel[:, -3:]], axis=1)
     mean = mean_rel + shifted + anchor_traj
     sigma = exp(logstd) + cfg.sigma_floor
     return mean, sigma
@@ -256,7 +265,7 @@ def fuse(prior: GaussianTrajectoryEstimate, observation, calib: CodecCalibration
     if obs.shape != prior.mean.shape or calib.variance.shape != prior.mean.shape:
         raise PredictorError("fusion inputs disagree in length")
     prior_var = prior.stddev**2
-    if np.any(prior_var <= 0) or np.any(calib.variance <= 0):
+    if not (np.all(prior_var > 0) and np.all(calib.variance > 0)):
         raise PredictorError("fusion needs strictly positive variances")
     w_prior = 1.0 / prior_var
     w_obs = 1.0 / calib.variance
@@ -270,19 +279,30 @@ def _map_leaves(fn, tree):
             for key, value in tree.items()}
 
 
-def share_evolution(predictors):
-    """Let predictors on the same EG parameter arrays evolve their weights once.
+class _SharedPrior:
+    """The state share_prior shares: the evolved EG weights, and the prior
+    rows of the current context, {(target, prev row bytes): (mean, sigma)}."""
 
-    EvolveGCN-O weights depend on the parameters alone, so predictors whose
-    no-grad views share their `eg` arrays (the same .data objects) and agree
-    on history and eg_layers get one weight list; the first of them to
-    predict fills it. Equal values in distinct arrays are not shared.
+    def __init__(self):
+        self.weights = None
+        self.context = None
+        self.rows = {}
+
+
+def share_prior(predictors):
+    """Let predictors on the same parameter arrays share the prior's work.
+
+    Predictors whose no-grad views share every parameter array (the same
+    .data objects) and whose PredictorConfigs are equal compute the same
+    prior, so each group gets one _SharedPrior: the EG weights evolve once,
+    and a row one of them computed is read by the others. Equal values in
+    distinct arrays are not shared.
     """
     groups = {}
     for pred in predictors:
-        arrays = tuple((name, id(t.data)) for name, t in flatten_params(pred.params["eg"]).items())
-        key = (pred.cfg.history, pred.cfg.eg_layers, arrays)
-        pred._weights = groups.setdefault(key, pred._weights)
+        arrays = tuple((name, id(t.data)) for name, t in flatten_params(pred.params).items())
+        key = (astuple(pred.cfg), arrays)
+        pred._shared = groups.setdefault(key, pred._shared)
 
 
 class TrajectoryPredictor:
@@ -294,11 +314,12 @@ class TrajectoryPredictor:
     belief is read aged one shift_trajectory per tick since then. The
     prior and the codec run on the parameter arrays themselves and build no
     Tensor; `params` holds views of the same arrays in Tensors that record no
-    tape, on which the EG weights are evolved at the first prediction. The
-    evolved arrays are kept in a list, which share_evolution shares among
-    the predictors of one episode on the same arrays. The list dies with its
-    predictors, so no evolution outlives an episode; build new predictors
-    after changing the parameters.
+    tape, on which the EG weights are evolved at the first prediction.
+
+    The evolved weights and the prior rows of the current context live in a
+    _SharedPrior, which share_prior shares among the predictors of one
+    episode (see the module docstring). It dies with its predictors; build
+    new predictors after changing the parameters.
     """
 
     def __init__(self, params, cfg: PredictorConfig, calibration=None,
@@ -310,7 +331,7 @@ class TrajectoryPredictor:
         self.norm = norm if norm is not None else (np.zeros(cfg.traj_dim),
                                                    np.ones(cfg.traj_dim))
         self.beliefs = {}
-        self._weights = []  # evolved_weights as arrays, filled at the first prediction
+        self._shared = _SharedPrior()
 
     def _aged(self, target, tick):
         """target's belief on tick's horizon."""
@@ -325,21 +346,36 @@ class TrajectoryPredictor:
 
         prev_predictions maps a target to the prediction its prior is shifted
         from, on the previous tick's horizon; a target without one holds its
-        current position.
+        current position. The estimates' arrays are read-only: they are rows
+        of the shared memo.
         """
         targets = list(targets)
         if not targets:
             return []
         positions = np.asarray(positions, dtype=float)
+        adjacency = np.asarray(adjacency, dtype=float)
+        obstacle_centers = np.asarray(obstacle_centers, dtype=float)
+        shared = self._shared
+        context = (positions.tobytes(), adjacency.tobytes(), obstacle_centers.tobytes())
+        if context != shared.context:
+            shared.context, shared.rows = context, {}
         given = prev_predictions or {}
         prev = [np.asarray(given[t], dtype=float).reshape(-1) if t in given
                 else np.tile(positions[t], self.cfg.horizon) for t in targets]
-        if not self._weights:
-            self._weights[:] = [w.data for w in evolved_weights(self.params, self.cfg)]
-        mean, sigma = prior_forward(self._arrays, self.cfg, targets, positions,
-                                    adjacency, obstacle_centers, np.array(prev),
-                                    weights=self._weights)
-        return [GaussianTrajectoryEstimate(m, s) for m, s in zip(mean, sigma)]
+        keys = [(t, p.tobytes()) for t, p in zip(targets, prev)]
+        if all(key in shared.rows for key in keys):
+            rows = [shared.rows[key] for key in keys]
+        else:
+            # the whole batch, never the missing rows alone (module docstring)
+            if shared.weights is None:
+                shared.weights = [w.data for w in evolved_weights(self.params, self.cfg)]
+            mean, sigma = prior_forward(self._arrays, self.cfg, targets, positions,
+                                        adjacency, obstacle_centers, np.array(prev),
+                                        weights=shared.weights)
+            mean.flags.writeable = sigma.flags.writeable = False
+            rows = list(zip(mean, sigma))
+            shared.rows.update(zip(keys, rows))
+        return [GaussianTrajectoryEstimate(m, s) for m, s in rows]
 
     def encode(self, traj, tick, sender, mode="sample", rng=None) -> Message:
         mean, std = self.norm

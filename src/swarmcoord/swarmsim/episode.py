@@ -37,7 +37,7 @@ from ..geometry import (
     point_surface_distance,
     scaled_distance,
 )
-from ..predictor import share_evolution
+from ..predictor import share_prior
 from .scenario import Scenario
 
 
@@ -246,11 +246,14 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
     predictor_factory() must build a fresh TrajectoryPredictor per agent for
     the learned modes: it predicts the agent's neighbors and encodes the
     agent's messages. The oracle and constant-velocity modes need none.
-    Predictors the factory builds on the same parameter arrays share one EG
-    weight evolution (predictor.share_evolution), run lazily at the episode's
-    first prediction. The shared weights end with the episode, so every
-    episode evolves its own, as a tracer counting eg_step per episode needs;
-    a factory that copies the parameters per agent evolves once per agent.
+    Predictors the factory builds on the same parameter arrays, with equal
+    configs, share the prior's work (predictor.share_prior): one EG weight
+    evolution at the episode's first prediction, and each tick's prior rows,
+    which the first ego to ask computes and later egos read. The shared
+    state ends with the episode, as a tracer counting eg_step and lstm_step
+    per episode needs. A factory that copies the parameters per agent
+    computes every row in each ego's own batch, bitwise alike on the DESK
+    episodes.
     """
     mode = RunMode.parse(mode) if isinstance(mode, str) else mode
     cfg = controller or ControllerConfig()
@@ -276,7 +279,7 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
     obstacle_centers = np.array([o.center for o in scenario.obstacles])
 
     predictors = [predictor_factory() for _ in range(n)] if mode.uses_predictor else []
-    share_evolution(predictors)
+    share_prior(predictors)
     if any(p.cfg.horizon != cfg.horizon for p in predictors):
         raise ValueError("predictor and controller disagree on the horizon")
 
@@ -304,7 +307,8 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
 
         for i in range(n):
             if mode in (RunMode.EG, RunMode.EG_VAE):
-                # one batched prior per ego, inside the ego's own tick
+                # one batched prior request per ego: the first ego to ask for a
+                # row pays for its whole batch, later egos hit the shared memo
                 preds = predictors[i].predict(neighbor_sets[i], inboxes[i], positions,
                                               adjacency, obstacle_centers, tick)
             elif mode is RunMode.VAE:

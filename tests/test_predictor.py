@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +33,7 @@ from swarmcoord.predictor import (
     fuse,
     init_predictor_params,
     prior_forward,
+    share_prior,
     shift_trajectory,
 )
 
@@ -370,6 +374,114 @@ class TestHookContract:
         assert all(count > 0 for count in calls.values()), calls
 
 
+class TestSharedPrior:
+    """Predictors on the same parameter arrays, under equal configs, share
+    the prior rows of the current context (share_prior)."""
+
+    @pytest.fixture
+    def lstm_steps(self, monkeypatch):
+        calls, real = [], predictor.lstm_step
+
+        def counting(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(predictor, "lstm_step", counting)
+        return calls
+
+    @pytest.fixture
+    def context(self, cfg):
+        rng = np.random.default_rng(111)
+        return make_history(rng, 4, cfg.history)[-1], ring_adjacency(4), np.zeros((2, 3))
+
+    def assert_same_estimates(self, got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.mean, b.mean) and np.array_equal(a.stddev, b.stddev)
+
+    def test_second_identical_request_runs_no_lstm(self, cfg, params, context, lstm_steps):
+        pred = TrajectoryPredictor(params, cfg)
+        first = pred.predict_prior([1, 3], *context)
+        assert len(lstm_steps) == 2 * cfg.horizon
+        lstm_steps.clear()
+        self.assert_same_estimates(pred.predict_prior([1, 3], *context), first)
+        assert lstm_steps == []
+
+    def test_a_miss_runs_the_whole_batch(self, cfg, params, context, monkeypatch):
+        batches, real = [], predictor.prior_forward
+
+        def recording(params, cfg, targets, *args, **kwargs):
+            batches.append(list(targets))
+            return real(params, cfg, targets, *args, **kwargs)
+
+        monkeypatch.setattr(predictor, "prior_forward", recording)
+        pred = TrajectoryPredictor(params, cfg)
+        pred.predict_prior([1, 3], *context)
+        # 1 is stored, 2 is not: both run, as in a predictor without the memo
+        got = pred.predict_prior([1, 2], *context)
+        assert batches == [[1, 3], [1, 2]]
+        self.assert_same_estimates(
+            got, TrajectoryPredictor(params, cfg).predict_prior([1, 2], *context))
+
+    def test_changing_one_position_recomputes(self, cfg, params, context, lstm_steps):
+        positions, adjacency, obstacles = context
+        pred = TrajectoryPredictor(params, cfg)
+        before = pred.predict_prior([1, 3], positions, adjacency, obstacles)
+        moved = positions.copy()
+        moved[0, 2] += 1e-3  # not a target: only the GCN reads it
+        lstm_steps.clear()
+        after = pred.predict_prior([1, 3], moved, adjacency, obstacles)
+        assert len(lstm_steps) == 2 * cfg.horizon
+        self.assert_same_estimates(
+            after, TrajectoryPredictor(params, cfg).predict_prior([1, 3], moved, adjacency,
+                                                                  obstacles))
+        assert not np.array_equal(after[0].mean, before[0].mean)
+
+    def test_a_changed_belief_recomputes(self, cfg, params, context, lstm_steps):
+        positions = context[0]
+        pred = TrajectoryPredictor(params, cfg)
+        pred.predict_prior([1, 3], *context)
+        lstm_steps.clear()
+        belief = np.tile(positions[3], cfg.horizon) + 0.1
+        pred.predict_prior([1, 3], *context, prev_predictions={3: belief})
+        assert len(lstm_steps) == 2 * cfg.horizon
+
+    def test_shared_predictors_read_each_others_rows(self, cfg, params, context, lstm_steps):
+        ego, other = TrajectoryPredictor(params, cfg), TrajectoryPredictor(params, cfg)
+        share_prior([ego, other])
+        first = ego.predict_prior([1, 3], *context)
+        lstm_steps.clear()
+        self.assert_same_estimates(other.predict_prior([1, 3], *context), first)
+        assert lstm_steps == []
+
+    def test_sharing_only_the_eg_arrays_shares_no_rows(self, cfg, params, context,
+                                                      lstm_steps):
+        own = copy.deepcopy(params)
+        own["eg"] = params["eg"]
+        other_floor = dataclasses.replace(cfg, sigma_floor=2 * cfg.sigma_floor)
+        ego = TrajectoryPredictor(params, cfg)
+        others = [TrajectoryPredictor(own, cfg), TrajectoryPredictor(params, other_floor)]
+        share_prior([ego, *others])
+        ego.predict_prior([1, 3], *context)
+        for pred in others:
+            lstm_steps.clear()
+            pred.predict_prior([1, 3], *context)
+            assert len(lstm_steps) == 2 * cfg.horizon
+
+    def test_stored_rows_are_read_only(self, cfg, params, context):
+        positions, adjacency, obstacles = context
+        ego, other = TrajectoryPredictor(params, cfg), TrajectoryPredictor(params, cfg)
+        share_prior([ego, other])
+        for pred in (ego, other):
+            pred.predict([1, 3], {}, positions, adjacency, obstacles, tick=0)
+        mine, theirs = ego.beliefs[1][0], other.beliefs[1][0]
+        assert np.shares_memory(mine, theirs)
+        for row in (mine, theirs, ego.predict_prior([1, 3], *context)[1].stddev):
+            assert not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[0] = 0.0
+
+
 class TestPriorGradients:
     @pytest.mark.parametrize("output, checked", [
         ("mean", ("eg.layer0.W0", "eg.layer1.Wx", "query.lstm.Wx", "decoder.mean.W")),
@@ -547,6 +659,14 @@ class TestFuse:
         _, post_var = fuse(GaussianTrajectoryEstimate(np.zeros(6), np.sqrt(var_p)),
                            np.zeros(6), CodecCalibration(var_o))
         assert np.all(post_var <= np.minimum(var_p, var_o) + 1e-15)
+
+    def test_nan_stddev_rejected(self):
+        with pytest.raises(PredictorError, match="stddev must be strictly positive"):
+            GaussianTrajectoryEstimate(np.zeros(3), np.array([1.0, np.nan, 1.0]))
+
+    def test_nan_calibration_variance_rejected(self):
+        with pytest.raises(PredictorError, match="variances must be strictly positive"):
+            CodecCalibration(np.array([1.0, np.nan, 1.0]))
 
     def test_nonpositive_variance_rejected(self):
         prior = GaussianTrajectoryEstimate(np.zeros(3), np.ones(3))

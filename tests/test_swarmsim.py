@@ -430,6 +430,30 @@ class TestSharedEvolution:
         assert len(eg_steps) == desk_scenario.n * self.EVOLUTION
         assert_same_trace(shared, copied)
 
+    def test_shared_rows_equal_copied_at_the_benchmark_shapes(self, desk_scenario,
+                                                              monkeypatch):
+        # desk-eg's setup: the default PredictorConfig, where a row's bits
+        # depend on the BLAS tile shapes at hidden=128
+        pcfg = PredictorConfig()
+        params = init_predictor_params(np.random.default_rng(0), pcfg)
+        steps, real = [], predictor.lstm_step
+
+        def counting(*args):
+            steps.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(predictor, "lstm_step", counting)
+        traces, counts = [], []
+        for factory in (lambda: TrajectoryPredictor(params, pcfg),
+                        lambda: TrajectoryPredictor(copy.deepcopy(params), pcfg)):
+            steps.clear()
+            traces.append(run_episode(desk_scenario, mode="eg", ticks=3, seed=1000,
+                                      predictor_factory=factory))
+            counts.append(len(steps))
+        assert_same_trace(*traces)
+        shared_steps, copied_steps = counts
+        assert 0 < shared_steps < copied_steps
+
 
 class TestTickShift:
     """Every neighbour trajectory an agent plans against lies on the current
