@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeMismatch, Tensor, exp, relu
+from .tensor import ShapeMismatch, Tensor, concat, exp, relu
 
 
 def _param(rng, shape, scale=None):
@@ -115,6 +115,26 @@ def _batch_matmul(h, w):
     if rows % 4 != 3:
         return h @ w
     return (np.concatenate((h, np.zeros((1, h.shape[1])))) @ w)[:rows]
+
+
+def pad_rows(x, block=1):
+    """x with zero rows appended along axis 0, up to at least 2 rows and a
+    multiple of `block`: a product of the padded stack rounds each real row
+    as in any other batch. Slice the product back to x's rows.
+
+    On OpenBLAS 0.3.31 (one thread) a 1-row product takes numpy's gemv path
+    and rounds differently from the same row in a gemm. From 2 rows on, the
+    rows of the prior's products round alike in any batch, except the
+    decoder heads' (M, 128) @ (128, 3): their rows differ between M <= 3 and
+    M >= 4, so the heads run over 3-row blocks. A Tensor is padded by the
+    same concatenation as an ndarray (tests/test_predictor.py checks rows
+    against the row alone, taped and not).
+    """
+    rows = x.shape[0]
+    padded = max(2, -(-rows // block) * block)
+    if padded == rows:
+        return x
+    return concat([x, np.zeros((padded - rows, *x.shape[1:]))], axis=0)
 
 
 def normalize_adjacency(adj):

@@ -12,6 +12,13 @@ looking at the input, cfg.history - 1 steps, and the GCN runs once on the
 current graph with the evolved weights. The prior is batched: one call
 predicts a list of targets, one output row each.
 
+A row's bits do not depend on the batch it runs in. On OpenBLAS 0.3.31
+with one thread a 1-row product takes numpy's gemv path and rounds every
+entry differently from a gemm, and the decoder heads' (M, 128) @ (128, 3)
+rounds its rows differently for M <= 3 and M >= 4; every other product
+rounds each row alike from 2 rows on. So prior_forward runs a 1-row batch
+as 2 rows, and the heads over 3-row blocks (nn.pad_rows).
+
 There is one prior_forward, and it follows the type of the parameter tree
 it is given (see nn.layers): on the Tensors of init_predictor_params it
 records the autodiff tape, and with weights=None it evolves the weights on
@@ -26,13 +33,13 @@ arrays, under equal configs, one _SharedPrior: one evolved weight list and
 a memo of prior rows, since every ego reads the same positions, graph and
 obstacles and ages its beliefs alike. The memo keys a row by (target, bytes
 of its prev row) and holds only the current context, the bytes of the
-positions, adjacency and obstacle centers. A request that misses any row
-runs the whole batch and stores every row of it, never the missing rows
-alone: a row's rounding depends on the batch's BLAS path (a 1-row batch
-takes gemv), and the whole batch is what the ego computes on its own.
-Stored rows are read-only. The shared state dies with the predictors: no
-cache outlives an episode, so eg_step and lstm_step fire in every episode,
-as the benchmark's traced pass requires.
+positions, adjacency and obstacle centers. A request runs only the rows it
+misses, which batch invariance makes bitwise the rows of any other batch.
+fill_prior runs the union of a tick's requests, one batch per _SharedPrior,
+before the egos predict from the memo. Stored rows are read-only. The
+shared state dies with the predictors: no cache outlives an episode, so
+eg_step and lstm_step fire in every episode, as the benchmark's traced pass
+requires.
 
 Work that does not change inside a loop runs once per call. The query
 LSTM's inputs are projected for every step before its recurrence, the
@@ -49,6 +56,7 @@ The VAE codec normalizes trajectories with dataset statistics stored next to
 the parameters.
 """
 
+from collections.abc import Mapping
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -69,6 +77,7 @@ from .nn import (
     init_vae,
     lstm_step,
     normalize_adjacency,
+    pad_rows,
     vae_decode,
     vae_encode,
 )
@@ -94,6 +103,9 @@ class PredictorConfig:
         return 3 * self.horizon
 
     def __post_init__(self):
+        if self.eg_layers < 1 or self.history < 1:
+            raise PredictorError(f"the prior needs eg_layers >= 1 and history >= 1, got "
+                                 f"{self.eg_layers} and {self.history}")
         if self.latent >= self.traj_dim:
             raise PredictorError(f"latent dim {self.latent} too large for input {self.traj_dim}")
 
@@ -190,7 +202,8 @@ def prior_forward(params, cfg: PredictorConfig, targets, positions, adjacency,
     current positions and graph, with the weights evolved cfg.history - 1
     steps (EvolveGCN-O). weights=None evolves them here, on the tape when
     params require grad (the training path); otherwise `weights` is the
-    evolved_weights list to apply.
+    evolved_weights list to apply. A row's bits are those of its target
+    computed alone (module docstring).
 
     Returns (mean, sigma) of shape (len(targets), 3P): Tensors when params or
     weights are Tensors, ndarrays when both are ndarrays. mean carries
@@ -206,12 +219,15 @@ def prior_forward(params, cfg: PredictorConfig, targets, positions, adjacency,
 
     prev_rel = np.asarray(prev_predictions, dtype=float).reshape(rows, -1) - anchor_traj
     query = params["query"]["lstm"]
-    # every step's input projected before the recurrence, in one stacked
-    # (hor, rows, 3) product; numpy multiplies each step's (rows, 3) block
-    # as a product of its own, so the sums round as step by step
-    steps_in = prev_rel.reshape(rows, hor, 3).transpose(1, 0, 2)
+    # the batch runs as pad_rows' `run` rows, so each row rounds as it would
+    # alone, and the outputs are sliced back to `rows`. Every step's input is
+    # projected before the recurrence, in one stacked (hor, run, 3) product;
+    # numpy multiplies each step's (run, 3) block as a product of its own,
+    # so the sums round as step by step
+    steps_in = pad_rows(prev_rel).reshape(-1, hor, 3).transpose(1, 0, 2)
+    run = steps_in.shape[1]
     query_xw = steps_in @ query["Wx"]
-    state = (np.zeros((rows, query["Wh"].shape[0])),) * 2
+    state = (np.zeros((run, query["Wh"].shape[0])),) * 2
     for tau in range(hor):
         q_out, state = lstm_step(query_xw[tau], state, query)
     y = fc(q_out, params["query"]["out"], activation="relu")
@@ -226,28 +242,35 @@ def prior_forward(params, cfg: PredictorConfig, targets, positions, adjacency,
             feats = gcn_layer(a_hat, feats, w)
         # only the target's row of the last layer is read
         node_rows.append(gcn_layer(a_hat[target:target + 1], feats, weights[-1]))
-    g = fc(concat(node_rows, axis=0), params["eg_out"], activation="relu")
+    g = fc(pad_rows(concat(node_rows, axis=0)), params["eg_out"], activation="relu")
 
-    centers = np.zeros((rows, 3 * cfg.max_obstacles))
+    centers = np.zeros((run, 3 * cfg.max_obstacles))
     flat = (np.asarray(obstacle_centers, dtype=float).reshape(-1, 3)[None]
             - anchors[:, None, :]).reshape(rows, -1)
     used = min(flat.shape[1], centers.shape[1])
-    centers[:, :used] = flat[:, :used]
+    centers[:rows, :used] = flat[:, :used]
     o = fc(centers, params["obstacle"], activation="relu")
 
     decoder = params["decoder"]
     # the decoder reads the same fused input at every step: project it once
     fused_xw = concat([y, o, g], axis=1) @ decoder["lstm"]["Wx"]
-    dec_state = (np.zeros((rows, decoder["lstm"]["Wh"].shape[0])),) * 2
+    dec_state = (np.zeros((run, decoder["lstm"]["Wh"].shape[0])),) * 2
     hiddens = []
     for tau in range(hor):
         h_t, dec_state = lstm_step(fused_xw, dec_state, decoder["lstm"])
         hiddens.append(h_t)
-    # each head runs once over the (hor, rows, hidden) stack of steps; its
-    # (hor, rows, 3) output re-slices into the (rows, 3P) layout
-    h_steps = concat(hiddens, axis=0).reshape(hor, rows, -1)
-    mean_rel = fc(h_steps, decoder["mean"]).transpose(1, 0, 2).reshape(rows, 3 * hor)
-    logstd = fc(detach(h_steps), decoder["logstd"]).transpose(1, 0, 2).reshape(rows, 3 * hor)
+    # each head runs once over the (hor * run, hidden) stack of steps, in
+    # the 3-row blocks of pad_rows; its output re-slices into the (rows, 3P)
+    # layout
+    h_steps = pad_rows(concat(hiddens, axis=0), block=3)
+    blocks = h_steps.reshape(-1, 3, h_steps.shape[1])
+
+    def head(x, fc_params):
+        out = fc(x, fc_params).reshape(-1, 3)[:hor * run].reshape(hor, run, 3)
+        return out.transpose(1, 0, 2).reshape(run, 3 * hor)[:rows]
+
+    mean_rel = head(blocks, decoder["mean"])
+    logstd = head(detach(blocks), decoder["logstd"])
 
     # shift_trajectory of every row at once: drop the first point, repeat the last
     shifted = np.concatenate([prev_rel[:, 3:], prev_rel[:, -3:]], axis=1)
@@ -305,6 +328,30 @@ def share_prior(predictors):
         pred._shared = groups.setdefault(key, pred._shared)
 
 
+def _row_key(target, base):
+    """The memo's key of a prior row: its target and the bytes of its base."""
+    return target, base.tobytes()
+
+
+def fill_prior(predictors, target_sets, positions, adjacency, obstacle_centers, tick):
+    """Run the prior rows that predict(target_sets[i], ..., tick) of each
+    predictors[i] reads, in one predict_prior batch per group of shared
+    predictors (share_prior): the requests of the group's egos, each distinct
+    memo key once. The predicts then read every row from the memo."""
+    positions = np.asarray(positions, dtype=float)
+    groups = {}
+    for pred, targets in zip(predictors, target_sets):
+        _, requests = groups.setdefault(id(pred._shared), (pred, {}))
+        given = pred.prior_bases(targets, tick)
+        rows = pred._prev_rows(targets, positions, [given.get(t) for t in targets])
+        for target, row in zip(targets, rows):
+            requests.setdefault(_row_key(target, row), (target, row))
+    for pred, requests in groups.values():
+        if requests:
+            targets, bases = zip(*requests.values())
+            pred.predict_prior(targets, positions, adjacency, obstacle_centers, bases)
+
+
 class TrajectoryPredictor:
     """Per-ego predictor state: parameters, codec calibration, and the belief
     about each neighbour's plan, which predict (eg, eg+vae) and hold (vae)
@@ -318,8 +365,10 @@ class TrajectoryPredictor:
 
     The evolved weights and the prior rows of the current context live in a
     _SharedPrior, which share_prior shares among the predictors of one
-    episode (see the module docstring). It dies with its predictors; build
-    new predictors after changing the parameters.
+    episode. A request computes only the rows missing from it, and
+    fill_prior fills it with a tick's rows in one batch (see the module
+    docstring). It dies with its predictors; build new predictors after
+    changing the parameters.
     """
 
     def __init__(self, params, cfg: PredictorConfig, calibration=None,
@@ -340,14 +389,27 @@ class TrajectoryPredictor:
             traj = shift_trajectory(traj, self.cfg.horizon)
         return traj
 
+    def prior_bases(self, targets, tick) -> dict:
+        """{target: the row its prior at tick is shifted from}, for the
+        targets with a belief: the belief aged onto the previous tick's
+        horizon. predict_prior holds the other targets' current positions."""
+        return {t: self._aged(t, tick - 1) for t in targets if t in self.beliefs}
+
+    def _prev_rows(self, targets, positions, bases):
+        """Each entry's base as a flat row, or its target's position held."""
+        return [np.tile(positions[t], self.cfg.horizon) if b is None
+                else np.asarray(b, dtype=float).reshape(-1) for t, b in zip(targets, bases)]
+
     def predict_prior(self, targets, positions, adjacency, obstacle_centers,
                       prev_predictions=None) -> list[GaussianTrajectoryEstimate]:
-        """One prior estimate per target, in the order given.
+        """One prior estimate per entry of targets, in the order given.
 
-        prev_predictions maps a target to the prediction its prior is shifted
-        from, on the previous tick's horizon; a target without one holds its
-        current position. The estimates' arrays are read-only: they are rows
-        of the shared memo.
+        prev_predictions gives the prediction each entry's prior is shifted
+        from, on the previous tick's horizon: a sequence with one base per
+        entry, so a target may appear twice with two bases, or a mapping from
+        target to base. An entry without one (None, or no key) holds its
+        target's current position. Only the rows missing from the shared memo
+        run, once each; the estimates' arrays are read-only rows of the memo.
         """
         targets = list(targets)
         if not targets:
@@ -359,23 +421,25 @@ class TrajectoryPredictor:
         context = (positions.tobytes(), adjacency.tobytes(), obstacle_centers.tobytes())
         if context != shared.context:
             shared.context, shared.rows = context, {}
-        given = prev_predictions or {}
-        prev = [np.asarray(given[t], dtype=float).reshape(-1) if t in given
-                else np.tile(positions[t], self.cfg.horizon) for t in targets]
-        keys = [(t, p.tobytes()) for t, p in zip(targets, prev)]
-        if all(key in shared.rows for key in keys):
-            rows = [shared.rows[key] for key in keys]
+        if prev_predictions is None or isinstance(prev_predictions, Mapping):
+            bases = [(prev_predictions or {}).get(t) for t in targets]
         else:
-            # the whole batch, never the missing rows alone (module docstring)
+            bases = list(prev_predictions)
+            if len(bases) != len(targets):
+                raise PredictorError(f"{len(bases)} bases for {len(targets)} targets")
+        prev = self._prev_rows(targets, positions, bases)
+        keys = [_row_key(t, p) for t, p in zip(targets, prev)]
+        missing = {key: p for key, p in zip(keys, prev) if key not in shared.rows}
+        if missing:
             if shared.weights is None:
                 shared.weights = [w.data for w in evolved_weights(self.params, self.cfg)]
-            mean, sigma = prior_forward(self._arrays, self.cfg, targets, positions,
-                                        adjacency, obstacle_centers, np.array(prev),
+            mean, sigma = prior_forward(self._arrays, self.cfg, [t for t, _ in missing],
+                                        positions, adjacency, obstacle_centers,
+                                        np.array(list(missing.values())),
                                         weights=shared.weights)
             mean.flags.writeable = sigma.flags.writeable = False
-            rows = list(zip(mean, sigma))
-            shared.rows.update(zip(keys, rows))
-        return [GaussianTrajectoryEstimate(m, s) for m, s in rows]
+            shared.rows.update(zip(missing, zip(mean, sigma)))
+        return [GaussianTrajectoryEstimate(*shared.rows[key]) for key in keys]
 
     def encode(self, traj, tick, sender, mode="sample", rng=None) -> Message:
         mean, std = self.norm
@@ -416,8 +480,8 @@ class TrajectoryPredictor:
             sender = next(iter(fresh.values())).sender
             raise PredictorError(f"fresh message from sender {sender!r}, but the predictor "
                                  "has no codec calibration to fuse it with")
-        bases = {t: self._aged(t, tick - 1) for t in targets if t in self.beliefs}
-        priors = self.predict_prior(targets, positions, adjacency, obstacle_centers, bases)
+        priors = self.predict_prior(targets, positions, adjacency, obstacle_centers,
+                                    self.prior_bases(targets, tick))
         out = {}
         for target, prior in zip(targets, priors):
             msg = fresh.get(target)

@@ -37,7 +37,7 @@ from ..geometry import (
     point_surface_distance,
     scaled_distance,
 )
-from ..predictor import share_prior
+from ..predictor import fill_prior, share_prior
 from .scenario import Scenario
 
 
@@ -249,11 +249,12 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
     Predictors the factory builds on the same parameter arrays, with equal
     configs, share the prior's work (predictor.share_prior): one EG weight
     evolution at the episode's first prediction, and each tick's prior rows,
-    which the first ego to ask computes and later egos read. The shared
-    state ends with the episode, as a tracer counting eg_step and lstm_step
-    per episode needs. A factory that copies the parameters per agent
-    computes every row in each ego's own batch, bitwise alike on the DESK
-    episodes.
+    which predictor.fill_prior computes in one batch before the egos plan
+    and every ego reads. The shared state ends with the episode, as a
+    tracer counting eg_step and lstm_step per episode needs. A factory that
+    copies the parameters per agent computes each ego's rows in a batch of
+    its own; a row's bits do not depend on its batch, so the two agree
+    bitwise on any graph.
     """
     mode = RunMode.parse(mode) if isinstance(mode, str) else mode
     cfg = controller or ControllerConfig()
@@ -305,10 +306,12 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
         tick_fallbacks = []
         neighbor_sets = [sorted(np.flatnonzero(adjacency[i])) for i in range(n)]
 
+        if mode in (RunMode.EG, RunMode.EG_VAE):
+            # the tick's prior rows, one batch per group of shared predictors,
+            # before any ego plans: each ego's predict reads them from the memo
+            fill_prior(predictors, neighbor_sets, positions, adjacency, obstacle_centers, tick)
         for i in range(n):
             if mode in (RunMode.EG, RunMode.EG_VAE):
-                # one batched prior request per ego: the first ego to ask for a
-                # row pays for its whole batch, later egos hit the shared memo
                 preds = predictors[i].predict(neighbor_sets[i], inboxes[i], positions,
                                               adjacency, obstacle_centers, tick)
             elif mode is RunMode.VAE:

@@ -430,10 +430,28 @@ class TestSharedEvolution:
         assert len(eg_steps) == desk_scenario.n * self.EVOLUTION
         assert_same_trace(shared, copied)
 
-    def test_shared_rows_equal_copied_at_the_benchmark_shapes(self, desk_scenario,
+    def test_one_prior_batch_per_tick(self, desk_scenario, monkeypatch):
+        # the tick's 4 distinct rows run in one batch before any ego plans
+        calls = dict.fromkeys(("lstm_step", "gcn_layer"), 0)
+        for name in calls:
+            def counting(*args, _name=name, _real=getattr(predictor, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(predictor, name, counting)
+        params = self.params()
+        run_episode(desk_scenario, mode="eg", ticks=1, seed=0,
+                    predictor_factory=lambda: TrajectoryPredictor(params, self.PCFG))
+        assert calls == {"lstm_step": 2 * self.PCFG.horizon,
+                         "gcn_layer": self.PCFG.eg_layers * desk_scenario.n}
+        assert tuple(calls.values()) == (32, 8)
+
+    @pytest.mark.parametrize("uneven", [False, True], ids=["desk", "uneven-degree"])
+    def test_shared_rows_equal_copied_at_the_benchmark_shapes(self, desk_scenario, uneven,
                                                               monkeypatch):
         # desk-eg's setup: the default PredictorConfig, where a row's bits
-        # depend on the BLAS tile shapes at hidden=128
+        # depend on the BLAS tile shapes at hidden=128; the uneven case's 13
+        # agents have 4 to 8 neighbours, so the egos' batches differ in size
+        scenario, ticks = (sample_scenario(3), 4) if uneven else (desk_scenario, 3)
         pcfg = PredictorConfig()
         params = init_predictor_params(np.random.default_rng(0), pcfg)
         steps, real = [], predictor.lstm_step
@@ -447,7 +465,7 @@ class TestSharedEvolution:
         for factory in (lambda: TrajectoryPredictor(params, pcfg),
                         lambda: TrajectoryPredictor(copy.deepcopy(params), pcfg)):
             steps.clear()
-            traces.append(run_episode(desk_scenario, mode="eg", ticks=3, seed=1000,
+            traces.append(run_episode(scenario, mode="eg", ticks=ticks, seed=1000,
                                       predictor_factory=factory))
             counts.append(len(steps))
         assert_same_trace(*traces)
