@@ -74,7 +74,7 @@ def lstm_step(xw, state, params):
                             f"and {c_prev.shape}")
     xw_data, h_prev_data, c_prev_data, wh_data, b_data = (
         [v.data if isinstance(v, Tensor) else v for v in inputs] if taped else inputs)
-    gates = (xw_data + _batch_matmul(h_prev_data, wh_data)) + b_data
+    gates = (xw_data + h_prev_data @ wh_data) + b_data
     ifo = 1.0 / (1.0 + np.exp(-gates[:, :3 * n_hidden]))
     i = ifo[:, :n_hidden]
     f = ifo[:, n_hidden:2 * n_hidden]
@@ -100,38 +100,25 @@ def lstm_step(xw, state, params):
     return h, (h, cell[:, n_hidden:])
 
 
-def _batch_matmul(h, w):
-    """h @ w for a (batch, k) h, through a zero row added to a batch of
-    4 i + 3 rows and sliced off the product.
+def pad_rows(x):
+    """x with zero rows appended along axis 0 up to a multiple of 4; slice a
+    product of the padded stack back to x's rows.
 
-    OpenBLAS 0.3.31's Haswell dgemm takes a slow path for such a batch: a
-    3-row (3, 128) @ (128, 512), the prior's LSTM step for three targets,
-    takes about 23 us against 13 us for 4 rows, and 7 rows 35 against 24 us
-    for 8; 5 and 9 rows are not slower than 6 and 10. Each row of the
-    product is its own dot products, and the real rows come out bitwise
-    those of h @ w (tests/test_nn.py checks 1-9 rows at the prior's shapes).
-    """
-    rows = h.shape[0]
-    if rows % 4 != 3:
-        return h @ w
-    return (np.concatenate((h, np.zeros((1, h.shape[1])))) @ w)[:rows]
-
-
-def pad_rows(x, block=1):
-    """x with zero rows appended along axis 0, up to at least 2 rows and a
-    multiple of `block`: a product of the padded stack rounds each real row
-    as in any other batch. Slice the product back to x's rows.
-
-    On OpenBLAS 0.3.31 (one thread) a 1-row product takes numpy's gemv path
-    and rounds differently from the same row in a gemm. From 2 rows on, the
-    rows of the prior's products round alike in any batch, except the
-    decoder heads' (M, 128) @ (128, 3): their rows differ between M <= 3 and
-    M >= 4, so the heads run over 3-row blocks. A Tensor is padded by the
-    same concatenation as an ndarray (tests/test_predictor.py checks rows
-    against the row alone, taped and not).
+    Every batch of the prior runs padded by this rule, and nothing else pads,
+    so a row's bits do not depend on the batch it runs in. OpenBLAS 0.3.31
+    rounds a row of a product by the number of rows in the product (a 1-row
+    product even takes numpy's gemv path), not by the row's place in it.
+    Measured at the prior's products (Wh 128x512, the decoder's Wx 48x512,
+    the heads 128x3 over 16 r rows, eg_out 16x16, obstacle 6x16, the query's
+    Wx 3x512 and out 128x16) with 1-12 real rows: each row of the padded
+    product is bitwise that row padded alone under the SkylakeX, Haswell,
+    Zen, Sandybridge and Prescott kernels, with 1 and with 2 threads
+    (tests/test_nn.py), with one exception. Under Prescott with 2 threads
+    the Wh product differs at 9-12 rows. A Tensor is padded by the same
+    concatenation as an ndarray.
     """
     rows = x.shape[0]
-    padded = max(2, -(-rows // block) * block)
+    padded = -(-rows // 4) * 4
     if padded == rows:
         return x
     return concat([x, np.zeros((padded - rows, *x.shape[1:]))], axis=0)

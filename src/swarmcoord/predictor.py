@@ -12,12 +12,9 @@ looking at the input, cfg.history - 1 steps, and the GCN runs once on the
 current graph with the evolved weights. The prior is batched: one call
 predicts a list of targets, one output row each.
 
-A row's bits do not depend on the batch it runs in. On OpenBLAS 0.3.31
-with one thread a 1-row product takes numpy's gemv path and rounds every
-entry differently from a gemm, and the decoder heads' (M, 128) @ (128, 3)
-rounds its rows differently for M <= 3 and M >= 4; every other product
-rounds each row alike from 2 rows on. So prior_forward runs a 1-row batch
-as 2 rows, and the heads over 3-row blocks (nn.pad_rows).
+A row's bits do not depend on the batch it runs in: every prior batch runs
+padded to a multiple of 4 rows (nn.pad_rows, which names the kernels this
+was checked on).
 
 There is one prior_forward, and it follows the type of the parameter tree
 it is given (see nn.layers): on the Tensors of init_predictor_params it
@@ -219,8 +216,8 @@ def prior_forward(params, cfg: PredictorConfig, targets, positions, adjacency,
 
     prev_rel = np.asarray(prev_predictions, dtype=float).reshape(rows, -1) - anchor_traj
     query = params["query"]["lstm"]
-    # the batch runs as pad_rows' `run` rows, so each row rounds as it would
-    # alone, and the outputs are sliced back to `rows`. Every step's input is
+    # every prior batch runs padded to a multiple of 4 rows (nn.pad_rows):
+    # `run` rows, sliced back to `rows` at the end. Every step's input is
     # projected before the recurrence, in one stacked (hor, run, 3) product;
     # numpy multiplies each step's (run, 3) block as a product of its own,
     # so the sums round as step by step
@@ -259,18 +256,17 @@ def prior_forward(params, cfg: PredictorConfig, targets, positions, adjacency,
     for tau in range(hor):
         h_t, dec_state = lstm_step(fused_xw, dec_state, decoder["lstm"])
         hiddens.append(h_t)
-    # each head runs once over the (hor * run, hidden) stack of steps, in
-    # the 3-row blocks of pad_rows; its output re-slices into the (rows, 3P)
-    # layout
-    h_steps = pad_rows(concat(hiddens, axis=0), block=3)
-    blocks = h_steps.reshape(-1, 3, h_steps.shape[1])
+    # each head is one fc over the (hor * run, hidden) stack of steps, which
+    # is padded to a multiple of 4 rows like every prior batch (nn.pad_rows);
+    # its output re-slices into the (rows, 3P) layout
+    h_steps = concat(hiddens, axis=0)
 
     def head(x, fc_params):
-        out = fc(x, fc_params).reshape(-1, 3)[:hor * run].reshape(hor, run, 3)
+        out = fc(x, fc_params).reshape(hor, run, 3)
         return out.transpose(1, 0, 2).reshape(run, 3 * hor)[:rows]
 
-    mean_rel = head(blocks, decoder["mean"])
-    logstd = head(detach(blocks), decoder["logstd"])
+    mean_rel = head(h_steps, decoder["mean"])
+    logstd = head(detach(h_steps), decoder["logstd"])
 
     # shift_trajectory of every row at once: drop the first point, repeat the last
     shifted = np.concatenate([prev_rel[:, 3:], prev_rel[:, -3:]], axis=1)

@@ -82,6 +82,8 @@ class ChannelConfig:
     dt: float = 0.2
 
     def __post_init__(self):
+        if not (self.f_comm > 0 and self.dt > 0):  # NaN fails both
+            raise ValueError(f"f_comm={self.f_comm} and dt={self.dt} must be positive")
         period = 1.0 / (self.f_comm * self.dt)
         if abs(period - round(period)) > 1e-9:
             raise ValueError(

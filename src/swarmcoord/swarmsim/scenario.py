@@ -83,6 +83,12 @@ def _goal_clear(point, obstacles, clearance):
     return bool(np.all(point_surface_distance(obstacles, point)[0] >= clearance))
 
 
+def _norm3(v):
+    """|v| of a 3-vector, elementwise: np.linalg.norm goes through BLAS ddot,
+    whose rounding depends on the OpenBLAS kernel."""
+    return np.hypot(np.hypot(v[0], v[1]), v[2])
+
+
 def poisson_disk_box(rng, box, radius, count, accept=None):
     """Bridson-style Poisson disk sampling in a 3-D box, stopping at `count`.
 
@@ -109,7 +115,7 @@ def poisson_disk_box(rng, box, radius, count, accept=None):
             for dy in range(-2, 3):
                 for dz in range(-2, 3):
                     other = grid.get((key[0] + dx, key[1] + dy, key[2] + dz))
-                    if other is not None and np.linalg.norm(p - other) < radius:
+                    if other is not None and _norm3(p - other) < radius:
                         return False
         return True
 
@@ -129,7 +135,7 @@ def poisson_disk_box(rng, box, radius, count, accept=None):
         base = active[idx]
         for _ in range(30):
             direction = rng.normal(size=3)
-            direction /= np.linalg.norm(direction)
+            direction /= _norm3(direction)
             candidate = base + direction * rng.uniform(radius, 2 * radius)
             if fits(candidate):
                 points.append(candidate)

@@ -22,6 +22,7 @@ from swarmcoord.nn import (
     load_into,
     lstm_step,
     normalize_adjacency,
+    pad_rows,
     relu,
     save_checkpoint,
     vae_decode,
@@ -36,7 +37,6 @@ from swarmcoord.predictor import (
     init_predictor_params,
     prior_forward,
 )
-from swarmcoord.nn.layers import _batch_matmul
 from test_predictor import lstm_zero_state
 
 
@@ -370,18 +370,45 @@ def composed_lstm_step(xw, state, params):
     return h, (h, c)
 
 
-class TestBatchMatmul:
-    # the recurrent products of the prior: the query and decoder LSTMs'
-    # Wh (hidden 128) and the EG cells' Wh (inputs 3 and 16)
-    @pytest.mark.parametrize("shape", [(128, 512), (16, 64), (3, 12)])
-    def test_equals_the_plain_product_bitwise(self, shape):
-        rng = np.random.default_rng(shape[0])
+class TestPadRows:
+    def test_pads_to_a_multiple_of_4(self):
+        for rows, padded in [(1, 4), (3, 4), (5, 8), (9, 12)]:
+            x = np.ones((rows, 2))
+            out = pad_rows(x)
+            assert out.shape == (padded, 2)
+            assert np.all(out[:rows] == 1.0) and np.all(out[rows:] == 0.0)
+        x = np.ones((8, 2))
+        assert pad_rows(x) is x
+
+    # the prior's products, as (weight shape, steps stacked per batch row):
+    # the query and decoder LSTMs' Wh, the decoder's Wx, the two heads over
+    # the 16-step stack of hidden states, eg_out, obstacle, and the query's
+    # Wx and out. 1-12 rows include pad_rows' one measured exception, Wh at
+    # 9-12 rows under Prescott with 2 threads.
+    @pytest.mark.parametrize("shape, steps", [
+        ((128, 512), 1), ((48, 512), 1), ((128, 3), 16), ((16, 16), 1), ((6, 16), 1),
+        ((3, 512), 1), ((128, 16), 1)],
+        ids=["Wh", "decoder-Wx", "heads", "eg_out", "obstacle", "query-Wx", "query-out"])
+    @pytest.mark.parametrize("lift", [np.asarray, Tensor], ids=["ndarray", "Tensor"])
+    def test_each_row_is_that_row_padded_alone(self, shape, steps, lift):
+        rng = np.random.default_rng(shape[0] + shape[1])
         w = rng.normal(size=shape)
-        for rows in range(1, 10):
-            h = rng.normal(size=(rows, shape[0]))
-            out = _batch_matmul(h, w)
-            assert out.shape == (rows, shape[1])
-            assert out.tobytes() == (h @ w).tobytes(), rows
+
+        def padded_product(x):
+            # (rows, steps, k) -> the padded (steps * run, k) stack, times w
+            padded = pad_rows(lift(x))
+            padded = padded.data if isinstance(padded, Tensor) else padded
+            run = padded.shape[0]
+            out = padded.transpose(1, 0, 2).reshape(steps * run, -1) @ w
+            return out.reshape(steps, run, -1).transpose(1, 0, 2)[:len(x)]
+
+        for rows in range(1, 13):
+            x = rng.normal(size=(rows, steps, shape[0]))
+            out = padded_product(x)
+            assert out.shape == (rows, steps, shape[1])
+            for i in range(rows):
+                alone = padded_product(x[i:i + 1])[0]
+                assert out[i].tobytes() == alone.tobytes(), (rows, i)
 
 
 class TestLstm:

@@ -98,7 +98,7 @@ class TestScenario:
                 (sample_scenario(0, DESK_SCENARIO),
                  "c32b3ddf728899ccd89f572d481b57a7a500dcd4eb1ec87b2b3d127d35f933f2"),
                 (sample_scenario(3),
-                 "1cbb8a72ecea5d35f1ff92bfd8fc1c7dbdaae6f1482c191323ae4612143b9e24")):
+                 "f697ace19b920a45cce72a05d58371a34a1eb8e40e1a23f4486979a9384bde1a")):
             parts = ([a.position for a in sc.agents] + [a.velocity for a in sc.agents]
                      + [x for o in sc.obstacles for x in (o.center, o.shape_matrix)])
             data = b"".join(np.asarray(x, dtype="<f8").tobytes() for x in parts)
@@ -247,6 +247,14 @@ class TestChannel:
     def test_invalid_frequency_rejected(self):
         with pytest.raises(ValueError):
             ChannelConfig(f_comm=3.0)  # 1/(3*0.2) is not an integer
+
+    @pytest.mark.parametrize("field, value", [("f_comm", -5.0), ("f_comm", 0.0),
+                                              ("f_comm", np.nan), ("dt", -0.2),
+                                              ("dt", 0.0), ("dt", np.nan)])
+    def test_nonpositive_rate_or_step_rejected(self, field, value):
+        # a period of -1 ticks would send on every tick (tick % -1 == 0)
+        with pytest.raises(ValueError):
+            ChannelConfig(**{field: value})
 
 
 @pytest.fixture(scope="module")
