@@ -25,18 +25,14 @@ behind its parameters. It evolves the weights on no-grad Tensor views of
 those arrays, lazily at its first prediction, which records no tape either,
 and passes the evolved arrays in.
 
-share_prior gives the predictors of one episode on the same parameter
-arrays, under equal configs, one _SharedPrior: one evolved weight list and
-a memo of prior rows, since every ego reads the same positions, graph and
-obstacles and ages its beliefs alike. The memo keys a row by (target, bytes
-of its prev row) and holds only the current context, the bytes of the
-positions, adjacency and obstacle centers. A request runs only the rows it
-misses, which batch invariance makes bitwise the rows of any other batch.
-fill_prior runs the union of a tick's requests, one batch per _SharedPrior,
-before the egos predict from the memo. Stored rows are read-only. The
-shared state dies with the predictors: no cache outlives an episode, so
-eg_step and lstm_step fire in every episode, as the benchmark's traced pass
-requires.
+predict_all predicts a tick for every ego at once: every ego reads the same
+positions, graph and obstacles, so the tick's prior rows are one batch.
+share_prior groups the predictors of one episode on the same parameter
+arrays, under equal configs, around one evolved weight list, and
+predict_all runs one predict_prior batch per group, each distinct
+(target, base) row once. The shared weights die with the predictors: no
+cache outlives an episode, so eg_step and lstm_step fire in every episode,
+as the benchmark's traced pass requires.
 
 Work that does not change inside a loop runs once per call. The query
 LSTM's inputs are projected for every step before its recurrence, the
@@ -53,7 +49,6 @@ The VAE codec normalizes trajectories with dataset statistics stored next to
 the parameters.
 """
 
-from collections.abc import Mapping
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -298,54 +293,20 @@ def _map_leaves(fn, tree):
             for key, value in tree.items()}
 
 
-class _SharedPrior:
-    """The state share_prior shares: the evolved EG weights, and the prior
-    rows of the current context, {(target, prev row bytes): (mean, sigma)}."""
-
-    def __init__(self):
-        self.weights = None
-        self.context = None
-        self.rows = {}
-
-
 def share_prior(predictors):
     """Let predictors on the same parameter arrays share the prior's work.
 
     Predictors whose no-grad views share every parameter array (the same
     .data objects) and whose PredictorConfigs are equal compute the same
-    prior, so each group gets one _SharedPrior: the EG weights evolve once,
-    and a row one of them computed is read by the others. Equal values in
-    distinct arrays are not shared.
+    prior, so each group gets one evolved weight list, which the first
+    prediction fills, and predict_all runs the group's rows in one batch.
+    Equal values in distinct arrays are not shared.
     """
     groups = {}
     for pred in predictors:
         arrays = tuple((name, id(t.data)) for name, t in flatten_params(pred.params).items())
         key = (astuple(pred.cfg), arrays)
-        pred._shared = groups.setdefault(key, pred._shared)
-
-
-def _row_key(target, base):
-    """The memo's key of a prior row: its target and the bytes of its base."""
-    return target, base.tobytes()
-
-
-def fill_prior(predictors, target_sets, positions, adjacency, obstacle_centers, tick):
-    """Run the prior rows that predict(target_sets[i], ..., tick) of each
-    predictors[i] reads, in one predict_prior batch per group of shared
-    predictors (share_prior): the requests of the group's egos, each distinct
-    memo key once. The predicts then read every row from the memo."""
-    positions = np.asarray(positions, dtype=float)
-    groups = {}
-    for pred, targets in zip(predictors, target_sets):
-        _, requests = groups.setdefault(id(pred._shared), (pred, {}))
-        given = pred.prior_bases(targets, tick)
-        rows = pred._prev_rows(targets, positions, [given.get(t) for t in targets])
-        for target, row in zip(targets, rows):
-            requests.setdefault(_row_key(target, row), (target, row))
-    for pred, requests in groups.values():
-        if requests:
-            targets, bases = zip(*requests.values())
-            pred.predict_prior(targets, positions, adjacency, obstacle_centers, bases)
+        pred._weights = groups.setdefault(key, pred._weights)
 
 
 class TrajectoryPredictor:
@@ -357,14 +318,9 @@ class TrajectoryPredictor:
     belief is read aged one shift_trajectory per tick since then. The
     prior and the codec run on the parameter arrays themselves and build no
     Tensor; `params` holds views of the same arrays in Tensors that record no
-    tape, on which the EG weights are evolved at the first prediction.
-
-    The evolved weights and the prior rows of the current context live in a
-    _SharedPrior, which share_prior shares among the predictors of one
-    episode. A request computes only the rows missing from it, and
-    fill_prior fills it with a tick's rows in one batch (see the module
-    docstring). It dies with its predictors; build new predictors after
-    changing the parameters.
+    tape, on which the EG weights are evolved at the first prediction, into
+    a list that share_prior may share. Build new predictors after changing
+    the parameters.
     """
 
     def __init__(self, params, cfg: PredictorConfig, calibration=None,
@@ -376,7 +332,7 @@ class TrajectoryPredictor:
         self.norm = norm if norm is not None else (np.zeros(cfg.traj_dim),
                                                    np.ones(cfg.traj_dim))
         self.beliefs = {}
-        self._shared = _SharedPrior()
+        self._weights = []
 
     def _aged(self, target, tick):
         """target's belief on tick's horizon."""
@@ -385,57 +341,35 @@ class TrajectoryPredictor:
             traj = shift_trajectory(traj, self.cfg.horizon)
         return traj
 
-    def prior_bases(self, targets, tick) -> dict:
-        """{target: the row its prior at tick is shifted from}, for the
-        targets with a belief: the belief aged onto the previous tick's
-        horizon. predict_prior holds the other targets' current positions."""
-        return {t: self._aged(t, tick - 1) for t in targets if t in self.beliefs}
-
-    def _prev_rows(self, targets, positions, bases):
-        """Each entry's base as a flat row, or its target's position held."""
-        return [np.tile(positions[t], self.cfg.horizon) if b is None
-                else np.asarray(b, dtype=float).reshape(-1) for t, b in zip(targets, bases)]
-
     def predict_prior(self, targets, positions, adjacency, obstacle_centers,
                       prev_predictions=None) -> list[GaussianTrajectoryEstimate]:
-        """One prior estimate per entry of targets, in the order given.
+        """One prior estimate per entry of targets, in the order given, from
+        one prior_forward batch.
 
-        prev_predictions gives the prediction each entry's prior is shifted
-        from, on the previous tick's horizon: a sequence with one base per
-        entry, so a target may appear twice with two bases, or a mapping from
-        target to base. An entry without one (None, or no key) holds its
-        target's current position. Only the rows missing from the shared memo
-        run, once each; the estimates' arrays are read-only rows of the memo.
+        prev_predictions holds one base per entry, the prediction its prior
+        is shifted from, on the previous tick's horizon: cfg.traj_dim values,
+        or None to hold the target's current position; None holds every
+        target's. A target may appear twice with two bases. The estimates'
+        arrays are read-only.
         """
         targets = list(targets)
         if not targets:
             return []
         positions = np.asarray(positions, dtype=float)
-        adjacency = np.asarray(adjacency, dtype=float)
-        obstacle_centers = np.asarray(obstacle_centers, dtype=float)
-        shared = self._shared
-        context = (positions.tobytes(), adjacency.tobytes(), obstacle_centers.tobytes())
-        if context != shared.context:
-            shared.context, shared.rows = context, {}
-        if prev_predictions is None or isinstance(prev_predictions, Mapping):
-            bases = [(prev_predictions or {}).get(t) for t in targets]
-        else:
-            bases = list(prev_predictions)
-            if len(bases) != len(targets):
-                raise PredictorError(f"{len(bases)} bases for {len(targets)} targets")
-        prev = self._prev_rows(targets, positions, bases)
-        keys = [_row_key(t, p) for t, p in zip(targets, prev)]
-        missing = {key: p for key, p in zip(keys, prev) if key not in shared.rows}
-        if missing:
-            if shared.weights is None:
-                shared.weights = [w.data for w in evolved_weights(self.params, self.cfg)]
-            mean, sigma = prior_forward(self._arrays, self.cfg, [t for t, _ in missing],
-                                        positions, adjacency, obstacle_centers,
-                                        np.array(list(missing.values())),
-                                        weights=shared.weights)
-            mean.flags.writeable = sigma.flags.writeable = False
-            shared.rows.update(zip(missing, zip(mean, sigma)))
-        return [GaussianTrajectoryEstimate(*shared.rows[key]) for key in keys]
+        bases = [None] * len(targets) if prev_predictions is None else list(prev_predictions)
+        if len(bases) != len(targets):
+            raise PredictorError(f"{len(bases)} bases for {len(targets)} targets")
+        prev = [np.tile(positions[t], self.cfg.horizon) if b is None
+                else np.asarray(b, dtype=float).reshape(-1) for t, b in zip(targets, bases)]
+        if any(p.size != self.cfg.traj_dim for p in prev):
+            raise PredictorError(f"every base needs {self.cfg.traj_dim} entries, got "
+                                 f"{[p.size for p in prev]}")
+        if not self._weights:
+            self._weights.extend(w.data for w in evolved_weights(self.params, self.cfg))
+        mean, sigma = prior_forward(self._arrays, self.cfg, targets, positions, adjacency,
+                                    obstacle_centers, np.array(prev), weights=self._weights)
+        mean.flags.writeable = sigma.flags.writeable = False
+        return [GaussianTrajectoryEstimate(m, s) for m, s in zip(mean, sigma)]
 
     def encode(self, traj, tick, sender, mode="sample", rng=None) -> Message:
         mean, std = self.norm
@@ -462,32 +396,9 @@ class TrajectoryPredictor:
 
     def predict(self, targets, messages, positions, adjacency, obstacle_centers,
                 tick) -> dict:
-        """Full pipeline: {target: trajectory}. Each target's prior is shifted
-        from its belief, aged onto the previous tick's horizon, and fused with
-        its sender's decoded message when messages holds a fresh one. The
-        result becomes the target's belief.
-
-        Raises PredictorError, before any belief changes, when a fresh message
-        arrives at a predictor without a codec calibration to fuse it with.
-        """
-        targets = list(targets)
-        fresh = {t: messages[t] for t in targets if t in messages and messages[t].tick == tick}
-        if fresh and self.calibration is None:
-            sender = next(iter(fresh.values())).sender
-            raise PredictorError(f"fresh message from sender {sender!r}, but the predictor "
-                                 "has no codec calibration to fuse it with")
-        priors = self.predict_prior(targets, positions, adjacency, obstacle_centers,
-                                    self.prior_bases(targets, tick))
-        out = {}
-        for target, prior in zip(targets, priors):
-            msg = fresh.get(target)
-            if msg is not None:
-                result, _ = fuse(prior, self.decode(msg), self.calibration)
-            else:
-                result = prior.mean
-            self.beliefs[target] = (result, tick)
-            out[target] = result
-        return out
+        """predict_all for this predictor alone: {target: trajectory}."""
+        return predict_all([self], [targets], [messages], positions, adjacency,
+                           obstacle_centers, tick)[0]
 
     def hold(self, targets, messages, positions, tick) -> dict:
         """VAE mode, without a prior: {target: trajectory}.
@@ -507,3 +418,53 @@ class TrajectoryPredictor:
             out[target] = (self._aged(target, tick) if target in self.beliefs
                            else np.tile(positions[target], self.cfg.horizon))
         return out
+
+
+def predict_all(predictors, target_sets, inboxes, positions, adjacency, obstacle_centers,
+                tick) -> list[dict]:
+    """The full pipeline for every ego of a tick: {target: trajectory} of
+    each target_sets[i], as predictors[i] sees it with inboxes[i].
+
+    Each target's prior is shifted from the ego's belief, aged onto the
+    previous tick's horizon, or holds the target's current position when
+    the ego has none. It is fused with the sender's decoded message when the
+    inbox holds a fresh one, and the result becomes the ego's belief. The
+    requests of a share_prior group run in one predict_prior batch, each
+    distinct (target, base) once; a row's bits do not depend on its batch.
+
+    Raises PredictorError, before any belief changes, when a fresh message
+    arrives at a predictor without a codec calibration to fuse it with.
+    """
+    # {id(weight list): (a predictor of the group, {(target, base bytes): base})}
+    groups, egos = {}, []
+    for pred, targets, inbox in zip(predictors, target_sets, inboxes):
+        targets = list(targets)
+        fresh = {t: inbox[t] for t in targets if t in inbox and inbox[t].tick == tick}
+        if fresh and pred.calibration is None:
+            sender = next(iter(fresh.values())).sender
+            raise PredictorError(f"fresh message from sender {sender!r}, but the predictor "
+                                 "has no codec calibration to fuse it with")
+        requests = groups.setdefault(id(pred._weights), (pred, {}))[1]
+        keys = []
+        for t in targets:
+            base = pred._aged(t, tick - 1) if t in pred.beliefs else None
+            keys.append((t, None if base is None else base.tobytes()))
+            requests.setdefault(keys[-1], base)
+        egos.append((pred, keys, fresh))
+    priors = {}
+    for group, (pred, requests) in groups.items():
+        estimates = pred.predict_prior([t for t, _ in requests], positions, adjacency,
+                                       obstacle_centers, list(requests.values()))
+        priors[group] = dict(zip(requests, estimates))
+    out = []
+    for pred, keys, fresh in egos:
+        preds = {}
+        for key in keys:
+            target, prior = key[0], priors[id(pred._weights)][key]
+            msg = fresh.get(target)
+            result = (prior.mean if msg is None
+                      else fuse(prior, pred.decode(msg), pred.calibration)[0])
+            pred.beliefs[target] = (result, tick)
+            preds[target] = result
+        out.append(preds)
+    return out

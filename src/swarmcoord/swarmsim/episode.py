@@ -37,7 +37,7 @@ from ..geometry import (
     point_surface_distance,
     scaled_distance,
 )
-from ..predictor import fill_prior, share_prior
+from ..predictor import predict_all, share_prior
 from .scenario import Scenario
 
 
@@ -250,11 +250,9 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
     agent's messages. The oracle and constant-velocity modes need none.
     Predictors the factory builds on the same parameter arrays, with equal
     configs, share the prior's work (predictor.share_prior): one EG weight
-    evolution at the episode's first prediction, and each tick's prior rows,
-    which predictor.fill_prior computes in one batch before the egos plan
-    and every ego reads. The shared state ends with the episode, as a
-    tracer counting eg_step and lstm_step per episode needs. A factory that
-    copies the parameters per agent computes each ego's rows in a batch of
+    evolution per episode, and one batch of each tick's prior rows, which
+    predictor.predict_all runs for every ego before the egos plan. A factory
+    that copies the parameters per agent runs each ego's rows in a batch of
     its own; a row's bits do not depend on its batch, so the two agree
     bitwise on any graph.
     """
@@ -309,13 +307,13 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
         neighbor_sets = [sorted(np.flatnonzero(adjacency[i])) for i in range(n)]
 
         if mode in (RunMode.EG, RunMode.EG_VAE):
-            # the tick's prior rows, one batch per group of shared predictors,
-            # before any ego plans: each ego's predict reads them from the memo
-            fill_prior(predictors, neighbor_sets, positions, adjacency, obstacle_centers, tick)
+            # every ego's predictions, one prior batch per group of shared
+            # predictors, before any ego plans
+            predicted = predict_all(predictors, neighbor_sets, [inboxes[i] for i in range(n)],
+                                    positions, adjacency, obstacle_centers, tick)
         for i in range(n):
             if mode in (RunMode.EG, RunMode.EG_VAE):
-                preds = predictors[i].predict(neighbor_sets[i], inboxes[i], positions,
-                                              adjacency, obstacle_centers, tick)
+                preds = predicted[i]
             elif mode is RunMode.VAE:
                 preds = predictors[i].hold(neighbor_sets[i], inboxes[i], positions, tick)
             elif mode is RunMode.ORACLE:

@@ -15,9 +15,11 @@ sequential. A run that exits non-zero stops the script.
 The script first runs `python3 tests/episode_digest.py --out` in each
 checkout. The output file holds the `workloads`, `claim` and `no_regression`
 sections of the swarmcoord-bench/1 layout, plus the command, the machine,
-the order of the runs and a `digest` section: per DESK episode, the largest
-absolute difference between the two dumps and whether they are bitwise
-equal. The digest only reports; a difference does not stop the pairs.
+the order of the runs and a `digest` section. The machine record is run.py's
+plus `openblas_core`, the OpenBLAS kernel as episode_digest names it. The
+digest section gives, per DESK episode, the largest absolute difference
+between the two dumps and whether they are bitwise equal. The digest only
+reports; a difference does not stop the pairs.
 
 compare() is the verdict: a claimed gain needs the change to win at least
 nine tenths of the pairs (ties count for neither side), and the medians to
@@ -122,7 +124,7 @@ def run_pairs(parent, change, workload, seeds, seconds, log=sys.stderr):
                            f"{side}_correct": result["correct"]})
         pairs.append(record)
         print(f"{workload} pair {k} (seed {seed}) done", file=log, flush=True)
-    return pairs, results, info["machine"]
+    return pairs, results, {**info["machine"], "openblas_core": episode_digest.openblas_core()}
 
 
 def run_digest(checkout, out):

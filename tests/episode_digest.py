@@ -6,15 +6,19 @@
 --out runs the desk-oracle and desk-eg episodes 1000, 1001 and 2000 (the
 closed-loop and cold-start sensor seeds of benchmark seeds 1 and 2) through
 swarmbench's set_up/run_one, with one BLAS thread, and writes their plans,
-true states and predictions. Run it once per commit from that commit's
-checkout; the episodes come from the checkout the script sits in.
+true states and predictions, and the name of the OpenBLAS kernel numpy
+ran them on. Run it once per commit from that commit's checkout; the
+episodes come from the checkout the script sits in.
 
---compare prints, per episode, the largest absolute difference over those
-arrays and whether the two dumps are bitwise equal. It exits non-zero when
-they are not, or when their episodes or array shapes differ.
+--compare prints the two dumps' kernels when either records one, and says
+when both do and they differ: the episodes' bits depend on the kernel. It
+then prints, per episode, the largest absolute difference over those arrays
+and whether the two dumps are bitwise equal. It exits non-zero when they
+are not, or when their episodes or array shapes differ.
 """
 
 import argparse
+import ctypes
 import os
 import sys
 from pathlib import Path
@@ -31,6 +35,19 @@ import numpy as np  # noqa: E402
 WORKLOADS = ("desk-oracle", "desk-eg")
 EPISODE_SEEDS = (1000, 1001, 2000)
 FIELDS = ("plans", "true_states", "pred_keys", "pred_values")
+CORE_KEY = "openblas_core"
+
+
+def openblas_core():
+    """The name of the kernel numpy's bundled OpenBLAS selected for this CPU
+    (scipy_openblas_get_corename64_), or None when numpy bundles none."""
+    libs = sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs")
+                  .glob("libscipy_openblas64_*.so"))
+    if not libs:
+        return None
+    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 def episode_arrays(trace):
@@ -58,7 +75,16 @@ def dump(path):
             arrays = episode_arrays(bench.run_one(wl, setup, seed))
             out.update({f"{name}.{seed}.{field}": a for field, a in arrays.items()})
             print(f"{name} {seed}: {len(arrays['plans'])} ticks", flush=True)
+    core = openblas_core()
+    if core is not None:
+        out[CORE_KEY] = np.array(core)
     np.savez(path, **out)
+
+
+def recorded_core(path):
+    """The OpenBLAS kernel a dump records, or None."""
+    with np.load(path) as f:
+        return str(f[CORE_KEY]) if CORE_KEY in f else None
 
 
 def differences(path_a, path_b):
@@ -67,6 +93,8 @@ def differences(path_a, path_b):
     from one of them or whose array shapes differ."""
     with np.load(path_a) as fa, np.load(path_b) as fb:
         a, b = dict(fa), dict(fb)
+    for arrays in (a, b):
+        arrays.pop(CORE_KEY, None)
     episodes = sorted({k.rsplit(".", 1)[0] for k in a} | {k.rsplit(".", 1)[0] for k in b})
     out = {}
     for ep in episodes:
@@ -82,7 +110,14 @@ def differences(path_a, path_b):
 
 
 def compare(path_a, path_b, out=sys.stdout):
-    """Print one line per episode; True when every array is bitwise equal."""
+    """Print the kernels, then one line per episode; True when every array
+    is bitwise equal."""
+    cores = [recorded_core(p) for p in (path_a, path_b)]
+    if any(cores):
+        differ = all(cores) and cores[0] != cores[1]
+        print(f"OpenBLAS kernel: {cores[0] or 'unrecorded'} and {cores[1] or 'unrecorded'}"
+              + (", DIFFERENT: the kernel alone can move the episodes' bits" if differ
+                 else ""), file=out)
     all_equal = True
     for ep, (worst, equal) in differences(path_a, path_b).items():
         if worst is None:

@@ -1,7 +1,10 @@
+import io
+
 import numpy as np
 import pytest
 
 import bench_pairs
+import episode_digest
 
 PARENT = [8.1, 8.3, 8.0, 8.7, 8.4, 8.2, 8.9, 8.5, 8.6, 8.3]
 
@@ -114,3 +117,17 @@ class TestDigestSection:
                                                            "bitwise_equal": False}
         report = bench_pairs.report({}, None, 45, {}, digest=section)
         assert report["digest"] is section
+
+
+def test_machine_record_names_the_openblas_kernel(monkeypatch):
+    def run_once(checkout, workload, seed, seconds):
+        result = {"failed": 0, "attempted": 4, "correct": 4, "metrics": {}}
+        return {"machine": {"nproc": 2, "cpu_model": checkout}}, result
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    pairs, results, machine = bench_pairs.run_pairs("parent", "change", "desk-eg", [1, 2],
+                                                    45, log=io.StringIO())
+    assert [p["first"] for p in pairs] == ["parent", "change"]
+    assert len(results["parent"]) == len(results["change"]) == 2
+    assert machine == {"nproc": 2, "cpu_model": "parent",
+                       "openblas_core": episode_digest.openblas_core()}

@@ -32,6 +32,7 @@ from swarmcoord.predictor import (
     evolved_weights,
     fuse,
     init_predictor_params,
+    predict_all,
     prior_forward,
     share_prior,
     shift_trajectory,
@@ -106,9 +107,24 @@ class TestPrior:
         perm[[2, 4]] = [4, 2]
         est_p = pred.predict_prior([target], positions[perm], adj[np.ix_(perm, perm)],
                                    obstacles,
-                                   prev_predictions={target: np.tile(positions[target],
-                                                                     cfg.horizon)})[0]
+                                   prev_predictions=[np.tile(positions[target],
+                                                             cfg.horizon)])[0]
         assert np.allclose(est.mean, est_p.mean, atol=1e-10)
+
+    @pytest.mark.parametrize("size", [1, 5, "3P+3", "mapping"])
+    def test_base_of_the_wrong_length_rejected(self, cfg, params, size):
+        # a 1-entry base would broadcast into a whole row and a 5-entry one
+        # fail inside numpy; a {target: base} mapping lists its targets
+        rng = np.random.default_rng(3)
+        positions = make_history(rng, 4, cfg.history)[-1]
+        if size == "mapping":
+            targets, bases = [2], {2: np.tile(positions[2], cfg.horizon)}
+        else:
+            targets = [1, 2]
+            bases = [None, np.ones(cfg.traj_dim + 3 if size == "3P+3" else size)]
+        pred = TrajectoryPredictor(params, cfg)
+        with pytest.raises(PredictorError, match=f"every base needs {cfg.traj_dim} entries"):
+            pred.predict_prior(targets, positions, ring_adjacency(4), np.zeros((2, 3)), bases)
 
 
 def reference_prior_forward(params, cfg, target, history, adjacency,
@@ -199,7 +215,7 @@ class TestBatchedPrior:
             prev = {t: np.tile(history[-1, t], cfg.horizon)
                     + rng.normal(scale=0.3, size=cfg.traj_dim) for t in targets[::2]}
             estimates = pred.predict_prior(targets, history[-1], last_adj, obstacles,
-                                           prev_predictions=prev)
+                                           prev_predictions=[prev.get(t) for t in targets])
             assert len(estimates) == len(targets)
             for target, est in zip(targets, estimates):
                 prev_t = prev.get(target, np.tile(history[-1, target], cfg.horizon))
@@ -402,7 +418,7 @@ class TestHookContract:
 
 class TestSharedPrior:
     """Predictors on the same parameter arrays, under equal configs, share
-    the prior rows of the current context (share_prior)."""
+    one prior batch per predict_all call (share_prior)."""
 
     @pytest.fixture
     def lstm_steps(self, monkeypatch):
@@ -416,6 +432,18 @@ class TestSharedPrior:
         return calls
 
     @pytest.fixture
+    def batches(self, monkeypatch):
+        """The (targets, base rows) of each prior_forward call."""
+        calls, real = [], predictor.prior_forward
+
+        def recording(params, cfg, targets, positions, adjacency, obstacles, prev, **kw):
+            calls.append((list(targets), np.array(prev)))
+            return real(params, cfg, targets, positions, adjacency, obstacles, prev, **kw)
+
+        monkeypatch.setattr(predictor, "prior_forward", recording)
+        return calls
+
+    @pytest.fixture
     def context(self, cfg):
         rng = np.random.default_rng(111)
         return make_history(rng, 4, cfg.history)[-1], ring_adjacency(4), np.zeros((2, 3))
@@ -424,30 +452,6 @@ class TestSharedPrior:
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert np.array_equal(a.mean, b.mean) and np.array_equal(a.stddev, b.stddev)
-
-    def test_second_identical_request_runs_no_lstm(self, cfg, params, context, lstm_steps):
-        pred = TrajectoryPredictor(params, cfg)
-        first = pred.predict_prior([1, 3], *context)
-        assert len(lstm_steps) == 2 * cfg.horizon
-        lstm_steps.clear()
-        self.assert_same_estimates(pred.predict_prior([1, 3], *context), first)
-        assert lstm_steps == []
-
-    def test_a_miss_computes_only_the_missing_rows(self, cfg, params, context, monkeypatch):
-        batches, real = [], predictor.prior_forward
-
-        def recording(params, cfg, targets, *args, **kwargs):
-            batches.append(list(targets))
-            return real(params, cfg, targets, *args, **kwargs)
-
-        monkeypatch.setattr(predictor, "prior_forward", recording)
-        pred = TrajectoryPredictor(params, cfg)
-        pred.predict_prior([1, 3], *context)
-        # 1 is stored, 2 is not: 2 runs alone, and rounds as in the whole batch
-        got = pred.predict_prior([1, 2], *context)
-        assert batches == [[1, 3], [2]]
-        self.assert_same_estimates(
-            got, TrajectoryPredictor(params, cfg).predict_prior([1, 2], *context))
 
     def test_changing_one_position_recomputes(self, cfg, params, context, lstm_steps):
         positions, adjacency, obstacles = context
@@ -463,49 +467,71 @@ class TestSharedPrior:
                                                                   obstacles))
         assert not np.array_equal(after[0].mean, before[0].mean)
 
-    def test_a_changed_belief_recomputes(self, cfg, params, context, lstm_steps):
-        positions = context[0]
-        pred = TrajectoryPredictor(params, cfg)
-        pred.predict_prior([1, 3], *context)
-        lstm_steps.clear()
-        belief = np.tile(positions[3], cfg.horizon) + 0.1
-        pred.predict_prior([1, 3], *context, prev_predictions={3: belief})
-        assert len(lstm_steps) == 2 * cfg.horizon
-
-    def test_shared_predictors_read_each_others_rows(self, cfg, params, context, lstm_steps):
-        ego, other = TrajectoryPredictor(params, cfg), TrajectoryPredictor(params, cfg)
-        share_prior([ego, other])
-        first = ego.predict_prior([1, 3], *context)
-        lstm_steps.clear()
-        self.assert_same_estimates(other.predict_prior([1, 3], *context), first)
-        assert lstm_steps == []
-
     def test_sharing_only_the_eg_arrays_shares_no_rows(self, cfg, params, context,
                                                       lstm_steps):
         own = copy.deepcopy(params)
         own["eg"] = params["eg"]
         other_floor = dataclasses.replace(cfg, sigma_floor=2 * cfg.sigma_floor)
-        ego = TrajectoryPredictor(params, cfg)
-        others = [TrajectoryPredictor(own, cfg), TrajectoryPredictor(params, other_floor)]
-        share_prior([ego, *others])
-        ego.predict_prior([1, 3], *context)
-        for pred in others:
-            lstm_steps.clear()
-            pred.predict_prior([1, 3], *context)
-            assert len(lstm_steps) == 2 * cfg.horizon
+        egos = [TrajectoryPredictor(params, cfg), TrajectoryPredictor(own, cfg),
+                TrajectoryPredictor(params, other_floor)]
+        share_prior(egos)
+        predict_all(egos, [[1, 3]] * 3, [{}] * 3, *context, tick=0)
+        # three batches: each ego runs the whole LSTM for itself
+        assert len(lstm_steps) == 3 * 2 * cfg.horizon
 
     def test_stored_rows_are_read_only(self, cfg, params, context):
-        positions, adjacency, obstacles = context
         ego, other = TrajectoryPredictor(params, cfg), TrajectoryPredictor(params, cfg)
         share_prior([ego, other])
-        for pred in (ego, other):
-            pred.predict([1, 3], {}, positions, adjacency, obstacles, tick=0)
+        predict_all([ego, other], [[1, 3], [1, 3]], [{}, {}], *context, tick=0)
         mine, theirs = ego.beliefs[1][0], other.beliefs[1][0]
         assert np.shares_memory(mine, theirs)
         for row in (mine, theirs, ego.predict_prior([1, 3], *context)[1].stddev):
             assert not row.flags.writeable
             with pytest.raises(ValueError):
                 row[0] = 0.0
+
+    def test_predict_all_batches_each_group_once(self, cfg, params, context, batches):
+        # two egos on one tree, one on a deep copy, one under another
+        # sigma_floor: three groups
+        calibration = CodecCalibration(np.full(cfg.traj_dim, 0.5))
+        other_floor = dataclasses.replace(cfg, sigma_floor=2 * cfg.sigma_floor)
+        egos = [TrajectoryPredictor(p, c, calibration=calibration)
+                for p, c in ((params, cfg), (params, cfg), (copy.deepcopy(params), cfg),
+                             (params, other_floor))]
+        share_prior(egos)
+        targets = [[1, 2, 3], [1, 2, 3], [1, 3], [2, 3]]
+        predict_all(egos, targets, [{}] * 4, *context, tick=0)
+        # the beliefs diverge: ego 1 sees another plan for 3 and none for 2
+        traj, made = egos[1].beliefs[3]
+        egos[1].beliefs[3] = (traj + 0.1, made)
+        del egos[1].beliefs[2]
+        rng = np.random.default_rng(112)
+        msg = egos[0].encode(rng.normal(size=cfg.traj_dim), tick=1, sender=3, mode="mean")
+        inboxes = [{3: msg}, {}, {3: msg}, {}]
+        twins = copy.deepcopy(egos)
+        batches.clear()
+        out = predict_all(egos, targets, inboxes, *context, tick=1)
+        assert [b[0] for b in batches] == [[1, 2, 3, 2, 3], [1, 3], [2, 3]]
+        for batch_targets, rows in batches:
+            keys = [(t, row.tobytes()) for t, row in zip(batch_targets, rows)]
+            assert len(set(keys)) == len(keys)
+        for ego, twin, own, inbox, preds in zip(egos, twins, targets, inboxes, out):
+            want = twin.predict(own, inbox, *context, tick=1)
+            assert list(preds) == list(want) == own
+            assert all(np.array_equal(preds[t], want[t]) for t in own)
+            assert all(ego.beliefs[t][0] is preds[t] for t in own)
+        assert not np.array_equal(out[0][3], out[1][3])
+
+        # a fresh message at the last ego, which has no calibration
+        egos[-1].calibration = None
+        before = [{t: (traj.copy(), made) for t, (traj, made) in ego.beliefs.items()}
+                  for ego in egos]
+        with pytest.raises(PredictorError, match="sender 3"):
+            predict_all(egos, targets, [{}, {}, {}, {3: msg}], *context, tick=1)
+        for ego, kept in zip(egos, before):
+            assert ego.beliefs.keys() == kept.keys()
+            assert all(np.array_equal(ego.beliefs[t][0], traj) and ego.beliefs[t][1] == made
+                       for t, (traj, made) in kept.items())
 
 
 class TestPriorGradients:
@@ -779,7 +805,7 @@ class TestPredict:
         real_prior, bases = TrajectoryPredictor.predict_prior, {}
 
         def recording(self, targets, *args):
-            bases[len(bases)] = dict(args[-1])
+            bases[len(bases)] = {t: b for t, b in zip(targets, args[-1]) if b is not None}
             return real_prior(self, targets, *args)
 
         monkeypatch.setattr(TrajectoryPredictor, "predict_prior", recording)

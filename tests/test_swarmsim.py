@@ -453,29 +453,45 @@ class TestSharedEvolution:
                          "gcn_layer": self.PCFG.eg_layers * desk_scenario.n}
         assert tuple(calls.values()) == (32, 8)
 
-    @pytest.mark.parametrize("uneven", [False, True], ids=["desk", "uneven-degree"])
-    def test_shared_rows_equal_copied_at_the_benchmark_shapes(self, desk_scenario, uneven,
+    @pytest.mark.parametrize("case", ["desk", "uneven-degree", "eg+vae"])
+    def test_shared_rows_equal_copied_at_the_benchmark_shapes(self, desk_scenario, case,
                                                               monkeypatch):
         # desk-eg's setup: the default PredictorConfig, where a row's bits
         # depend on the BLAS tile shapes at hidden=128; the uneven case's 13
-        # agents have 4 to 8 neighbours, so the egos' batches differ in size
-        scenario, ticks = (sample_scenario(3), 4) if uneven else (desk_scenario, 3)
+        # agents have 4 to 8 neighbours, so the egos' batches differ in size;
+        # in eg+vae, lost messages leave the egos different beliefs about one
+        # target, so a shared batch holds that target twice
+        scenario, ticks = (sample_scenario(3), 4) if case == "uneven-degree" else (
+            desk_scenario, 3)
+        mode, channel = ("eg+vae", ChannelConfig(p_loss=0.3)) if case == "eg+vae" else (
+            "eg", None)
         pcfg = PredictorConfig()
         params = init_predictor_params(np.random.default_rng(0), pcfg)
-        steps, real = [], predictor.lstm_step
+        calibration = CodecCalibration(np.full(pcfg.traj_dim, 100.0))
+        steps, batches = [], []
+        real_step, real_prior = predictor.lstm_step, predictor.prior_forward
 
         def counting(*args):
             steps.append(None)
-            return real(*args)
+            return real_step(*args)
+
+        def recording(params, cfg, targets, *args, **kwargs):
+            batches[-1].append(list(targets))
+            return real_prior(params, cfg, targets, *args, **kwargs)
 
         monkeypatch.setattr(predictor, "lstm_step", counting)
+        monkeypatch.setattr(predictor, "prior_forward", recording)
         traces, counts = [], []
-        for factory in (lambda: TrajectoryPredictor(params, pcfg),
-                        lambda: TrajectoryPredictor(copy.deepcopy(params), pcfg)):
+        for factory in (lambda: TrajectoryPredictor(params, pcfg, calibration=calibration),
+                        lambda: TrajectoryPredictor(copy.deepcopy(params), pcfg,
+                                                    calibration=calibration)):
             steps.clear()
-            traces.append(run_episode(scenario, mode="eg", ticks=ticks, seed=1000,
-                                      predictor_factory=factory))
+            batches.append([])
+            traces.append(run_episode(scenario, mode=mode, channel=channel, ticks=ticks,
+                                      seed=1000, predictor_factory=factory))
             counts.append(len(steps))
+        if case == "eg+vae":
+            assert any(len(set(b)) < len(b) for b in batches[0])
         assert_same_trace(*traces)
         shared_steps, copied_steps = counts
         assert 0 < shared_steps < copied_steps
