@@ -11,7 +11,6 @@ from .layers import (
     init_vae,
     lstm_step,
     normalize_adjacency,
-    pad_rows,
     vae_decode,
     vae_encode,
     vae_forward,
@@ -23,7 +22,7 @@ from .checkpoint import load_checkpoint, load_into, save_checkpoint
 __all__ = [
     "EgCellState", "ShapeMismatch", "Tensor", "concat", "detach", "exp", "relu",
     "eg_step", "fc", "flatten_params", "gcn_layer", "init_eg_cell", "init_fc",
-    "init_lstm", "init_vae", "lstm_step", "normalize_adjacency", "pad_rows",
+    "init_lstm", "init_vae", "lstm_step", "normalize_adjacency",
     "vae_decode", "vae_encode", "vae_forward", "vae_kl", "zero_grads",
     "load_checkpoint", "load_into", "save_checkpoint",
 ]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeMismatch, Tensor, concat, exp, relu
+from .tensor import ShapeMismatch, Tensor, exp, relu
 
 
 def _param(rng, shape, scale=None):
@@ -98,30 +98,6 @@ def lstm_step(xw, state, params):
                         backward)
     h = cell[:, :n_hidden]
     return h, (h, cell[:, n_hidden:])
-
-
-def pad_rows(x):
-    """x with zero rows appended along axis 0 up to a multiple of 4; slice a
-    product of the padded stack back to x's rows.
-
-    Every batch of the prior runs padded by this rule, and nothing else pads,
-    so a row's bits do not depend on the batch it runs in. OpenBLAS 0.3.31
-    rounds a row of a product by the number of rows in the product (a 1-row
-    product even takes numpy's gemv path), not by the row's place in it.
-    Measured at the prior's products (Wh 128x512, the decoder's Wx 48x512,
-    the heads 128x3 over 16 r rows, eg_out 16x16, obstacle 6x16, the query's
-    Wx 3x512 and out 128x16) with 1-12 real rows: each row of the padded
-    product is bitwise that row padded alone under the SkylakeX, Haswell,
-    Zen, Sandybridge and Prescott kernels, with 1 and with 2 threads
-    (tests/test_nn.py), with one exception. Under Prescott with 2 threads
-    the Wh product differs at 9-12 rows. A Tensor is padded by the same
-    concatenation as an ndarray.
-    """
-    rows = x.shape[0]
-    padded = -(-rows // 4) * 4
-    if padded == rows:
-        return x
-    return concat([x, np.zeros((padded - rows, *x.shape[1:]))], axis=0)
 
 
 def normalize_adjacency(adj):

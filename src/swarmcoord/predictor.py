@@ -12,10 +12,6 @@ looking at the input, cfg.history - 1 steps, and the GCN runs once on the
 current graph with the evolved weights. The prior is batched: one call
 predicts a list of targets, one output row each.
 
-A row's bits do not depend on the batch it runs in: every prior batch runs
-padded to a multiple of 4 rows (nn.pad_rows, which names the kernels this
-was checked on).
-
 There is one prior_forward, and it follows the type of the parameter tree
 it is given (see nn.layers): on the Tensors of init_predictor_params it
 records the autodiff tape, and with weights=None it evolves the weights on
@@ -30,9 +26,12 @@ positions, graph and obstacles, so the tick's prior rows are one batch.
 share_prior groups the predictors of one episode on the same parameter
 arrays, under equal configs, around one evolved weight list, and
 predict_all runs one predict_prior batch per group, each distinct
-(target, base) row once. The shared weights die with the predictors: no
-cache outlives an episode, so eg_step and lstm_step fire in every episode,
-as the benchmark's traced pass requires.
+(target, base) row once. So a tick's batches are fixed by the egos'
+requests, and an episode is deterministic. A row matches the same row
+computed in a batch of another shape only to rounding: BLAS may round a row
+of a product by the product's number of rows. The shared weights die with
+the predictors: no cache outlives an episode, so eg_step and lstm_step fire
+in every episode, as the benchmark's traced pass requires.
 
 Work that does not change inside a loop runs once per call. The query
 LSTM's inputs are projected for every step before its recurrence, the
@@ -69,7 +68,6 @@ from .nn import (
     init_vae,
     lstm_step,
     normalize_adjacency,
-    pad_rows,
     vae_decode,
     vae_encode,
 )
@@ -194,8 +192,8 @@ def prior_forward(params, cfg: PredictorConfig, targets, positions, adjacency,
     current positions and graph, with the weights evolved cfg.history - 1
     steps (EvolveGCN-O). weights=None evolves them here, on the tape when
     params require grad (the training path); otherwise `weights` is the
-    evolved_weights list to apply. A row's bits are those of its target
-    computed alone (module docstring).
+    evolved_weights list to apply. A row matches its target computed in a
+    batch of another shape only to rounding (module docstring).
 
     Returns (mean, sigma) of shape (len(targets), 3P): Tensors when params or
     weights are Tensors, ndarrays when both are ndarrays. mean carries
@@ -211,15 +209,12 @@ def prior_forward(params, cfg: PredictorConfig, targets, positions, adjacency,
 
     prev_rel = np.asarray(prev_predictions, dtype=float).reshape(rows, -1) - anchor_traj
     query = params["query"]["lstm"]
-    # every prior batch runs padded to a multiple of 4 rows (nn.pad_rows):
-    # `run` rows, sliced back to `rows` at the end. Every step's input is
-    # projected before the recurrence, in one stacked (hor, run, 3) product;
-    # numpy multiplies each step's (run, 3) block as a product of its own,
-    # so the sums round as step by step
-    steps_in = pad_rows(prev_rel).reshape(-1, hor, 3).transpose(1, 0, 2)
-    run = steps_in.shape[1]
+    # every step's input is projected before the recurrence, in one stacked
+    # (hor, rows, 3) product; numpy multiplies each step's (rows, 3) block as
+    # a product of its own, so the sums round as step by step
+    steps_in = prev_rel.reshape(rows, hor, 3).transpose(1, 0, 2)
     query_xw = steps_in @ query["Wx"]
-    state = (np.zeros((run, query["Wh"].shape[0])),) * 2
+    state = (np.zeros((rows, query["Wh"].shape[0])),) * 2
     for tau in range(hor):
         q_out, state = lstm_step(query_xw[tau], state, query)
     y = fc(q_out, params["query"]["out"], activation="relu")
@@ -234,31 +229,30 @@ def prior_forward(params, cfg: PredictorConfig, targets, positions, adjacency,
             feats = gcn_layer(a_hat, feats, w)
         # only the target's row of the last layer is read
         node_rows.append(gcn_layer(a_hat[target:target + 1], feats, weights[-1]))
-    g = fc(pad_rows(concat(node_rows, axis=0)), params["eg_out"], activation="relu")
+    g = fc(concat(node_rows, axis=0), params["eg_out"], activation="relu")
 
-    centers = np.zeros((run, 3 * cfg.max_obstacles))
+    centers = np.zeros((rows, 3 * cfg.max_obstacles))
     flat = (np.asarray(obstacle_centers, dtype=float).reshape(-1, 3)[None]
             - anchors[:, None, :]).reshape(rows, -1)
     used = min(flat.shape[1], centers.shape[1])
-    centers[:rows, :used] = flat[:, :used]
+    centers[:, :used] = flat[:, :used]
     o = fc(centers, params["obstacle"], activation="relu")
 
     decoder = params["decoder"]
     # the decoder reads the same fused input at every step: project it once
     fused_xw = concat([y, o, g], axis=1) @ decoder["lstm"]["Wx"]
-    dec_state = (np.zeros((run, decoder["lstm"]["Wh"].shape[0])),) * 2
+    dec_state = (np.zeros((rows, decoder["lstm"]["Wh"].shape[0])),) * 2
     hiddens = []
     for tau in range(hor):
         h_t, dec_state = lstm_step(fused_xw, dec_state, decoder["lstm"])
         hiddens.append(h_t)
-    # each head is one fc over the (hor * run, hidden) stack of steps, which
-    # is padded to a multiple of 4 rows like every prior batch (nn.pad_rows);
-    # its output re-slices into the (rows, 3P) layout
+    # each head is one fc over the (hor * rows, hidden) stack of steps; its
+    # output re-slices into the (rows, 3P) layout
     h_steps = concat(hiddens, axis=0)
 
     def head(x, fc_params):
-        out = fc(x, fc_params).reshape(hor, run, 3)
-        return out.transpose(1, 0, 2).reshape(run, 3 * hor)[:rows]
+        out = fc(x, fc_params).reshape(hor, rows, 3)
+        return out.transpose(1, 0, 2).reshape(rows, 3 * hor)
 
     mean_rel = head(h_steps, decoder["mean"])
     logstd = head(detach(h_steps), decoder["logstd"])
@@ -372,8 +366,12 @@ class TrajectoryPredictor:
         return [GaussianTrajectoryEstimate(m, s) for m, s in zip(mean, sigma)]
 
     def encode(self, traj, tick, sender, mode="sample", rng=None) -> Message:
+        traj = np.asarray(traj, dtype=float).reshape(1, -1)
+        if traj.size != self.cfg.traj_dim:
+            raise PredictorError(f"a trajectory needs {self.cfg.traj_dim} entries, "
+                                 f"got {traj.size}")
         mean, std = self.norm
-        x = (np.asarray(traj, dtype=float).reshape(1, -1) - mean) / std
+        x = (traj - mean) / std
         z_mean, z_logstd = vae_encode(x, self._arrays["vae"])
         if mode == "sample":
             if rng is None:
@@ -430,7 +428,7 @@ def predict_all(predictors, target_sets, inboxes, positions, adjacency, obstacle
     the ego has none. It is fused with the sender's decoded message when the
     inbox holds a fresh one, and the result becomes the ego's belief. The
     requests of a share_prior group run in one predict_prior batch, each
-    distinct (target, base) once; a row's bits do not depend on its batch.
+    distinct (target, base) once, so the same requests give the same bits.
 
     Raises PredictorError, before any belief changes, when a fresh message
     arrives at a predictor without a codec calibration to fuse it with.

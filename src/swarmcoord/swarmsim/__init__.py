@@ -2,12 +2,8 @@ from .scenario import (
     Scenario,
     ScenarioConfig,
     ScenarioError,
-    load_scenario,
     poisson_disk_box,
     sample_scenario,
-    save_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
     validate_scenario,
 )
 from .episode import (
@@ -33,9 +29,8 @@ from .metrics import (
 __all__ = [
     "COST_KEYS", "ChannelConfig", "DynamicsModel", "EpisodeTrace", "RunMode",
     "Scenario", "ScenarioConfig", "ScenarioError", "channel_deliver",
-    "comm_graph", "config_digest", "load_scenario", "make_default_dynamics",
-    "metrics", "poisson_disk_box", "prediction_error_per_step", "run_episode",
-    "sample_scenario", "save_scenario", "scenario_from_dict",
-    "scenario_to_dict", "step_dynamics", "trace_manifest",
-    "validate_scenario", "write_trace_csvs",
+    "comm_graph", "config_digest", "make_default_dynamics", "metrics",
+    "poisson_disk_box", "prediction_error_per_step", "run_episode",
+    "sample_scenario", "step_dynamics", "trace_manifest", "validate_scenario",
+    "write_trace_csvs",
 ]

@@ -90,6 +90,9 @@ class ChannelConfig:
                 f"f_comm={self.f_comm} Hz does not divide the tick rate 1/{self.dt}")
         if not 0.0 <= self.p_loss <= 1.0:
             raise ValueError("packet loss probability must lie in [0, 1]")
+        if not (self.comm_range >= 0 and self.max_neighbors >= 0):  # NaN fails both
+            raise ValueError(f"comm_range={self.comm_range} and max_neighbors="
+                             f"{self.max_neighbors} must be nonnegative")
 
     @property
     def period_ticks(self):
@@ -253,8 +256,7 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
     evolution per episode, and one batch of each tick's prior rows, which
     predictor.predict_all runs for every ego before the egos plan. A factory
     that copies the parameters per agent runs each ego's rows in a batch of
-    its own; a row's bits do not depend on its batch, so the two agree
-    bitwise on any graph.
+    its own, so the two agree only to rounding.
     """
     mode = RunMode.parse(mode) if isinstance(mode, str) else mode
     cfg = controller or ControllerConfig()

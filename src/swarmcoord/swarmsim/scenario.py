@@ -12,7 +12,6 @@ semi-axis. The migration point must clear both obstacles in the exact
 Euclidean surface distance.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,38 +169,6 @@ def sample_scenario(seed, config: ScenarioConfig | None = None) -> Scenario:
         agents = [AgentState(p, np.zeros(3)) for p in points]
         return Scenario(int(seed), agents, obstacles, p_mig, accepted_gap=gap)
     raise ScenarioError(f"scenario rejection cap ({cfg.rejection_cap}) exceeded")
-
-
-def scenario_to_dict(sc: Scenario) -> dict:
-    return {
-        "format": "swarmcoord-scenario/1",
-        "seed": sc.seed,
-        "p_mig": sc.p_mig.tolist(),
-        "agents": [{"position": a.position.tolist(), "velocity": a.velocity.tolist()}
-                   for a in sc.agents],
-        "obstacles": [{"center": o.center.tolist(),
-                       "shape_matrix": o.shape_matrix.tolist()}
-                      for o in sc.obstacles],
-    }
-
-
-def scenario_from_dict(doc: dict) -> Scenario:
-    if doc.get("format") != "swarmcoord-scenario/1":
-        raise ScenarioError(f"not a scenario file (format={doc.get('format')!r})")
-    agents = [AgentState(a["position"], a["velocity"]) for a in doc["agents"]]
-    obstacles = [Ellipsoid(np.array(o["center"]), np.array(o["shape_matrix"]))
-                 for o in doc["obstacles"]]
-    return Scenario(int(doc["seed"]), agents, obstacles, np.array(doc["p_mig"]))
-
-
-def save_scenario(sc: Scenario, path):
-    with open(path, "w") as fh:
-        json.dump(scenario_to_dict(sc), fh, indent=1)
-
-
-def load_scenario(path) -> Scenario:
-    with open(path) as fh:
-        return scenario_from_dict(json.load(fh))
 
 
 def validate_scenario(sc: Scenario, config: ScenarioConfig | None = None) -> list:

