@@ -83,7 +83,7 @@ prediction_row_gradients reads these arrays.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from itertools import chain, compress
 from types import MappingProxyType
 
@@ -130,8 +130,8 @@ class CostWeights:
     q_eft: float = 70.0
 
     def __post_init__(self):
-        if min(self.q_mig, self.l_saf, self.q_saf, self.l_coh, self.q_coh, self.q_eft) < 0:
-            raise ValueError("cost weights must be nonnegative")
+        if not all(0 <= w < np.inf for w in astuple(self)):  # NaN fails
+            raise ValueError(f"cost weights must be finite and nonnegative, got {self}")
 
 
 @dataclass(frozen=True)
@@ -140,6 +140,11 @@ class MotionLimits:
     v_max: float = 1.5
     a_min: float = -1.0
     a_max: float = 1.0
+
+    def __post_init__(self):
+        if not all(-np.inf < lo < hi < np.inf  # NaN fails
+                   for lo, hi in ((self.v_min, self.v_max), (self.a_min, self.a_max))):
+            raise ValueError(f"motion limits must be finite with min < max, got {self}")
 
 
 @dataclass(frozen=True)
@@ -186,6 +191,8 @@ class ControllerConfig:
         if self.degree < 2:
             # the acceleration rows and the effort term need a degree-2 derivative
             raise ValueError(f"need Bezier degree >= 2, got {self.degree}")
+        if not 0 <= self.r_min <= self.r_coh < np.inf:  # NaN fails
+            raise ValueError(f"need finite 0 <= r_min <= r_coh, got {self.r_min}, {self.r_coh}")
         shape = np.array(self.agent_shape, dtype=float).reshape(3, 3)
         shape.flags.writeable = False
         object.__setattr__(self, "agent_shape", shape)

@@ -21,17 +21,17 @@ behind its parameters. It evolves the weights on no-grad Tensor views of
 those arrays, lazily at its first prediction, which records no tape either,
 and passes the evolved arrays in.
 
-predict_all predicts a tick for every ego at once: every ego reads the same
-positions, graph and obstacles, so the tick's prior rows are one batch.
-share_prior groups the predictors of one episode on the same parameter
-arrays, under equal configs, around one evolved weight list, and
-predict_all runs one predict_prior batch per group, each distinct
-(target, base) row once. So a tick's batches are fixed by the egos'
-requests, and an episode is deterministic. A row matches the same row
-computed in a batch of another shape only to rounding: BLAS may round a row
-of a product by the product's number of rows. The shared weights die with
-the predictors: no cache outlives an episode, so eg_step and lstm_step fire
-in every episode, as the benchmark's traced pass requires.
+One TrajectoryPredictor serves every agent of an episode, as every agent
+runs the same prior and codec, and keeps each ego's beliefs apart under
+(ego, target). predict_all predicts a tick for every ego at once: every ego
+reads the same positions, graph and obstacles, so the tick's prior rows are
+one predict_prior batch, each distinct (target, base) row once. So a tick's
+batch is fixed by the egos' requests, and an episode is deterministic. A
+row matches the same row computed in a batch of another shape only to
+rounding: BLAS may round a row of a product by the product's number of
+rows. The evolved weights die with the predictor: no cache outlives an
+episode, so eg_step and lstm_step fire in every episode, as the benchmark's
+traced pass requires.
 
 Work that does not change inside a loop runs once per call. The query
 LSTM's inputs are projected for every step before its recurrence, the
@@ -48,7 +48,7 @@ The VAE codec normalizes trajectories with dataset statistics stored next to
 the parameters.
 """
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,6 @@ from .nn import (
     eg_step,
     exp,
     fc,
-    flatten_params,
     gcn_layer,
     init_eg_cell,
     init_fc,
@@ -159,10 +158,14 @@ def init_predictor_params(rng, cfg: PredictorConfig):
 
 
 def shift_trajectory(trajectory, horizon) -> np.ndarray:
-    """Advance a sampled trajectory one step, holding the terminal point: a
-    prediction ages by one shift per tick, onto the next tick's horizon."""
-    pts = np.asarray(trajectory, dtype=float).reshape(horizon, 3)
-    return np.vstack([pts[1:], pts[-1:]]).reshape(-1)
+    """Advance sampled trajectories one step, holding the terminal point: a
+    prediction ages by one shift per tick, onto the next tick's horizon.
+    trajectory holds (..., 3 * horizon) rows of (x, y, z) points."""
+    rows = np.asarray(trajectory, dtype=float)
+    if rows.shape[-1:] != (3 * horizon,):
+        raise PredictorError(f"a trajectory needs {3 * horizon} entries on its last axis, "
+                             f"got shape {rows.shape}")
+    return np.concatenate([rows[..., 3:], rows[..., -3:]], axis=-1)
 
 
 def evolved_weights(params, cfg: PredictorConfig):
@@ -257,9 +260,7 @@ def prior_forward(params, cfg: PredictorConfig, targets, positions, adjacency,
     mean_rel = head(h_steps, decoder["mean"])
     logstd = head(detach(h_steps), decoder["logstd"])
 
-    # shift_trajectory of every row at once: drop the first point, repeat the last
-    shifted = np.concatenate([prev_rel[:, 3:], prev_rel[:, -3:]], axis=1)
-    mean = mean_rel + shifted + anchor_traj
+    mean = mean_rel + shift_trajectory(prev_rel, hor) + anchor_traj
     sigma = exp(logstd) + cfg.sigma_floor
     return mean, sigma
 
@@ -287,34 +288,17 @@ def _map_leaves(fn, tree):
             for key, value in tree.items()}
 
 
-def share_prior(predictors):
-    """Let predictors on the same parameter arrays share the prior's work.
-
-    Predictors whose no-grad views share every parameter array (the same
-    .data objects) and whose PredictorConfigs are equal compute the same
-    prior, so each group gets one evolved weight list, which the first
-    prediction fills, and predict_all runs the group's rows in one batch.
-    Equal values in distinct arrays are not shared.
-    """
-    groups = {}
-    for pred in predictors:
-        arrays = tuple((name, id(t.data)) for name, t in flatten_params(pred.params).items())
-        key = (astuple(pred.cfg), arrays)
-        pred._weights = groups.setdefault(key, pred._weights)
-
-
 class TrajectoryPredictor:
-    """Per-ego predictor state: parameters, codec calibration, and the belief
-    about each neighbour's plan, which predict (eg, eg+vae) and hold (vae)
-    read and write.
+    """The predictor of one episode: parameters, codec calibration, and every
+    ego's belief about each neighbour's plan, which predict_all (eg, eg+vae)
+    and hold (vae) read and write.
 
-    beliefs maps a target to (its last prediction, the tick it was made); a
-    belief is read aged one shift_trajectory per tick since then. The
-    prior and the codec run on the parameter arrays themselves and build no
-    Tensor; `params` holds views of the same arrays in Tensors that record no
-    tape, on which the EG weights are evolved at the first prediction, into
-    a list that share_prior may share. Build new predictors after changing
-    the parameters.
+    beliefs maps (ego, target) to (ego's last prediction of target, the tick
+    it was made); a belief is read aged one shift_trajectory per tick since
+    then. The prior and the codec run on the parameter arrays themselves and
+    build no Tensor; `params` holds views of the same arrays in Tensors that
+    record no tape, on which the EG weights are evolved at the first
+    prediction. Build a new predictor after changing the parameters.
     """
 
     def __init__(self, params, cfg: PredictorConfig, calibration=None,
@@ -326,11 +310,11 @@ class TrajectoryPredictor:
         self.norm = norm if norm is not None else (np.zeros(cfg.traj_dim),
                                                    np.ones(cfg.traj_dim))
         self.beliefs = {}
-        self._weights = []
+        self._weights = None
 
-    def _aged(self, target, tick):
-        """target's belief on tick's horizon."""
-        traj, made = self.beliefs[target]
+    def _aged(self, key, tick):
+        """The belief under key, (ego, target), on tick's horizon."""
+        traj, made = self.beliefs[key]
         for _ in range(tick - made):
             traj = shift_trajectory(traj, self.cfg.horizon)
         return traj
@@ -358,8 +342,8 @@ class TrajectoryPredictor:
         if any(p.size != self.cfg.traj_dim for p in prev):
             raise PredictorError(f"every base needs {self.cfg.traj_dim} entries, got "
                                  f"{[p.size for p in prev]}")
-        if not self._weights:
-            self._weights.extend(w.data for w in evolved_weights(self.params, self.cfg))
+        if self._weights is None:
+            self._weights = [w.data for w in evolved_weights(self.params, self.cfg)]
         mean, sigma = prior_forward(self._arrays, self.cfg, targets, positions, adjacency,
                                     obstacle_centers, np.array(prev), weights=self._weights)
         mean.flags.writeable = sigma.flags.writeable = False
@@ -392,77 +376,65 @@ class TrajectoryPredictor:
         out = vae_decode(msg.latent.reshape(1, -1), self._arrays["vae"])
         return out.reshape(-1) * std + mean
 
-    def predict(self, targets, messages, positions, adjacency, obstacle_centers,
-                tick) -> dict:
-        """predict_all for this predictor alone: {target: trajectory}."""
-        return predict_all([self], [targets], [messages], positions, adjacency,
-                           obstacle_centers, tick)[0]
+    def predict_all(self, target_sets, inboxes, positions, adjacency, obstacle_centers,
+                    tick) -> list[dict]:
+        """The full pipeline for every ego of a tick: {target: trajectory} of
+        each target_sets[ego], as ego sees it with inboxes[ego].
 
-    def hold(self, targets, messages, positions, tick) -> dict:
-        """VAE mode, without a prior: {target: trajectory}.
+        Each target's prior is shifted from the ego's belief, aged onto the
+        previous tick's horizon, or holds the target's current position when
+        the ego has none. It is fused with the sender's decoded message when
+        the inbox holds a fresh one, and the result becomes the ego's belief.
+        The tick's requests run in one predict_prior batch, each distinct
+        (target, base) once, so the same requests give the same bits.
 
-        A fresh message (its tick is this tick) is decoded and replaces the
-        target's belief. On a tick without one (off the communication period,
-        or the packet lost) the last decoded message is held, shifted one
-        sample per tick since it arrived, so it stays on this tick's horizon.
-        Before a target's first message its current position is held, and
-        not stored.
+        Raises PredictorError, before any belief changes, when a fresh message
+        arrives and the predictor has no codec calibration to fuse it with.
+        """
+        requests, egos = {}, []  # {(target, base bytes): base}
+        for ego, (targets, inbox) in enumerate(zip(target_sets, inboxes)):
+            targets = list(targets)
+            fresh = {t: inbox[t] for t in targets if t in inbox and inbox[t].tick == tick}
+            if fresh and self.calibration is None:
+                sender = next(iter(fresh.values())).sender
+                raise PredictorError(f"fresh message from sender {sender!r}, but the predictor "
+                                     "has no codec calibration to fuse it with")
+            keys = []
+            for t in targets:
+                base = self._aged((ego, t), tick - 1) if (ego, t) in self.beliefs else None
+                keys.append((t, None if base is None else base.tobytes()))
+                requests.setdefault(keys[-1], base)
+            egos.append((keys, fresh))
+        estimates = self.predict_prior([t for t, _ in requests], positions, adjacency,
+                                       obstacle_centers, list(requests.values()))
+        priors = dict(zip(requests, estimates))
+        out = []
+        for ego, (keys, fresh) in enumerate(egos):
+            preds = {}
+            for key in keys:
+                target, prior, msg = key[0], priors[key], fresh.get(key[0])
+                result = (prior.mean if msg is None
+                          else fuse(prior, self.decode(msg), self.calibration)[0])
+                self.beliefs[ego, target] = (result, tick)
+                preds[target] = result
+            out.append(preds)
+        return out
+
+    def hold(self, ego, targets, messages, positions, tick) -> dict:
+        """VAE mode, without a prior: {target: trajectory} as ego sees it.
+
+        A fresh message (its tick is this tick) is decoded and replaces ego's
+        belief about the target. On a tick without one (off the communication
+        period, or the packet lost) the last decoded message is held, shifted
+        one sample per tick since it arrived, so it stays on this tick's
+        horizon. Before a target's first message its current position is
+        held, and not stored.
         """
         out = {}
         for target in targets:
-            msg = messages.get(target)
+            key, msg = (ego, target), messages.get(target)
             if msg is not None and msg.tick == tick:
-                self.beliefs[target] = (self.decode(msg), tick)
-            out[target] = (self._aged(target, tick) if target in self.beliefs
+                self.beliefs[key] = (self.decode(msg), tick)
+            out[target] = (self._aged(key, tick) if key in self.beliefs
                            else np.tile(positions[target], self.cfg.horizon))
         return out
-
-
-def predict_all(predictors, target_sets, inboxes, positions, adjacency, obstacle_centers,
-                tick) -> list[dict]:
-    """The full pipeline for every ego of a tick: {target: trajectory} of
-    each target_sets[i], as predictors[i] sees it with inboxes[i].
-
-    Each target's prior is shifted from the ego's belief, aged onto the
-    previous tick's horizon, or holds the target's current position when
-    the ego has none. It is fused with the sender's decoded message when the
-    inbox holds a fresh one, and the result becomes the ego's belief. The
-    requests of a share_prior group run in one predict_prior batch, each
-    distinct (target, base) once, so the same requests give the same bits.
-
-    Raises PredictorError, before any belief changes, when a fresh message
-    arrives at a predictor without a codec calibration to fuse it with.
-    """
-    # {id(weight list): (a predictor of the group, {(target, base bytes): base})}
-    groups, egos = {}, []
-    for pred, targets, inbox in zip(predictors, target_sets, inboxes):
-        targets = list(targets)
-        fresh = {t: inbox[t] for t in targets if t in inbox and inbox[t].tick == tick}
-        if fresh and pred.calibration is None:
-            sender = next(iter(fresh.values())).sender
-            raise PredictorError(f"fresh message from sender {sender!r}, but the predictor "
-                                 "has no codec calibration to fuse it with")
-        requests = groups.setdefault(id(pred._weights), (pred, {}))[1]
-        keys = []
-        for t in targets:
-            base = pred._aged(t, tick - 1) if t in pred.beliefs else None
-            keys.append((t, None if base is None else base.tobytes()))
-            requests.setdefault(keys[-1], base)
-        egos.append((pred, keys, fresh))
-    priors = {}
-    for group, (pred, requests) in groups.items():
-        estimates = pred.predict_prior([t for t, _ in requests], positions, adjacency,
-                                       obstacle_centers, list(requests.values()))
-        priors[group] = dict(zip(requests, estimates))
-    out = []
-    for pred, keys, fresh in egos:
-        preds = {}
-        for key in keys:
-            target, prior = key[0], priors[id(pred._weights)][key]
-            msg = fresh.get(target)
-            result = (prior.mean if msg is None
-                      else fuse(prior, pred.decode(msg), pred.calibration)[0])
-            pred.beliefs[target] = (result, tick)
-            preds[target] = result
-        out.append(preds)
-    return out

@@ -18,8 +18,9 @@ agent plans: the agent loop overwrites the previous plans one by one. Oracle
 mode shares the snapshot with every neighbor, the perfect-communication
 baseline; a VAE message carries the same trajectory, so a fresh message
 describes the sender's plan on the receiver's horizon, as the oracle does.
-In the learned modes each agent's TrajectoryPredictor keeps and ages its
-belief about every neighbor's plan (TrajectoryPredictor.predict and hold).
+In the learned modes the episode's one TrajectoryPredictor keeps and ages
+each agent's belief about every neighbor's plan
+(TrajectoryPredictor.predict_all and hold).
 """
 
 import itertools
@@ -37,7 +38,6 @@ from ..geometry import (
     point_surface_distance,
     scaled_distance,
 )
-from ..predictor import predict_all, share_prior
 from .scenario import Scenario
 
 
@@ -248,15 +248,12 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
                 dynamics: DynamicsModel | None = None) -> EpisodeTrace:
     """Run one closed-loop episode; deterministic in (scenario, seed, configs).
 
-    predictor_factory() must build a fresh TrajectoryPredictor per agent for
-    the learned modes: it predicts the agent's neighbors and encodes the
-    agent's messages. The oracle and constant-velocity modes need none.
-    Predictors the factory builds on the same parameter arrays, with equal
-    configs, share the prior's work (predictor.share_prior): one EG weight
-    evolution per episode, and one batch of each tick's prior rows, which
-    predictor.predict_all runs for every ego before the egos plan. A factory
-    that copies the parameters per agent runs each ego's rows in a batch of
-    its own, so the two agree only to rounding.
+    The learned modes call predictor_factory() once per episode: the fresh
+    TrajectoryPredictor it builds predicts every agent's neighbors, keeping
+    each agent's beliefs apart, and encodes every agent's messages. It
+    evolves the EG weights once per episode, and its predict_all runs each
+    tick's prior rows in one batch before the agents plan. The oracle and
+    constant-velocity modes need no factory.
     """
     mode = RunMode.parse(mode) if isinstance(mode, str) else mode
     cfg = controller or ControllerConfig()
@@ -281,9 +278,8 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
     prev_plans = [hold_position_plan(a.position, cfg) for a in scenario.agents]
     obstacle_centers = np.array([o.center for o in scenario.obstacles])
 
-    predictors = [predictor_factory() for _ in range(n)] if mode.uses_predictor else []
-    share_prior(predictors)
-    if any(p.cfg.horizon != cfg.horizon for p in predictors):
+    predictor = predictor_factory() if mode.uses_predictor else None
+    if predictor is not None and predictor.cfg.horizon != cfg.horizon:
         raise ValueError("predictor and controller disagree on the horizon")
 
     trace = EpisodeTrace(scenario, mode, seed, noise_std, cfg, channel)
@@ -309,15 +305,14 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
         neighbor_sets = [sorted(np.flatnonzero(adjacency[i])) for i in range(n)]
 
         if mode in (RunMode.EG, RunMode.EG_VAE):
-            # every ego's predictions, one prior batch per group of shared
-            # predictors, before any ego plans
-            predicted = predict_all(predictors, neighbor_sets, [inboxes[i] for i in range(n)],
-                                    positions, adjacency, obstacle_centers, tick)
+            # every ego's predictions, in one prior batch, before any ego plans
+            predicted = predictor.predict_all(neighbor_sets, [inboxes[i] for i in range(n)],
+                                              positions, adjacency, obstacle_centers, tick)
         for i in range(n):
             if mode in (RunMode.EG, RunMode.EG_VAE):
                 preds = predicted[i]
             elif mode is RunMode.VAE:
-                preds = predictors[i].hold(neighbor_sets[i], inboxes[i], positions, tick)
+                preds = predictor.hold(i, neighbor_sets[i], inboxes[i], positions, tick)
             elif mode is RunMode.ORACLE:
                 preds = {j: shifted_plans[j] for j in neighbor_sets[i]}
             else:
@@ -349,9 +344,9 @@ def run_episode(scenario: Scenario, mode: RunMode | str = RunMode.ORACLE,
 
         outbox = {}
         if mode.uses_messages and (tick + 1) % channel.period_ticks == 0:
-            outbox = {j: predictors[j].encode(bundle.shifted @ prev_plans[j].flatten(),
-                                              tick=tick + 1, sender=j, mode="sample",
-                                              rng=rng_codec)
+            outbox = {j: predictor.encode(bundle.shifted @ prev_plans[j].flatten(),
+                                          tick=tick + 1, sender=j, mode="sample",
+                                          rng=rng_codec)
                       for j in range(n)}
         trace.messages_sent.append(list(outbox))
 

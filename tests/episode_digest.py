@@ -1,14 +1,18 @@
-"""Dump the benchmark's DESK episodes, or compare two dumps array by array.
+"""Dump DESK episodes of every run mode, or compare two dumps array by array.
 
     python3 tests/episode_digest.py --out FILE.npz
     python3 tests/episode_digest.py --compare A.npz B.npz
 
 --out runs the desk-oracle and desk-eg episodes 1000, 1001 and 2000 (the
 closed-loop and cold-start sensor seeds of benchmark seeds 1 and 2) through
-swarmbench's set_up/run_one, with one BLAS thread, and writes their plans,
-true states and predictions, and the name of the OpenBLAS kernel numpy
-ran them on. Run it once per commit from that commit's checkout; the
-episodes come from the checkout the script sits in.
+swarmbench's set_up/run_one, with one BLAS thread. On the same DESK scenario
+it also runs a 20-tick episode 1000 in each mode no workload runs (cv, vae
+and eg+vae), the message modes over ChannelConfig(p_loss=0.3), with the
+default PredictorConfig's parameters at default_rng(0) and a codec
+calibration of 100. It writes their plans, true states and predictions, and
+the name of the OpenBLAS kernel numpy ran them on. Run it once per commit
+from that commit's checkout; the episodes come from the checkout the script
+sits in.
 
 --compare prints the two dumps' kernels when either records one, and says
 when both do and they differ: the episodes' bits depend on the kernel. It
@@ -34,6 +38,8 @@ import numpy as np  # noqa: E402
 
 WORKLOADS = ("desk-oracle", "desk-eg")
 EPISODE_SEEDS = (1000, 1001, 2000)
+# the modes no workload runs: (mode, episode seed, ticks)
+MODE_EPISODES = (("cv", 1000, 20), ("vae", 1000, 20), ("eg+vae", 1000, 20))
 FIELDS = ("plans", "true_states", "pred_keys", "pred_values")
 CORE_KEY = "openblas_core"
 
@@ -66,15 +72,38 @@ def dump(path):
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "swarmbench"))
     import bench
 
+    from swarmcoord.predictor import (
+        CodecCalibration,
+        PredictorConfig,
+        TrajectoryPredictor,
+        init_predictor_params,
+    )
+    from swarmcoord.swarmsim import ChannelConfig, RunMode, run_episode
+
     bench.quiet_fallback_warnings()
     out = {}
+
+    def add(name, seed, trace):
+        arrays = episode_arrays(trace)
+        out.update({f"{name}.{seed}.{field}": a for field, a in arrays.items()})
+        print(f"{name} {seed}: {len(arrays['plans'])} ticks", flush=True)
+
     for name in WORKLOADS:
         wl = bench.WORKLOADS[name]
         setup = bench.set_up(wl)
         for seed in EPISODE_SEEDS:
-            arrays = episode_arrays(bench.run_one(wl, setup, seed))
-            out.update({f"{name}.{seed}.{field}": a for field, a in arrays.items()})
-            print(f"{name} {seed}: {len(arrays['plans'])} ticks", flush=True)
+            add(name, seed, bench.run_one(wl, setup, seed))
+    setup = bench.set_up(bench.WORKLOADS["desk-oracle"])
+    pcfg = PredictorConfig()
+    params = init_predictor_params(np.random.default_rng(0), pcfg)
+    calibration = CodecCalibration(np.full(pcfg.traj_dim, 100.0))
+    for mode, seed, ticks in MODE_EPISODES:
+        channel = ChannelConfig(p_loss=0.3) if RunMode.parse(mode).uses_messages else None
+        add(f"desk-{mode}", seed, run_episode(
+            setup.scenario, mode, controller=setup.controller, channel=channel,
+            ticks=ticks, seed=seed, bundle=setup.bundle, dynamics=setup.dynamics,
+            predictor_factory=lambda: TrajectoryPredictor(params, pcfg,
+                                                          calibration=calibration)))
     core = openblas_core()
     if core is not None:
         out[CORE_KEY] = np.array(core)

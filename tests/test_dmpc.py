@@ -18,6 +18,7 @@ from swarmcoord.dmpc import (
     BasisBundle,
     ControllerConfig,
     CostWeights,
+    MotionLimits,
     build_qp,
     detect_first_collision,
     hold_position_plan,
@@ -179,6 +180,23 @@ class TestBasisBundle:
     def test_degree_below_two_rejected(self):
         with pytest.raises(ValueError, match="degree"):
             ControllerConfig(degree=1)
+
+    @pytest.mark.parametrize("make, kwargs", [
+        pytest.param(make, kwargs,
+                     id=make.__name__ + "-" + ",".join(f"{k}={v}" for k, v in kwargs.items()))
+        for make, kwargs in [
+            (CostWeights, {"q_eft": np.nan}), (CostWeights, {"l_saf": np.inf}),
+            (MotionLimits, {"v_min": 1.0, "v_max": -1.0}),
+            (MotionLimits, {"a_min": 1.0, "a_max": 1.0}),
+            (MotionLimits, {"a_min": np.nan}), (MotionLimits, {"v_max": np.inf}),
+            (ControllerConfig, {"r_min": np.nan}), (ControllerConfig, {"r_coh": np.nan}),
+            (ControllerConfig, {"r_min": -0.5}), (ControllerConfig, {"r_min": 3.0}),
+            (ControllerConfig, {"r_min": np.inf, "r_coh": np.inf})]])
+    def test_nonfinite_negative_or_inverted_config_rejected(self, make, kwargs):
+        # each of these planned at all, silently falling back or letting
+        # agents overlap, or failed inside the QP with another message
+        with pytest.raises(ValueError, match="finite"):
+            make(**kwargs)
 
     def test_shifted_samples_plan_one_tick_ahead(self, cfg, bundle):
         rng = np.random.default_rng(11)

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 
 import numpy as np
 import pytest
@@ -32,9 +31,7 @@ from swarmcoord.predictor import (
     evolved_weights,
     fuse,
     init_predictor_params,
-    predict_all,
     prior_forward,
-    share_prior,
     shift_trajectory,
 )
 
@@ -81,6 +78,18 @@ class TestShift:
         assert np.array_equal(shifted[:9], traj[3:])
         assert np.array_equal(shifted[9:], traj[9:])
 
+    def test_shifts_every_row(self):
+        rows = np.arange(36.0).reshape(3, 12)
+        shifted = shift_trajectory(rows, 4)
+        assert shifted.shape == (3, 12)
+        for row, want in zip(shifted, rows):
+            assert np.array_equal(row, shift_trajectory(want, 4))
+
+    @pytest.mark.parametrize("shape", [(11,), (13,), (2, 11), (12, 3), ()], ids=str)
+    def test_wrong_last_axis_rejected(self, shape):
+        with pytest.raises(PredictorError, match="12 entries on its last axis"):
+            shift_trajectory(np.zeros(shape), 4)
+
 
 class TestPrior:
     def test_untrained_output_contract(self, cfg, params):
@@ -110,6 +119,21 @@ class TestPrior:
                                    prev_predictions=[np.tile(positions[target],
                                                              cfg.horizon)])[0]
         assert np.allclose(est.mean, est_p.mean, atol=1e-10)
+
+    def test_changing_one_position_recomputes(self, cfg, params):
+        rng = np.random.default_rng(111)
+        positions, adjacency, obstacles = (make_history(rng, 4, cfg.history)[-1],
+                                           ring_adjacency(4), np.zeros((2, 3)))
+        pred = TrajectoryPredictor(params, cfg)
+        before = pred.predict_prior([1, 3], positions, adjacency, obstacles)
+        moved = positions.copy()
+        moved[0, 2] += 1e-3  # not a target: only the GCN reads it
+        after = pred.predict_prior([1, 3], moved, adjacency, obstacles)
+        fresh = TrajectoryPredictor(params, cfg).predict_prior([1, 3], moved, adjacency,
+                                                               obstacles)
+        for a, b in zip(after, fresh, strict=True):
+            assert np.array_equal(a.mean, b.mean) and np.array_equal(a.stddev, b.stddev)
+        assert not np.array_equal(after[0].mean, before[0].mean)
 
     @pytest.mark.parametrize("size", [1, 5, "3P+3", "mapping"])
     def test_base_of_the_wrong_length_rejected(self, cfg, params, size):
@@ -236,7 +260,8 @@ class TestBatchedPrior:
         messages = {4: pred.encode(rng.normal(size=cfg.traj_dim), tick, 4, mode="mean"),
                     1: pred.encode(rng.normal(size=cfg.traj_dim), tick - 1, 1, mode="mean"),
                     5: pred.encode(rng.normal(size=cfg.traj_dim), tick, 5, mode="mean")}
-        out = pred.predict(targets, messages, history[-1], adjacency, obstacles, tick)
+        out = pred.predict_all([targets], [messages], history[-1], adjacency, obstacles,
+                               tick)[0]
         assert list(out) == targets
         for target in targets:
             mean, sigma = reference_prior_forward(
@@ -252,8 +277,8 @@ class TestBatchedPrior:
                                    calibration)
                 assert np.max(np.abs(expected - mean)) > 1e-3
             assert_rel_close(out[target], expected)
-            assert pred.beliefs[target][0] is out[target]
-            assert pred.beliefs[target][1] == tick
+            assert pred.beliefs[0, target][0] is out[target]
+            assert pred.beliefs[0, target][1] == tick
 
     def test_evolved_weights_match_explicit_steps(self, cfg, params):
         weights = evolved_weights(params, cfg)
@@ -344,7 +369,7 @@ class TestArrayInference:
         adjacency, obstacles = ring_adjacency(4), np.zeros((2, 3))
         pred = TrajectoryPredictor(params, cfg,
                                    calibration=CodecCalibration(np.ones(cfg.traj_dim)))
-        pred.predict([1, 3], {}, positions, adjacency, obstacles, tick=0)
+        pred.predict_all([[1, 3]], [{}], positions, adjacency, obstacles, tick=0)
         built = []
         real_init = Tensor.__init__
 
@@ -355,7 +380,8 @@ class TestArrayInference:
         monkeypatch.setattr(Tensor, "__init__", tensor_init)
         # the prior, with and without beliefs, and the codec both ways
         msg = pred.encode(rng.normal(size=cfg.traj_dim), tick=1, sender=3, mode="mean")
-        out = pred.predict([1, 2, 3], {3: msg}, positions, adjacency, obstacles, tick=1)
+        out = pred.predict_all([[1, 2, 3]], [{3: msg}], positions, adjacency, obstacles,
+                               tick=1)[0]
         assert list(out) == [1, 2, 3]
         assert built == []
         Tensor(np.zeros(1))
@@ -404,26 +430,15 @@ class TestHookContract:
         rng = np.random.default_rng(107)
         pred = TrajectoryPredictor(params, cfg)
         monkeypatch.setattr(Tensor, "__init__", tensor_init)
-        out = pred.predict([1, 3], {}, make_history(rng, 4, cfg.history)[-1],
-                           ring_adjacency(4), np.zeros((2, 3)), tick=0)
+        out = pred.predict_all([[1, 3]], [{}], make_history(rng, 4, cfg.history)[-1],
+                               ring_adjacency(4), np.zeros((2, 3)), tick=0)[0]
         assert list(out) == [1, 3]
         assert all(count > 0 for count in calls.values()), calls
 
 
 class TestSharedPrior:
-    """Predictors on the same parameter arrays, under equal configs, share
-    one prior batch per predict_all call (share_prior)."""
-
-    @pytest.fixture
-    def lstm_steps(self, monkeypatch):
-        calls, real = [], predictor.lstm_step
-
-        def counting(*args):
-            calls.append(None)
-            return real(*args)
-
-        monkeypatch.setattr(predictor, "lstm_step", counting)
-        return calls
+    """Every ego of one predict_all call shares one prior batch, and keeps
+    its own beliefs under (ego, target)."""
 
     @pytest.fixture
     def batches(self, monkeypatch):
@@ -442,102 +457,84 @@ class TestSharedPrior:
         rng = np.random.default_rng(111)
         return make_history(rng, 4, cfg.history)[-1], ring_adjacency(4), np.zeros((2, 3))
 
-    def assert_same_estimates(self, got, want):
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert np.array_equal(a.mean, b.mean) and np.array_equal(a.stddev, b.stddev)
-
-    def test_changing_one_position_recomputes(self, cfg, params, context):
-        positions, adjacency, obstacles = context
-        pred = TrajectoryPredictor(params, cfg)
-        before = pred.predict_prior([1, 3], positions, adjacency, obstacles)
-        moved = positions.copy()
-        moved[0, 2] += 1e-3  # not a target: only the GCN reads it
-        after = pred.predict_prior([1, 3], moved, adjacency, obstacles)
-        self.assert_same_estimates(
-            after, TrajectoryPredictor(params, cfg).predict_prior([1, 3], moved, adjacency,
-                                                                  obstacles))
-        assert not np.array_equal(after[0].mean, before[0].mean)
-
-    def test_sharing_only_the_eg_arrays_shares_no_rows(self, cfg, params, context,
-                                                      lstm_steps):
-        own = copy.deepcopy(params)
-        own["eg"] = params["eg"]
-        other_floor = dataclasses.replace(cfg, sigma_floor=2 * cfg.sigma_floor)
-        egos = [TrajectoryPredictor(params, cfg), TrajectoryPredictor(own, cfg),
-                TrajectoryPredictor(params, other_floor)]
-        share_prior(egos)
-        predict_all(egos, [[1, 3]] * 3, [{}] * 3, *context, tick=0)
-        # three batches: each ego runs the whole LSTM for itself
-        assert len(lstm_steps) == 3 * 2 * cfg.horizon
-
     def test_stored_rows_are_read_only(self, cfg, params, context):
-        ego, other = TrajectoryPredictor(params, cfg), TrajectoryPredictor(params, cfg)
-        share_prior([ego, other])
-        predict_all([ego, other], [[1, 3], [1, 3]], [{}, {}], *context, tick=0)
-        mine, theirs = ego.beliefs[1][0], other.beliefs[1][0]
+        pred = TrajectoryPredictor(params, cfg)
+        pred.predict_all([[1, 3], [1, 3]], [{}, {}], *context, tick=0)
+        mine, theirs = pred.beliefs[0, 1][0], pred.beliefs[1, 1][0]
         assert np.shares_memory(mine, theirs)
-        for row in (mine, theirs, ego.predict_prior([1, 3], *context)[1].stddev):
+        for row in (mine, theirs, pred.predict_prior([1, 3], *context)[1].stddev):
             assert not row.flags.writeable
             with pytest.raises(ValueError):
                 row[0] = 0.0
 
-    def test_predict_all_batches_each_group_once(self, cfg, params, context, batches):
-        # two egos on one tree, one on a deep copy, one under another
-        # sigma_floor: three groups
-        calibration = CodecCalibration(np.full(cfg.traj_dim, 0.5))
-        other_floor = dataclasses.replace(cfg, sigma_floor=2 * cfg.sigma_floor)
-        egos = [TrajectoryPredictor(p, c, calibration=calibration)
-                for p, c in ((params, cfg), (params, cfg), (copy.deepcopy(params), cfg),
-                             (params, other_floor))]
-        share_prior(egos)
-        targets = [[1, 2, 3], [1, 2, 3], [1, 3], [2, 3]]
-        predict_all(egos, targets, [{}] * 4, *context, tick=0)
-        # the beliefs diverge: ego 1 sees another plan for 3 and none for 2
-        traj, made = egos[1].beliefs[3]
-        egos[1].beliefs[3] = (traj + 0.1, made)
-        del egos[1].beliefs[2]
-        rng = np.random.default_rng(112)
-        msg = egos[0].encode(rng.normal(size=cfg.traj_dim), tick=1, sender=3, mode="mean")
-        inboxes = [{3: msg}, {}, {3: msg}, {}]
-        twins = copy.deepcopy(egos)
-        batches.clear()
-        out = predict_all(egos, targets, inboxes, *context, tick=1)
-        assert [b[0] for b in batches] == [[1, 2, 3, 2, 3], [1, 3], [2, 3]]
-        recorded = list(batches)
-        for batch_targets, rows in recorded:
-            keys = [(t, row.tobytes()) for t, row in zip(batch_targets, rows)]
-            assert len(set(keys)) == len(keys)
-        # each ego reads its rows from its group's batch, recomputed here on
-        # the same (target, base) list: the same batch gives the same bits
+    def test_egos_keep_their_beliefs_apart(self, cfg, params, context):
         positions = context[0]
-        for ego, twin, own, inbox, preds, group in zip(egos, twins, targets, inboxes, out,
-                                                       [0, 0, 1, 2]):
-            batch_targets, rows = recorded[group]
-            estimates = twin.predict_prior(batch_targets, *context, list(rows))
-            rows_by_key = {(t, row.tobytes()): est
-                           for t, row, est in zip(batch_targets, rows, estimates)}
+        pred = TrajectoryPredictor(params, cfg)
+        pred.predict_all([[1, 3], [3]], [{}, {}], *context, tick=0)
+        # ego 1 comes to believe another plan for 3; ego 0's belief stays
+        ego0, made = pred.beliefs[0, 3]
+        ego1 = ego0 + 0.1
+        pred.beliefs[1, 3] = (ego1, made)
+        out = pred.predict_all([[3], [3]], [{}, {}], *context, tick=1)
+        want = TrajectoryPredictor(params, cfg).predict_prior([3, 3], *context, [ego0, ego1])
+        for ego, (preds, est) in enumerate(zip(out, want)):
+            assert np.array_equal(preds[3], est.mean)
+            assert pred.beliefs[ego, 3][0] is preds[3]
+        assert not np.array_equal(out[0][3], out[1][3])
+        # hold: a message to ego 0 alone is ego 0's belief; ego 1 keeps its own
+        msg = pred.encode(np.tile(positions[3], cfg.horizon) + 1.0, tick=2, sender=3,
+                          mode="mean")
+        held = [pred.hold(ego, [3], inbox, positions, tick=2)
+                for ego, inbox in ((0, {3: msg}), (1, {}))]
+        assert np.array_equal(held[0][3], pred.decode(msg))
+        assert np.array_equal(held[1][3], shift_trajectory(out[1][3], cfg.horizon))
+        assert pred.beliefs[1, 3][1] == 1
+
+    def test_predict_all_batches_each_group_once(self, cfg, params, context, batches):
+        calibration = CodecCalibration(np.full(cfg.traj_dim, 0.5))
+        pred = TrajectoryPredictor(params, cfg, calibration=calibration)
+        # the four egos of a call are one group, whose rows run in one batch
+        targets = [[1, 2, 3], [1, 2, 3], [1, 3], [2, 3]]
+        pred.predict_all(targets, [{}] * 4, *context, tick=0)
+        # the beliefs diverge: ego 1 sees another plan for 3 and none for 2
+        traj, made = pred.beliefs[1, 3]
+        pred.beliefs[1, 3] = (traj + 0.1, made)
+        del pred.beliefs[1, 2]
+        rng = np.random.default_rng(112)
+        msg = pred.encode(rng.normal(size=cfg.traj_dim), tick=1, sender=3, mode="mean")
+        inboxes = [{3: msg}, {}, {3: msg}, {}]
+        twin = copy.deepcopy(pred)
+        batches.clear()
+        out = pred.predict_all(targets, inboxes, *context, tick=1)
+        assert [b[0] for b in batches] == [[1, 2, 3, 2, 3]]
+        (batch_targets, rows), = batches
+        keys = [(t, row.tobytes()) for t, row in zip(batch_targets, rows)]
+        assert len(set(keys)) == len(keys)
+        # each ego reads its rows from the batch, recomputed here on the same
+        # (target, base) list: the same batch gives the same bits
+        estimates = twin.predict_prior(batch_targets, *context, list(rows))
+        rows_by_key = dict(zip(keys, estimates))
+        positions = context[0]
+        for ego, (own, inbox, preds) in enumerate(zip(targets, inboxes, out)):
             assert list(preds) == own
             for t in own:
-                base = (twin._aged(t, 0) if t in twin.beliefs
+                base = (twin._aged((ego, t), 0) if (ego, t) in twin.beliefs
                         else np.tile(positions[t], cfg.horizon))
                 prior = rows_by_key[t, base.tobytes()]
                 want = (prior.mean if t not in inbox
                         else fuse(prior, twin.decode(inbox[t]), twin.calibration)[0])
                 assert np.array_equal(preds[t], want)
-            assert all(ego.beliefs[t][0] is preds[t] for t in own)
+            assert all(pred.beliefs[ego, t][0] is preds[t] for t in own)
         assert not np.array_equal(out[0][3], out[1][3])
 
-        # a fresh message at the last ego, which has no calibration
-        egos[-1].calibration = None
-        before = [{t: (traj.copy(), made) for t, (traj, made) in ego.beliefs.items()}
-                  for ego in egos]
+        # a fresh message at the last ego, with no calibration
+        pred.calibration = None
+        before = {key: (traj.copy(), made) for key, (traj, made) in pred.beliefs.items()}
         with pytest.raises(PredictorError, match="sender 3"):
-            predict_all(egos, targets, [{}, {}, {}, {3: msg}], *context, tick=1)
-        for ego, kept in zip(egos, before):
-            assert ego.beliefs.keys() == kept.keys()
-            assert all(np.array_equal(ego.beliefs[t][0], traj) and ego.beliefs[t][1] == made
-                       for t, (traj, made) in kept.items())
+            pred.predict_all(targets, [{}, {}, {}, {3: msg}], *context, tick=1)
+        assert pred.beliefs.keys() == before.keys()
+        assert all(np.array_equal(pred.beliefs[key][0], traj) and pred.beliefs[key][1] == made
+                   for key, (traj, made) in before.items())
 
 
 class TestPriorGradients:
@@ -749,7 +746,7 @@ class TestPredict:
         positions = make_history(rng, 4, cfg.history)[-1]
         adj = ring_adjacency(4)
         obstacles = np.zeros((2, 3))
-        out = pred.predict([1], {}, positions, adj, obstacles, tick=0)[1]
+        out = pred.predict_all([[1]], [{}], positions, adj, obstacles, tick=0)[0][1]
         pred2 = TrajectoryPredictor(params, cfg)
         prior = pred2.predict_prior([1], positions, adj, obstacles)[0]
         assert np.allclose(out, prior.mean)
@@ -760,8 +757,8 @@ class TestPredict:
             params, cfg, calibration=CodecCalibration(np.full(cfg.traj_dim, 1e-12)))
         positions = make_history(rng, 4, cfg.history)[-1]
         msg = pred.encode(rng.normal(size=cfg.traj_dim), tick=5, sender=1, mode="mean")
-        out = pred.predict([1], {1: msg}, positions, ring_adjacency(4), np.zeros((2, 3)),
-                           tick=5)[1]
+        out = pred.predict_all([[1]], [{1: msg}], positions, ring_adjacency(4),
+                               np.zeros((2, 3)), tick=5)[0][1]
         assert np.max(np.abs(out - pred.decode(msg))) < 1e-6
 
     def test_fresh_message_without_calibration_raises(self, cfg, params):
@@ -770,13 +767,13 @@ class TestPredict:
         positions = make_history(rng, 4, cfg.history)[-1]
         msg = pred.encode(rng.normal(size=cfg.traj_dim), tick=5, sender=1, mode="mean")
         with pytest.raises(PredictorError, match="sender 1"):
-            pred.predict([2, 1], {1: msg}, positions, ring_adjacency(4), np.zeros((2, 3)),
-                         tick=5)
+            pred.predict_all([[2, 1]], [{1: msg}], positions, ring_adjacency(4),
+                             np.zeros((2, 3)), tick=5)
         assert pred.beliefs == {}
         # a stale message is not fused, so it needs no calibration
-        out = pred.predict([1], {1: msg}, positions, ring_adjacency(4), np.zeros((2, 3)),
-                           tick=6)
-        assert pred.beliefs[1][0] is out[1]
+        out = pred.predict_all([[1]], [{1: msg}], positions, ring_adjacency(4),
+                               np.zeros((2, 3)), tick=6)[0]
+        assert pred.beliefs[0, 1][0] is out[1]
 
     def test_stale_message_discarded_by_default(self, cfg, params):
         rng = np.random.default_rng(19)
@@ -784,8 +781,8 @@ class TestPredict:
             params, cfg, calibration=CodecCalibration(np.full(cfg.traj_dim, 1e-12)))
         positions = make_history(rng, 4, cfg.history)[-1]
         msg = pred.encode(rng.normal(size=cfg.traj_dim), tick=2, sender=1, mode="mean")
-        out = pred.predict([1], {1: msg}, positions, ring_adjacency(4), np.zeros((2, 3)),
-                           tick=7)[1]
+        out = pred.predict_all([[1]], [{1: msg}], positions, ring_adjacency(4),
+                               np.zeros((2, 3)), tick=7)[0][1]
         prior = TrajectoryPredictor(params, cfg).predict_prior(
             [1], positions, ring_adjacency(4), np.zeros((2, 3)))[0]
         assert np.allclose(out, prior.mean)
@@ -800,8 +797,8 @@ class TestPredict:
                 positions = make_history(rng, 4, cfg.history)[-1]
                 msg = pred.encode(rng.normal(size=cfg.traj_dim), tick=tick,
                                   sender=1, mode="sample", rng=rng)
-                outs.append(pred.predict([1], {1: msg}, positions, ring_adjacency(4),
-                                         np.zeros((2, 3)), tick=tick)[1])
+                outs.append(pred.predict_all([[1]], [{1: msg}], positions, ring_adjacency(4),
+                                             np.zeros((2, 3)), tick=tick)[0][1])
             return np.concatenate(outs)
 
         assert np.array_equal(run(), run())
@@ -812,8 +809,8 @@ class TestPredict:
                                    calibration=CodecCalibration(np.ones(cfg.traj_dim)))
         for tick in range(4):
             positions = make_history(rng, 5, cfg.history)[-1] * 10
-            out = pred.predict([2], {}, positions, ring_adjacency(5),
-                               np.zeros((2, 3)), tick=tick)[2]
+            out = pred.predict_all([[2]], [{}], positions, ring_adjacency(5),
+                                   np.zeros((2, 3)), tick=tick)[0][2]
             assert np.all(np.isfinite(out))
 
     def test_returning_target_base_aged_by_its_gap(self, cfg, params, monkeypatch):
@@ -829,9 +826,9 @@ class TestPredict:
         adj = ring_adjacency(4)
         obstacles = np.zeros((2, 3))
         # target 2 is predicted on every tick, target 1 only at ticks 0 and 3
-        outs = [pred.predict([1, 2] if tick in (0, 3) else [2],
-                             {}, make_history(rng, 4, cfg.history)[-1], adj, obstacles,
-                             tick)
+        outs = [pred.predict_all([[1, 2] if tick in (0, 3) else [2]],
+                                 [{}], make_history(rng, 4, cfg.history)[-1], adj, obstacles,
+                                 tick)[0]
                 for tick in range(4)]
         assert bases[0] == {}
         for tick in range(1, 4):
@@ -848,17 +845,17 @@ class TestHold:
         msg = pred.encode(rng.normal(size=cfg.traj_dim), tick=2, sender=1, mode="mean")
         decoded = pred.decode(msg)
         # before the first message: the current position, not stored
-        out = pred.hold([1, 2], {}, positions, tick=1)
+        out = pred.hold(0, [1, 2], {}, positions, tick=1)
         for target in (1, 2):
             assert np.array_equal(out[target], np.tile(positions[target], cfg.horizon))
         assert pred.beliefs == {}
         # a fresh message replaces the belief; a stale one is not read
         stale = pred.encode(rng.normal(size=cfg.traj_dim), tick=1, sender=2, mode="mean")
-        out = pred.hold([1, 2], {1: msg, 2: stale}, positions, tick=2)
+        out = pred.hold(0, [1, 2], {1: msg, 2: stale}, positions, tick=2)
         assert np.array_equal(out[1], decoded)
         assert np.array_equal(out[2], np.tile(positions[2], cfg.horizon))
         # a held message is shifted once per tick of its age
         for tick in range(3, 6):
             want = shift_trajectory(want if tick > 3 else decoded, cfg.horizon)
-            out = pred.hold([1], {1: msg}, positions, tick=tick)
+            out = pred.hold(0, [1], {1: msg}, positions, tick=tick)
             assert np.array_equal(out[1], want)
